@@ -7,12 +7,22 @@ r_k(1) = 2k.
 Construction routes:
   k = 1   squares get count 2 (two signed roots), r_1(0) = 1
   k = 2   direct enumeration of pairs a^2 + b^2 <= n_max, cost O(n_max)
-  k = 3   sparse convolution of the k=2 table with squares, O(n_max^{3/2})
-  k >= 4  binary powering of the k=2 table under exact NTT convolution,
-          with one extra squares-convolution for odd k
+  k >= 3  k - 2 sparse-square steps from the k=2 table,
+          r_{j+1}(n) = r_j(n) + 2 sum_{i>=1} r_j(n - i^2), O(n_max^{3/2}) each;
+          the step to r_3 runs in u32, every later step in u64
 
-Every route is exact in 64-bit integers; any value that would exceed 2^64
-aborts instead of wrapping.
+Exact NTT convolution (convolve) builds no table; it is the independent
+oracle behind convolve_tables.  Measured on a 2-core box, the steps beat
+binary powering under the NTT at every size measured, with bit-identical
+output: r_4 at 1e6 / 4e6 / 1.6e7 took 0.9 / 11 / 92 s against
+6.0 / 32 / 136 s, and r_6 at 1.6e7 took 201 s against 297 s.  The steps
+peak at about 25 B per n, the transform at 180 B per n (2.9 GB at 1.6e7):
+above n ~ 3.4e7, where it needs 2^27 points, it does not fit in 7 GB, and
+above ~6.7e7 it cannot run at all.
+
+Every step is exact; an add that could wrap is checked, so any value that
+would exceed the integer width aborts with ConvolutionOverflowError instead
+of wrapping.
 
 Cache file format (little-endian):
   magic "RKTB" (4 bytes) | format version u32 = 1 | k u32 | n_max u64 |
@@ -130,13 +140,30 @@ def _r2_u32(n_max: int) -> np.ndarray:
     return counts
 
 
-def _sparse_square_convolve(base: np.ndarray, n_max: int) -> np.ndarray:
-    """Convolve a table with the k=1 squares table: out[n] = sum_j base[n - j^2]."""
+def _square_step(base: np.ndarray) -> np.ndarray:
+    """One more squared coordinate: out[n] = base[n] + 2 sum_{j>=1} base[n - j^2].
+
+    Exact in base's dtype.  After j slices every output is at most
+    max(base) * (2j + 1); while that bound fits, the adds run unchecked.
+    Past it each add is checked: all terms are nonnegative, so an add wrapped
+    exactly when the sum is smaller than the addend.  A doubled value or a
+    sum that does not fit raises ConvolutionOverflowError, never wraps.
+    """
+    n_max = base.shape[0] - 1
+    bits = 8 * base.dtype.itemsize
+    limit = 1 << bits
+    top = int(base.max(initial=0))
+    if top >= limit // 2 and np.any(base[:n_max] >= base.dtype.type(limit // 2)):
+        raise ConvolutionOverflowError(f"r_k coefficient beyond {bits} bits in the doubling")
     out = base.copy()
     doubled = base * base.dtype.type(2)
     for j in range(1, math.isqrt(n_max) + 1):
         jj = j * j
-        out[jj:] += doubled[: n_max + 1 - jj]
+        seg = out[jj:]
+        add = doubled[: n_max + 1 - jj]
+        seg += add
+        if top * (2 * j + 1) >= limit and np.any(seg < add):
+            raise ConvolutionOverflowError(f"r_k coefficient beyond {bits} bits at step j = {j}")
     return out
 
 
@@ -145,33 +172,14 @@ def build_rk_table(k: int, n_max: int) -> RkTable:
     _check_range(k, n_max)
     if k == 1:
         counts = _r1_u32(n_max).astype(np.uint64)
-    elif k == 2:
-        counts = _r2_u32(n_max).astype(np.uint64)
-    elif k == 3:
-        r2 = _r2_u32(n_max)
-        r3 = _sparse_square_convolve(r2, n_max)
-        # r_3 <= ~n^(1/2+eps); far below the u32 ceiling at any supported n_max
-        if int(r3.max(initial=0)) >= 2**31:
-            raise ConvolutionOverflowError("r_3 accumulator unexpectedly large")
-        counts = r3.astype(np.uint64)
     else:
-        counts = _theta_power_even(k // 2, n_max)
-        if k % 2:
-            counts = exact_convolve(counts, _r1_u32(n_max).astype(np.uint64), n_max + 1)
+        counts = _r2_u32(n_max)
+        if k >= 3:
+            counts = _square_step(counts)  # r_3 stays in u32; the step checks that
+        counts = counts.astype(np.uint64)
+        for _ in range(k - 3):
+            counts = _square_step(counts)
     return RkTable(k=k, n_max=n_max, counts=counts)
-
-
-def _theta_power_even(e: int, n_max: int) -> np.ndarray:
-    """Counts for 2e squares, by square-and-multiply over the k=2 table."""
-    base = _r2_u32(n_max).astype(np.uint64)
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else exact_convolve(result, base, n_max + 1)
-        e >>= 1
-        if e:
-            base = exact_convolve(base, base, n_max + 1)
-    return result
 
 
 def convolve_tables(a: RkTable, b: RkTable) -> RkTable:

@@ -14,7 +14,7 @@ def series3_big():
 
 @pytest.fixture(scope="session")
 def series4_1m():
-    """k = 4 series to 1e6 (NTT build)."""
+    """k = 4 series to 1e6."""
     return prefix_counts(build_rk_table(4, 1_000_000))
 
 

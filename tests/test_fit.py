@@ -138,6 +138,20 @@ class TestRecoverC3:
         with pytest.raises(ValueError):
             recover_c3(_samples(xs, values))
 
+    @pytest.mark.parametrize(
+        "x0, x1, points",
+        [
+            (1979.0371701673512, 19790.37170167351, 12),  # max/min = 9.999999999999998
+            (1000.0, 10000.0, 13),  # max = 9999.99999999999
+        ],
+    )
+    def test_one_decade_grid_accepted_despite_rounding(self, x0, x1, points):
+        xs = _geometric(x0, x1, points)
+        assert xs[-1] / xs[0] < 10.0 or xs[-1] < 1e4
+        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        c3, _ = recover_c3(_samples(xs, values))
+        assert_close(c3, 10.6, abs_=1e-9)
+
     def test_wrong_statistic_rejected(self):
         xs = _geometric(2e3, 2e4, 8)
         samples = _samples(xs, [1.0] * 8, stat=Statistic.LAPLACE_SECOND)

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from gausslab import rk
+from gausslab import convolve, rk
+from gausslab.convolve import ConvolutionOverflowError
 from gausslab.rk import (
     CacheChecksumError,
     CacheFormatError,
@@ -79,6 +80,84 @@ class TestBuild:
         table = build_rk_table(2, 10)
         with pytest.raises(ValueError):
             table.counts[0] = 5
+
+
+def _ntt_chain(k_max, n_max):
+    """r_3..r_{k_max} as chained NTT products r_{k-1} * r_1, from r_2."""
+    r1 = build_rk_table(1, n_max)
+    chain = {2: build_rk_table(2, n_max)}
+    for k in range(3, k_max + 1):
+        chain[k] = convolve_tables(chain[k - 1], r1)
+    return chain
+
+
+class TestSquareStep:
+    def test_matches_ntt_chain(self):
+        chain = _ntt_chain(8, 2000)
+        for k in range(3, 9):
+            assert build_rk_table(k, 2000) == chain[k], f"k={k}"
+
+    def test_matches_ntt_chain_1e5(self):
+        chain = _ntt_chain(5, 10**5)
+        for k in (4, 5):
+            assert build_rk_table(k, 10**5) == chain[k], f"k={k}"
+
+    def test_build_never_calls_the_ntt(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_convolve called")
+
+        monkeypatch.setattr(rk, "exact_convolve", refuse)
+        monkeypatch.setattr(convolve, "exact_convolve", refuse)
+        for k in range(1, 9):
+            build_rk_table(k, 3000)
+        build_rk_table(4, 10**5)
+
+    def test_wrap_in_doubling_raises(self):
+        base = np.zeros(10, dtype=np.uint64)
+        base[3] = 2**63
+        with pytest.raises(ConvolutionOverflowError, match="doubling"):
+            rk._square_step(base)
+
+    def test_last_entry_is_never_doubled(self):
+        # out[n_max] = base[n_max]: no square reaches past the table
+        base = np.zeros(10, dtype=np.uint64)
+        base[9] = 2**64 - 1
+        assert rk._square_step(base).tolist() == base.tolist()
+
+    def test_wrap_in_slice_add_raises(self):
+        # doubled values 2^63 fit; out[4] = 2^62 + 2 * 2^63 does not
+        base = np.full(8, 2**62, dtype=np.uint64)
+        with pytest.raises(ConvolutionOverflowError, match="j = 2"):
+            rk._square_step(base)
+
+    def test_sum_of_exactly_u64_max_fits(self):
+        base = np.array([2**62, 2**63 - 1], dtype=np.uint64)
+        assert rk._square_step(base).tolist() == [2**62, 2**64 - 1]
+        base[1] += np.uint64(1)
+        with pytest.raises(ConvolutionOverflowError):
+            rk._square_step(base)
+
+    def test_checked_equals_unchecked(self):
+        # scale r_4 so the u32 step must check its adds while the u64 step
+        # needs none; by linearity both must give the scaled r_5
+        n_max = 10**4
+        r4 = build_rk_table(4, n_max).counts
+        top = int(r4.max())
+        scale = -(-(2**32) // (top * (2 * math.isqrt(n_max) + 1)))
+        base = r4 * np.uint64(scale)
+        want = build_rk_table(5, n_max).counts * np.uint64(scale)
+        assert int(want.max()) < 2**32 <= int(base.max()) * (2 * math.isqrt(n_max) + 1)
+        checked = rk._square_step(base.astype(np.uint32))
+        assert checked.dtype == np.uint32
+        assert np.array_equal(checked, want)
+        assert np.array_equal(rk._square_step(base), want)
+
+    def test_r3_step_raises_instead_of_wrapping_u32(self):
+        base = rk._r2_u32(1000) * np.uint32(2**24)
+        exact = rk._square_step(base.astype(np.uint64))
+        assert int(exact.max()) >= 2**32
+        with pytest.raises(ConvolutionOverflowError):
+            rk._square_step(base)
 
 
 class TestBruteforce:
