@@ -51,7 +51,6 @@ from .rk import (
     rk_bruteforce,
     save_table,
     sigma,
-    sigma_odd,
 )
 from .specfun import ball_volume, euler_gamma, gamma_fn, zeta, zeta_two_removed
 from .theory import (

@@ -61,18 +61,7 @@ class ExperimentConfig:
 
 
 def _needed_n_max(config: ExperimentConfig) -> int:
-    need = 0
-    for stat in config.statistics:
-        for x in config.x_grid:
-            if stat in (
-                Statistic.SMOOTH_SECOND,
-                Statistic.LAPLACE_SECOND,
-                Statistic.SMOOTH_WEIGHTED_FIRST,
-            ):
-                need = max(need, moments.exp_cutoff(config.k, x))
-            else:
-                need = max(need, int(round(x)))
-    return need
+    return max(stat.n_needed(config.k, x) for stat in config.statistics for x in config.x_grid)
 
 
 def _default_cache_dir(arg: str | None) -> str | None:
@@ -105,20 +94,25 @@ class _CacheLock:
         return False
 
 
-def _obtain_table(k: int, n_max: int, cache_dir: str | None, log=print) -> rk.RkTable:
+def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable, str]:
+    """r_k(0..n_max) and how it was obtained: "hit" (a valid cache file),
+    "miss" (built, and saved if there is a cache directory) or "rebuild"
+    (the cache file failed its checks; built and saved over it)."""
     if cache_dir is None:
-        return rk.build_rk_table(k, n_max)
+        return rk.build_rk_table(k, n_max), "miss"
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, k, n_max)
+    outcome = "miss"
     with _CacheLock(cache_dir):
         if os.path.exists(path):
             try:
-                return rk.load_table(path)
+                return rk.load_table(path), "hit"
             except (rk.CacheFormatError, rk.CacheTruncatedError, rk.CacheChecksumError) as exc:
-                log(f"warning: discarding bad cache {path}: {exc}", file=sys.stderr)
+                print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
+                outcome = "rebuild"
         table = rk.build_rk_table(k, n_max)
         rk.save_table(table, path)
-        return table
+    return table, outcome
 
 
 def _fmt(x: float) -> str:
@@ -138,67 +132,46 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
             fh.write(data)
 
 
+# statistic -> predicted main term (k, X, c3); c3 is None unless k = 3
+_PREDICTED = {
+    Statistic.SMOOTH_SECOND: theory.predicted_smooth,
+    Statistic.SHARP_SECOND: theory.predicted_sharp,
+    Statistic.LAPLACE_SECOND: theory.predicted_laplace,
+    Statistic.SHARP_INTEGRAL_SECOND: (
+        lambda k, x, c3: None if c3 is None else theory.predicted_integral_p3(x, c3)
+    ),
+    Statistic.SMOOTH_WEIGHTED_FIRST: lambda k, x, c3: theory.predicted_smooth_weighted_first(k, x),
+    Statistic.SHARP_WEIGHTED_FIRST: lambda k, x, c3: math.pi / 2.0 * x**2 if k == 3 else None,
+}
+
+
 def _predicted_for(stat: Statistic, k: int, x: float, c3: float | None) -> float | None:
     try:
-        if stat is Statistic.SMOOTH_SECOND:
-            return theory.predicted_smooth(k, x, c3 if k == 3 else None)
-        if stat is Statistic.SHARP_SECOND:
-            return theory.predicted_sharp(k, x, c3 if k == 3 else None)
-        if stat is Statistic.LAPLACE_SECOND:
-            return theory.predicted_laplace(k, x, c3 if k == 3 else None)
-        if stat is Statistic.SHARP_INTEGRAL_SECOND:
-            if k == 3 and c3 is not None:
-                return theory.predicted_integral_p3(x, c3)
-            return None
-        if stat is Statistic.SMOOTH_WEIGHTED_FIRST:
-            return theory.predicted_smooth_weighted_first(k, x)
-        if stat is Statistic.SHARP_WEIGHTED_FIRST:
-            return math.pi / 2.0 * x**2 if k == 3 else None
+        return _PREDICTED[stat](k, x, c3 if k == 3 else None)
     except ValueError:
         return None
-    return None
-
-
-_STAT_FUNCS = {
-    Statistic.SMOOTH_SECOND: moments.smooth_second_moment,
-    Statistic.SHARP_SECOND: moments.sharp_second_moment,
-    Statistic.LAPLACE_SECOND: moments.laplace_second_moment,
-    Statistic.SHARP_INTEGRAL_SECOND: moments.sharp_integral_second_moment,
-    Statistic.SMOOTH_WEIGHTED_FIRST: moments.smooth_weighted_first_moment,
-    Statistic.SHARP_WEIGHTED_FIRST: moments.sharp_weighted_first_moment_p3,
-}
 
 MOMENTS_HEADER = ["k", "X", "statistic", "value", "truncation_bound", "predicted_value", "runtime_ms"]
 
 
-def run_moments(config: ExperimentConfig, log=print) -> tuple[list[list[str]], int]:
+def run_moments(config: ExperimentConfig) -> tuple[list[list[str]], int]:
     """All (statistic, X) cells as CSV rows; returns (rows, exit_code)."""
     n_max = config.n_max_override
     if n_max is None:
         n_max = _needed_n_max(config)
-    table = _obtain_table(config.k, n_max, config.cache_dir, log=log)
+    table, _ = _obtain_table(config.k, n_max, config.cache_dir)
     series = prefix_counts(table)
     # fill the shared lazy caches before any worker threads start
     series.p_values()
     series.prefix_float()
 
-    exp_stats = (
-        Statistic.SMOOTH_SECOND,
-        Statistic.LAPLACE_SECOND,
-        Statistic.SMOOTH_WEIGHTED_FIRST,
-    )
-    # sharp statistics are defined at integer X; snap the grid point
-    cells = [
-        (stat, float(x) if stat in exp_stats else int(round(x)))
-        for stat in config.statistics
-        for x in config.x_grid
-    ]
+    cells = [(stat, stat.scale(x)) for stat in config.statistics for x in config.x_grid]
 
     def compute(cell) -> tuple[MomentSample | Exception, float]:
         stat, x = cell
         start = time.perf_counter()
         try:
-            sample = _STAT_FUNCS[stat](series, x)
+            sample = moments.KERNELS[stat](series, x)
         except Exception as exc:
             return exc, (time.perf_counter() - start) * 1e3
         return sample, (time.perf_counter() - start) * 1e3
@@ -243,24 +216,17 @@ def _geometric_grid(x_min: float, x_max: float, points: int) -> list[float]:
 
 def cmd_table(args) -> int:
     cache_dir = _default_cache_dir(args.cache_dir) or "."
-    os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, args.k, args.n_max)
-    with _CacheLock(cache_dir):
-        if os.path.exists(path):
-            try:
-                rk.load_table(path)
-                print(f"cache {path} is valid; skipping rebuild")
-                return EXIT_OK
-            except (rk.CacheFormatError, rk.CacheTruncatedError, rk.CacheChecksumError) as exc:
-                print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
-        start = time.perf_counter()
-        table = rk.build_rk_table(args.k, args.n_max)
-        elapsed = time.perf_counter() - start
-        rk.save_table(table, path)
+    start = time.perf_counter()
+    _, outcome = _obtain_table(args.k, args.n_max, cache_dir)
+    elapsed = time.perf_counter() - start
+    if outcome == "hit":
+        print(f"cache {path} is valid; skipping rebuild")
+        return EXIT_OK
     rate = (args.n_max + 1) / max(elapsed, 1e-9)
     size = os.path.getsize(path)
     print(
-        f"built r_{args.k}(0..{args.n_max}) in {elapsed:.2f} s "
+        f"built and saved r_{args.k}(0..{args.n_max}) in {elapsed:.2f} s "
         f"({rate:,.0f} values/s) -> {path} ({size} bytes)"
     )
     return EXIT_OK
@@ -351,7 +317,7 @@ def cmd_shortinterval(args) -> int:
         return EXIT_USAGE
     grid = [int(x) for x in _geometric_grid(args.x_min, args.x_max, args.points)]
     n_max = max(int(x + x**beta) for x in grid)
-    table = _obtain_table(3, n_max, _default_cache_dir(args.cache_dir))
+    table, _ = _obtain_table(3, n_max, _default_cache_dir(args.cache_dir))
     series = prefix_counts(table)
     p = series.p_values()
     psq = p * p

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .rk import RkTable, sigma, sigma_odd, sigma_table
+from .rk import RkTable, sigma, sigma_table
 from .summation import block_compensated_sum
 
 __all__ = [
@@ -185,9 +185,9 @@ def phi_closed(cusp: Cusp, h: int, s: float) -> float:
     z2 = specfun.zeta_two_removed(2.0 * s)
     nu = 1.0 - 2.0 * s
     if cusp is Cusp.ZERO:
-        return sigma_odd(nu, h) / (4.0**s * z2)
+        return sigma(nu, h, odd_only=True) / (4.0**s * z2)
     if cusp is Cusp.HALF:
-        return (-1.0) ** (h % 2) * sigma_odd(nu, h) / (4.0**s * z2)
+        return (-1.0) ** (h % 2) * sigma(nu, h, odd_only=True) / (4.0**s * z2)
     t1 = 2.0 ** (2 - 4 * s) * _sigma_fractional(nu, h, 4)
     t2 = 2.0 ** (1 - 4 * s) * _sigma_fractional(nu, h, 2)
     return (t1 - t2) / z2

@@ -52,6 +52,14 @@ def half_power(t, k: int):
     return np.where(t > 0.0, out, 0.0)
 
 
+def _minus_volume(counts, vol):
+    """(hi - vol) + lo for u64 counts = hi + lo split 32/32: exact hi and lo
+    keep the low-order bits of counts above 2^53 through the subtraction."""
+    hi = (counts >> np.uint64(32)).astype(np.float64) * 4294967296.0
+    lo = (counts & np.uint64(0xFFFFFFFF)).astype(np.float64)
+    return (hi - vol) + lo
+
+
 @dataclass(eq=False)
 class DiscrepancySeries:
     """Running lattice counts prefix[n] = S_k(n) with the cached ball volume.
@@ -75,9 +83,7 @@ class DiscrepancySeries:
     def prefix_float(self) -> np.ndarray:
         """Split-converted float64 view of the prefix counts (read-only)."""
         if self._prefix_float is None:
-            hi = (self.prefix >> np.uint64(32)).astype(np.float64) * 4294967296.0
-            lo = (self.prefix & np.uint64(0xFFFFFFFF)).astype(np.float64)
-            pf = hi + lo
+            pf = _minus_volume(self.prefix, 0.0)
             pf.flags.writeable = False
             self._prefix_float = pf
         return self._prefix_float
@@ -85,10 +91,8 @@ class DiscrepancySeries:
     def p_values(self) -> np.ndarray:
         """P_k(n) for all n <= n_max as float64 (read-only, cached)."""
         if self._p_cache is None:
-            hi = (self.prefix >> np.uint64(32)).astype(np.float64) * 4294967296.0
-            lo = (self.prefix & np.uint64(0xFFFFFFFF)).astype(np.float64)
             vol = self.v_k * half_power(np.arange(self.n_max + 1, dtype=np.float64), self.k)
-            p = (hi - vol) + lo
+            p = _minus_volume(self.prefix, vol)
             p.flags.writeable = False
             self._p_cache = p
         return self._p_cache
@@ -111,11 +115,8 @@ def _check_n(series: DiscrepancySeries, n) -> None:
 def p_at_integer(series: DiscrepancySeries, n: int) -> float:
     """P_k(n) = S_k(n) - V_k n^{k/2} as a double."""
     _check_n(series, n)
-    s = int(series.prefix[n])
-    hi = float(s >> 32) * 4294967296.0
-    lo = float(s & 0xFFFFFFFF)
     vol = series.v_k * float(half_power(np.float64(n), series.k))
-    return (hi - vol) + lo
+    return float(_minus_volume(series.prefix[n], vol))
 
 
 def p_at_real(series: DiscrepancySeries, t: float) -> float:
@@ -123,11 +124,8 @@ def p_at_real(series: DiscrepancySeries, t: float) -> float:
     t = float(t)
     if t < 0 or t > series.n_max:
         raise ValueError(f"t = {t} outside [0, {series.n_max}]")
-    s = int(series.prefix[int(math.floor(t))])
-    hi = float(s >> 32) * 4294967296.0
-    lo = float(s & 0xFFFFFFFF)
     vol = series.v_k * float(half_power(np.float64(t), series.k))
-    return (hi - vol) + lo
+    return float(_minus_volume(series.prefix[int(math.floor(t))], vol))
 
 
 def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:
@@ -141,7 +139,6 @@ def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:
     _check_n(series, X)
     rvals = np.empty(X + 1, dtype=np.float64)
     rvals[0] = float(series.prefix[0])
-    if X >= 1:
-        rvals[1:] = (series.prefix[1 : X + 1] - series.prefix[:X]).astype(np.float64)
+    rvals[1:] = (series.prefix[1 : X + 1] - series.prefix[:X]).astype(np.float64)
     total = block_compensated_sum(rvals * rvals)
     return (series.k - 1) * float(X) ** (1 - series.k) * total

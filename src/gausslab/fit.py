@@ -152,12 +152,9 @@ def _c3_design(stat: Statistic, x: np.ndarray) -> tuple[np.ndarray, float, np.nd
     return known, factor, design
 
 
-def recover_c3(samples: list[MomentSample]) -> tuple[float, FitResult]:
-    """Recover the dimension-3 X^2 constant from second-moment samples.
-
-    The samples must share one statistic (SmoothSecond or SharpSecond), all
-    at k = 3, spanning at least a decade of X with max(X) >= 1e4.
-    """
+def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
+    """Validate the samples, solve the constrained c3 system once, and return
+    (c3, diagnostics, residual-based standard error of c3)."""
     if not samples:
         raise ValueError("no samples")
     kinds = {s.statistic for s in samples}
@@ -169,24 +166,28 @@ def recover_c3(samples: list[MomentSample]) -> tuple[float, FitResult]:
     y = np.array([s.value for s in samples], dtype=np.float64)
     if x.max() < 1e4 * (1.0 - SPAN_RTOL) or x.max() / x.min() < 10.0 * (1.0 - SPAN_RTOL):
         raise ValueError("samples must span a decade of X with max(X) >= 1e4")
-    known, factor, design = _c3_design(next(iter(kinds)), x)
+    (stat,) = kinds
+    known, factor, design = _c3_design(stat, x)
     w = x**-2.0
     coef, rms, cond = _solve(design, y - known, w)
     diagnostics = FitResult(tuple(float(c) for c in coef), rms, cond, len(samples))
-    return factor * float(coef[0]), diagnostics
-
-
-def c3_standard_error(samples: list[MomentSample]) -> float:
-    """Residual-based standard error of the recovered c3 (same design as
-    recover_c3); a stability yardstick, not a statistical guarantee."""
-    stat = next(iter({s.statistic for s in samples}))
-    x = np.array([s.x_scale for s in samples], dtype=np.float64)
-    y = np.array([s.value for s in samples], dtype=np.float64)
-    known, factor, design = _c3_design(stat, x)
-    w = x**-2.0
-    coef, rms, _ = _solve(design, y - known, w)
     wd = design * w[:, None]
     cov = np.linalg.inv(wd.T @ wd)
     dof = max(len(samples) - design.shape[1], 1)
     sigma2 = float(np.sum((wd @ coef - (y - known) * w) ** 2)) / dof
-    return factor * math.sqrt(sigma2 * cov[0, 0])
+    return factor * float(coef[0]), diagnostics, factor * math.sqrt(sigma2 * cov[0, 0])
+
+
+def recover_c3(samples: list[MomentSample]) -> tuple[float, FitResult]:
+    """Recover the dimension-3 X^2 constant from second-moment samples.
+
+    The samples must share one statistic (SmoothSecond or SharpSecond), all
+    at k = 3, spanning at least a decade of X with max(X) >= 1e4.
+    """
+    return _c3_solve(samples)[:2]
+
+
+def c3_standard_error(samples: list[MomentSample]) -> float:
+    """Residual-based standard error of the recovered c3 (same samples and
+    checks as recover_c3); a stability yardstick, not a statistical guarantee."""
+    return _c3_solve(samples)[2]

@@ -47,6 +47,7 @@ from .summation import block_compensated_sum
 
 __all__ = [
     "Statistic",
+    "KERNELS",
     "MomentSample",
     "exp_cutoff",
     "smooth_second_moment",
@@ -65,12 +66,30 @@ _GL_W01 = _GL_WEIGHTS / 2.0
 
 
 class Statistic(enum.Enum):
-    SMOOTH_SECOND = "SmoothSecond"
-    SHARP_SECOND = "SharpSecond"
-    LAPLACE_SECOND = "LaplaceSecond"
-    SHARP_INTEGRAL_SECOND = "SharpIntegralSecond"
-    SMOOTH_WEIGHTED_FIRST = "SmoothWeightedFirst"
-    SHARP_WEIGHTED_FIRST = "SharpWeightedFirst"
+    """The six statistics by CSV name.  `exp_cut` is true for the statistics
+    truncated at exp_cutoff(k, X); the others are taken at an integer X."""
+
+    SMOOTH_SECOND = ("SmoothSecond", True)
+    SHARP_SECOND = ("SharpSecond", False)
+    LAPLACE_SECOND = ("LaplaceSecond", True)
+    SHARP_INTEGRAL_SECOND = ("SharpIntegralSecond", False)
+    SMOOTH_WEIGHTED_FIRST = ("SmoothWeightedFirst", True)
+    SHARP_WEIGHTED_FIRST = ("SharpWeightedFirst", False)
+
+    def __new__(cls, name: str, exp_cut: bool):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.exp_cut = exp_cut
+        return member
+
+    def scale(self, X: float) -> float | int:
+        """The X this statistic is taken at: X itself if exp-cut, else the
+        nearest integer."""
+        return float(X) if self.exp_cut else int(round(X))
+
+    def n_needed(self, k: int, X: float) -> int:
+        """Table size the statistic needs at scale(X)."""
+        return exp_cutoff(k, X) if self.exp_cut else self.scale(X)
 
 
 @dataclass(frozen=True)
@@ -243,3 +262,15 @@ def _weight_power(n: np.ndarray, j: int) -> np.ndarray:
     if j % 2:
         out *= np.sqrt(n)
     return out
+
+
+# statistic -> kernel(series, X); plain functions, so each stays reachable
+# (and replaceable) as a module-level value
+KERNELS = {
+    Statistic.SMOOTH_SECOND: smooth_second_moment,
+    Statistic.SHARP_SECOND: sharp_second_moment,
+    Statistic.LAPLACE_SECOND: laplace_second_moment,
+    Statistic.SHARP_INTEGRAL_SECOND: sharp_integral_second_moment,
+    Statistic.SMOOTH_WEIGHTED_FIRST: smooth_weighted_first_moment,
+    Statistic.SHARP_WEIGHTED_FIRST: sharp_weighted_first_moment_p3,
+}

@@ -48,7 +48,6 @@ __all__ = [
     "rk_bruteforce",
     "rk_enumeration_tables",
     "sigma",
-    "sigma_odd",
     "sigma_table",
     "save_table",
     "load_table",
@@ -242,8 +241,9 @@ def rk_enumeration_tables(k_max: int, n_max: int) -> list[list[int]]:
     return tables
 
 
-def sigma(nu: float, h: int) -> float:
-    """Divisor power sum sigma_nu(h) = sum over d | h of d^nu, trial division."""
+def sigma(nu: float, h: int, odd_only: bool = False) -> float:
+    """Divisor power sum sigma_nu(h) = sum over d | h of d^nu (odd d only if
+    odd_only), by trial division."""
     if not isinstance(h, int) or h < 1:
         raise ValueError("sigma: h must be a positive integer")
     if h > 10**9:
@@ -252,29 +252,9 @@ def sigma(nu: float, h: int) -> float:
     d = 1
     while d * d <= h:
         if h % d == 0:
-            total.append(float(d) ** nu)
-            q = h // d
-            if q != d:
-                total.append(float(q) ** nu)
-        d += 1
-    return math.fsum(total)
-
-
-def sigma_odd(nu: float, h: int) -> float:
-    """Odd-divisor power sum: sum over odd d | h of d^nu."""
-    if not isinstance(h, int) or h < 1:
-        raise ValueError("sigma_odd: h must be a positive integer")
-    if h > 10**9:
-        raise ValueError("sigma_odd: h above trial-division range")
-    total = []
-    d = 1
-    while d * d <= h:
-        if h % d == 0:
-            if d % 2 == 1:
-                total.append(float(d) ** nu)
-            q = h // d
-            if q != d and q % 2 == 1:
-                total.append(float(q) ** nu)
+            for q in {d, h // d}:
+                if not odd_only or q % 2:
+                    total.append(float(q) ** nu)
         d += 1
     return math.fsum(total)
 

@@ -1,14 +1,15 @@
 import csv
+import hashlib
 import math
 import os
 import re
 
 import pytest
 
-from gausslab import cli, theory, verify
+from gausslab import cli, moments, theory, verify
 from gausslab.cli import main
 from gausslab.discrepancy import prefix_counts
-from gausslab.moments import Statistic, sharp_second_moment
+from gausslab.moments import KERNELS, Statistic, sharp_second_moment
 from gausslab.rk import build_rk_table, load_table
 
 
@@ -200,6 +201,97 @@ class TestMoments:
         )
         raw = out.read_bytes()
         assert b"\r\n" in raw
+
+
+def _stripped_digest(path):
+    """sha256 of the CSV bytes with each line's last field (runtime_ms) cut."""
+    lines = [line.rsplit(b",", 1)[0] for line in path.read_bytes().split(b"\r\n") if line]
+    return hashlib.sha256(b"\r\n".join(lines)).hexdigest()
+
+
+class TestPinnedBytes:
+    """Moments CSV columns before runtime_ms, pinned by digest: any change
+    to a kernel, a prediction, the integer snap of X, the table size or the
+    float conversion of the counts shows here."""
+
+    ALL = [s.value for s in Statistic]
+    PINNED = {
+        (3, None): "f8411be1faac686bcc93b87d0197b8b046f9737498d4287718625b3e0c0a8078",
+        (3, "10.56"): "22bde1d463a8c728eb4d5a424931bfe71dd63166dfd697822e5a1a7ac0d0704e",
+        (4, None): "a28395e7e7e7489882f875e69313f32058c32490d2fe515dae80125375dadff5",
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k, c3", sorted(PINNED, key=str))
+    def test_digest_unchanged(self, tmp_path, monkeypatch, k, c3, threads):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+        stats = self.ALL if k == 3 else [s for s in self.ALL if s != "SharpWeightedFirst"]
+        out = tmp_path / "m.csv"
+        argv = ["moments", "--k", str(k), "--x-min", "100", "--x-max", "1000", "--points", "4"]
+        argv += [a for s in stats for a in ("--stat", s)]
+        argv += ["--threads", str(threads), "--out", str(out)]
+        argv += ["--c3", c3] if c3 else []
+        assert run_cli(argv) == 0
+        assert len(read_csv(out)) == 1 + 4 * len(stats)
+        assert _stripped_digest(out) == self.PINNED[(k, c3)]
+
+
+class TestRegistry:
+    def test_every_statistic_has_a_kernel_and_a_prediction(self):
+        assert set(KERNELS) == set(Statistic) == set(cli._PREDICTED)
+
+    def test_sharp_scale_snaps_to_integer(self):
+        assert Statistic.SHARP_SECOND.scale(215.44) == 215
+        assert Statistic.SMOOTH_SECOND.scale(215.44) == 215.44
+        config = cli.ExperimentConfig(k=3, x_grid=[215.44], statistics=[Statistic.SHARP_INTEGRAL_SECOND])
+        assert cli._needed_n_max(config) == 215
+        config.statistics.append(Statistic.LAPLACE_SECOND)
+        assert cli._needed_n_max(config) == moments.exp_cutoff(3, 215.44)
+
+
+class TestMomentsCache:
+    ARGS = ["moments", "--k", "3", "--x-min", "100", "--x-max", "200", "--points", "2", "--stat", "SharpSecond"]
+
+    def test_miss_then_hit_leaves_file_alone(self, tmp_path, capsys):
+        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        path = tmp_path / "rk3_200.rktb"
+        first = capsys.readouterr()
+        before = os.stat(path)
+        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        second = capsys.readouterr()
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert first.err == second.err == ""
+        # with --out unset, stdout holds the CSV and nothing else
+        rows = list(csv.reader(second.out.splitlines()))
+        assert rows[0] == cli.MOMENTS_HEADER and len(rows) == 3
+        assert [r[:-1] for r in rows] == [r[:-1] for r in csv.reader(first.out.splitlines())]
+
+    def test_corrupt_cache_rebuilt_with_warning(self, tmp_path, capsys):
+        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        good = capsys.readouterr().out
+        path = tmp_path / "rk3_200.rktb"
+        data = bytearray(path.read_bytes())
+        data[40] ^= 0x55
+        path.write_bytes(bytes(data))
+        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        got = capsys.readouterr()
+        assert got.err.startswith(f"warning: rebuilding bad cache {path}: ")
+        assert got.err.count("\n") == 1
+        assert [r[:-1] for r in csv.reader(got.out.splitlines())] == [
+            r[:-1] for r in csv.reader(good.splitlines())
+        ]
+        assert load_table(path) == build_rk_table(3, 200)
+
+    def test_obtain_table_outcomes(self, tmp_path, capsys):
+        cache = str(tmp_path)
+        table, outcome = cli._obtain_table(2, 300, cache)
+        assert outcome == "miss"
+        assert cli._obtain_table(2, 300, cache) == (table, "hit")
+        (tmp_path / "rk2_300.rktb").write_bytes(b"RKTB")
+        assert cli._obtain_table(2, 300, cache) == (table, "rebuild")
+        assert cli._obtain_table(2, 300, None) == (table, "miss")
+        assert "rebuilding bad cache" in capsys.readouterr().err
 
 
 class TestFitCommand:

@@ -98,6 +98,22 @@ class TestPAt:
         want = float(Fraction(big) - Fraction(0.25))
         assert_close(got, want, rel=1e-15)
 
+    def test_split_paths_agree_above_2_53(self):
+        # prefix_float rounds each count once; the scalar paths agree bit for
+        # bit with the cached array
+        rng = np.random.default_rng(7)
+        prefix = np.sort(rng.integers(2**53, 2**64 - 1, 64, dtype=np.uint64))
+        series = DiscrepancySeries(k=3, n_max=63, prefix=prefix, v_k=4.1887902047863905)
+        assert series.prefix_float().tolist() == [float(int(v)) for v in prefix]
+        p = series.p_values()
+        for n in range(64):
+            assert p[n] == p_at_integer(series, n) == p_at_real(series, float(n))
+        # the volume cancels the high word exactly, so every low bit survives;
+        # converting the count to float first would give 12288
+        prefix = np.array([1, 2**60 + 12345], dtype=np.uint64)
+        series = DiscrepancySeries(k=2, n_max=1, prefix=prefix, v_k=2.0**60)
+        assert series.p_values()[1] == p_at_integer(series, 1) == p_at_real(series, 1.0) == 12345.0
+
     def test_batch_matches_scalar(self, series3):
         p = series3.p_values()
         for n in (0, 1, 2, 17, 5000, 10**4):

@@ -128,6 +128,29 @@ class TestRecoverC3:
         if k == 4:
             assert_close(res.coefficients[1], consts.c4_prime * gamma_fn(2.5), rel=1e-8)
 
+    def test_standard_error_rejects_empty_samples(self):
+        with pytest.raises(ValueError):
+            c3_standard_error([])
+
+    def test_standard_error_rejects_mixed_statistics(self):
+        # one design per statistic; a mixed set has no single answer
+        xs = _geometric(2e3, 2e4, 12)
+        smooth = _samples(xs, [theory.predicted_smooth(3, x, c3=10.6) for x in xs])
+        sharp = _samples(xs, [theory.predicted_sharp(3, x, c3=10.6) for x in xs], stat=Statistic.SHARP_SECOND)
+        with pytest.raises(ValueError):
+            c3_standard_error(smooth + sharp)
+        with pytest.raises(ValueError):
+            recover_c3(smooth + sharp)
+
+    def test_standard_error_checks_like_recover_c3(self):
+        xs = _geometric(1e4, 5e4, 8)  # less than a decade
+        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        with pytest.raises(ValueError):
+            c3_standard_error(_samples(xs, values))
+        xs = _geometric(2e3, 2e4, 12)
+        with pytest.raises(ValueError):
+            c3_standard_error(_samples(xs, [1.0] * 12, stat=Statistic.LAPLACE_SECOND))
+
     def test_span_preconditions(self):
         xs = _geometric(1e4, 5e4, 8)  # less than a decade
         values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]

@@ -19,7 +19,6 @@ from gausslab.rk import (
     rk_enumeration_tables,
     save_table,
     sigma,
-    sigma_odd,
     sigma_table,
 )
 
@@ -228,9 +227,9 @@ class TestDivisorSums:
         assert sigma(-3.0, 4) == 1.0 + 1.0 / 8.0 + 1.0 / 64.0
 
     def test_sigma_odd_examples(self):
-        assert sigma_odd(1.0, 12) == 4.0
-        assert sigma_odd(0.0, 8) == 1.0
-        assert_close(sigma_odd(-1.0, 15), 1.6, rel=1e-15)
+        assert sigma(1.0, 12, odd_only=True) == 4.0
+        assert sigma(0.0, 8, odd_only=True) == 1.0
+        assert_close(sigma(-1.0, 15, odd_only=True), 1.6, rel=1e-15)
 
     def test_sigma_table_consistency(self):
         for nu in (1.0, 0.0, -3.0):
@@ -238,13 +237,13 @@ class TestDivisorSums:
             odd = sigma_table(nu, 300, odd_only=True)
             for h in (1, 2, 17, 60, 128, 255, 300):
                 assert_close(tab[h], sigma(nu, h), rel=1e-14, label=f"sigma_{nu}({h})")
-                assert_close(odd[h], sigma_odd(nu, h), rel=1e-14, label=f"sigma2_{nu}({h})")
+                assert_close(odd[h], sigma(nu, h, odd_only=True), rel=1e-14, label=f"sigma2_{nu}({h})")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sigma(1.0, 0)
         with pytest.raises(ValueError):
-            sigma_odd(1.0, -3)
+            sigma(1.0, -3, odd_only=True)
 
 
 class TestCache:
