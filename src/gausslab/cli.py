@@ -106,7 +106,10 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable
     with _CacheLock(cache_dir):
         if os.path.exists(path):
             try:
-                return rk.load_table(path), "hit"
+                table = rk.load_table(path)
+                if (table.k, table.n_max) != (k, n_max):
+                    raise rk.CacheFormatError(f"it holds r_{table.k} to n_max = {table.n_max}")
+                return table, "hit"
             except (rk.CacheFormatError, rk.CacheTruncatedError, rk.CacheChecksumError) as exc:
                 print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
                 outcome = "rebuild"

@@ -24,13 +24,14 @@ Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead
 of wrapping.
 
-Cache file format (little-endian):
-  magic "RKTB" (4 bytes) | format version u32 = 1 | k u32 | n_max u64 |
-  (n_max + 1) u64 count values | u64 FNV-1a checksum of all preceding bytes
+Cache file format v2 (little-endian; a v1 file raises CacheFormatError):
+  magic "RKTB" (4 bytes) | format version u32 = 2 | k u32 | n_max u64 |
+  (n_max + 1) u64 count values | 8-byte blake2b digest of all preceding bytes
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -51,7 +52,6 @@ __all__ = [
     "sigma_table",
     "save_table",
     "load_table",
-    "fnv1a",
     "CacheFormatError",
     "CacheTruncatedError",
     "CacheChecksumError",
@@ -66,15 +66,13 @@ BRUTEFORCE_MAX_K = 6
 BRUTEFORCE_MAX_N = 10**4
 
 _MAGIC = b"RKTB"
-_VERSION = 1
-_HEADER = struct.Struct("<IIQ")  # version, k, n_max (after the 4 magic bytes)
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_VERSION = 2
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, k, n_max
+_DIGEST_SIZE = 8
 
 
 class CacheFormatError(ValueError):
-    """Bad magic bytes or unsupported format version."""
+    """Bad magic bytes, unsupported format version or an invalid header."""
 
 
 class CacheTruncatedError(ValueError):
@@ -82,7 +80,7 @@ class CacheTruncatedError(ValueError):
 
 
 class CacheChecksumError(ValueError):
-    """Stored FNV-1a checksum does not match the payload."""
+    """Stored digest does not match the header and payload."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,36 +260,28 @@ def sigma(nu: float, h: int, odd_only: bool = False) -> float:
 def sigma_table(nu: float, n_max: int, odd_only: bool = False) -> np.ndarray:
     """sigma_nu(h) for all h <= n_max by sieve accumulation (index 0 unused)."""
     out = np.zeros(n_max + 1, dtype=np.float64)
-    start = 1
-    step = 2 if odd_only else 1
-    for d in range(start, n_max + 1, step):
+    for d in range(1, n_max + 1, 2 if odd_only else 1):
         out[d::d] += float(d) ** nu
     return out
 
 
-def fnv1a(chunks) -> int:
-    """64-bit FNV-1a over an iterable of bytes-like chunks."""
-    h = _FNV_OFFSET
-    mask = (1 << 64) - 1
-    prime = _FNV_PRIME
-    for chunk in chunks:
-        for byte in memoryview(chunk):
-            h = ((h ^ byte) * prime) & mask
-    return h
+def _digest(header: bytes, counts: np.ndarray) -> bytes:
+    h = hashlib.blake2b(header, digest_size=_DIGEST_SIZE)
+    h.update(counts)
+    return h.digest()
 
 
 def save_table(table: RkTable, path) -> None:
     """Write the cache file atomically (temp file + rename)."""
-    header = _MAGIC + _HEADER.pack(_VERSION, table.k, table.n_max)
-    payload = np.ascontiguousarray(table.counts, dtype="<u8").tobytes()
-    checksum = fnv1a((header, payload))
+    header = _HEADER.pack(_MAGIC, _VERSION, table.k, table.n_max)
+    payload = np.ascontiguousarray(table.counts, dtype="<u8")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".rktb.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             fh.write(payload)
-            fh.write(struct.pack("<Q", checksum))
+            fh.write(_digest(header, payload))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -302,21 +292,26 @@ def save_table(table: RkTable, path) -> None:
 def load_table(path) -> RkTable:
     """Read and validate a cache file; the round trip is bit-exact."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise CacheFormatError(f"{path}: bad magic bytes")
-    if len(data) < 4 + _HEADER.size + 8:
-        raise CacheTruncatedError(f"{path}: shorter than a minimal table file")
-    version, k, n_max = _HEADER.unpack_from(data, 4)
-    if version != _VERSION:
-        raise CacheFormatError(f"{path}: unsupported format version {version}")
-    body_end = 4 + _HEADER.size + 8 * (n_max + 1)
-    if len(data) < body_end + 8:
-        raise CacheTruncatedError(f"{path}: truncated ({len(data)} bytes, need {body_end + 8})")
-    if len(data) > body_end + 8:
-        raise CacheFormatError(f"{path}: trailing bytes after checksum")
-    (stored,) = struct.unpack_from("<Q", data, body_end)
-    if fnv1a((data[:body_end],)) != stored:
+        header = fh.read(_HEADER.size)
+        if header[:4] != _MAGIC:
+            raise CacheFormatError(f"{path}: bad magic bytes")
+        if len(header) < _HEADER.size:
+            raise CacheTruncatedError(f"{path}: shorter than a table header")
+        _, version, k, n_max = _HEADER.unpack(header)
+        try:
+            if version != _VERSION:
+                raise ValueError(f"unsupported format version {version}")
+            _check_range(k, n_max)
+        except ValueError as exc:
+            raise CacheFormatError(f"{path}: {exc}") from None
+        size = os.fstat(fh.fileno()).st_size
+        need = _HEADER.size + 8 * (n_max + 1) + _DIGEST_SIZE
+        if size < need:
+            raise CacheTruncatedError(f"{path}: truncated ({size} bytes, need {need})")
+        if size > need:
+            raise CacheFormatError(f"{path}: trailing bytes after checksum")
+        counts = np.fromfile(fh, dtype="<u8", count=n_max + 1)
+        stored = fh.read(_DIGEST_SIZE)
+    if _digest(header, counts) != stored:
         raise CacheChecksumError(f"{path}: checksum mismatch")
-    counts = np.frombuffer(data, dtype="<u8", count=n_max + 1, offset=4 + _HEADER.size)
-    return RkTable(k=k, n_max=n_max, counts=counts.astype(np.uint64))
+    return RkTable(k=k, n_max=n_max, counts=counts.astype(np.uint64, copy=False))

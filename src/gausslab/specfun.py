@@ -121,10 +121,6 @@ def zeta_two_removed(s: float) -> float:
     return zeta(s) * (1.0 - 2.0 ** -float(s))
 
 
-def _zeta_two_removed_unchecked(s: float) -> float:
-    return _zeta_unchecked(s) * (1.0 - 2.0 ** -float(s))
-
-
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x in [-5, 60], x not a nonpositive integer.
 

@@ -31,21 +31,19 @@ def neumaier_sum(values) -> float:
     return total + comp
 
 
-def block_compensated_sum(values: np.ndarray, block: int = BLOCK) -> float:
+def block_compensated_sum(values: np.ndarray) -> float:
     """Sum a float64 array: numpy pairwise within blocks, Neumaier across.
 
     Empty input sums to 0.0.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+    arr = np.asarray(values, dtype=np.float64).ravel()
     n = arr.shape[0]
     if n == 0:
         return 0.0
-    nfull = n // block
+    nfull = n // BLOCK
     partials = []
     if nfull:
-        partials.append(np.add.reduce(arr[: nfull * block].reshape(nfull, block), axis=1))
-    if n % block:
-        partials.append(np.add.reduce(arr[nfull * block :], keepdims=True))
+        partials.append(np.add.reduce(arr[: nfull * BLOCK].reshape(nfull, BLOCK), axis=1))
+    if n % BLOCK:
+        partials.append(np.add.reduce(arr[nfull * BLOCK :], keepdims=True))
     return neumaier_sum(np.concatenate(partials) if len(partials) > 1 else partials[0])

@@ -333,9 +333,16 @@ def check_cache_roundtrip(quick: bool, tables: _Tables) -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.rktb")
         rk.save_table(table, path)
-        back = rk.load_table(path)
-        ok = back == table
-    return _result("cache-roundtrip", ok, "save/load bit-exact")
+        ok = rk.load_table(path) == table
+        with open(path, "r+b") as fh:
+            fh.seek(40)  # r_3(2) = 12 becomes 13
+            fh.write(b"\x0d")
+        try:
+            rk.load_table(path)
+            ok = False
+        except rk.CacheChecksumError:
+            pass
+    return _result("cache-roundtrip", ok, "save/load bit-exact; a flipped payload byte is caught")
 
 
 def check_overflow_abort(quick: bool, tables: _Tables) -> CheckResult:

@@ -10,7 +10,7 @@ from gausslab import cli, moments, theory, verify
 from gausslab.cli import main
 from gausslab.discrepancy import prefix_counts
 from gausslab.moments import KERNELS, Statistic, sharp_second_moment
-from gausslab.rk import build_rk_table, load_table
+from gausslab.rk import build_rk_table, load_table, save_table
 
 
 def run_cli(args):
@@ -292,6 +292,17 @@ class TestMomentsCache:
         assert cli._obtain_table(2, 300, cache) == (table, "rebuild")
         assert cli._obtain_table(2, 300, None) == (table, "miss")
         assert "rebuilding bad cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, n_max", [(4, 500), (3, 400)])
+    def test_file_for_another_table_rebuilt(self, tmp_path, capsys, k, n_max):
+        path = tmp_path / "rk3_500.rktb"
+        save_table(build_rk_table(k, n_max), path)
+        table, outcome = cli._obtain_table(3, 500, str(tmp_path))
+        assert outcome == "rebuild"
+        assert table == build_rk_table(3, 500) == load_table(path)
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: rebuilding bad cache {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestFitCommand:

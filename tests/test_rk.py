@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -13,7 +14,6 @@ from gausslab.rk import (
     CacheTruncatedError,
     build_rk_table,
     convolve_tables,
-    fnv1a,
     load_table,
     rk_bruteforce,
     rk_enumeration_tables,
@@ -247,11 +247,12 @@ class TestDivisorSums:
 
 
 class TestCache:
-    def test_fnv1a_known_vectors(self):
-        assert fnv1a((b"",)) == 0xCBF29CE484222325
-        assert fnv1a((b"a",)) == 0xAF63DC4C8601EC8C
-        assert fnv1a((b"foobar",)) == 0x85944171F73967E8
-        assert fnv1a((b"foo", b"bar")) == fnv1a((b"foobar",))
+    def test_trailer_is_blake2b_of_the_rest(self, tmp_path):
+        path = tmp_path / "r3.rktb"
+        save_table(build_rk_table(3, 1000), path)
+        data = path.read_bytes()
+        assert data[:8] == b"RKTB" + struct.pack("<I", 2)
+        assert data[-8:] == hashlib.blake2b(data[:-8], digest_size=8).digest()
 
     def test_roundtrip(self, tmp_path):
         table = build_rk_table(3, 1000)
@@ -277,11 +278,12 @@ class TestCache:
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.rktb"
         save_table(build_rk_table(2, 10), path)
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 4, 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheFormatError):
-            load_table(path)
+        for version in (99, 1):
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<I", data, 4, version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(CacheFormatError):
+                load_table(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "bad.rktb"
@@ -305,3 +307,35 @@ class TestCache:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CacheFormatError):
             load_table(path)
+
+    def test_header_checked_before_payload_read(self, tmp_path, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("payload read before the header was validated")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        path = tmp_path / "bad.rktb"
+        # n_max out of range, then in range but far beyond the file's size
+        for n_max, error in ((2**40, CacheFormatError), (10**8, CacheTruncatedError)):
+            path.write_bytes(b"RKTB" + struct.pack("<IIQ", 2, 3, n_max) + bytes(64))
+            with pytest.raises(error):
+                load_table(path)
+
+    def test_header_k_zero(self, tmp_path):
+        path = tmp_path / "bad.rktb"
+        save_table(build_rk_table(2, 10), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError):
+            load_table(path)
+
+    def test_every_byte_change_caught(self, tmp_path):
+        path = tmp_path / "r2.rktb"
+        save_table(build_rk_table(2, 10), path)
+        good = path.read_bytes()
+        for i in range(len(good)):
+            data = bytearray(good)
+            data[i] ^= 10
+            path.write_bytes(bytes(data))
+            with pytest.raises((CacheFormatError, CacheTruncatedError, CacheChecksumError)):
+                load_table(path)
