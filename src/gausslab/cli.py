@@ -3,7 +3,7 @@
 Subcommands: table, moments, fit, verify, shortinterval, constants.
 Output is RFC-4180 CSV (header row, '.' decimal, 17 significant digits);
 the runtime_ms column sits last so everything before it is byte-identical
-across reruns and thread counts.
+across reruns.
 
 Exit codes: 0 success, 1 verification/criterion failure, 2 usage error,
 3 I/O or cache error.  GAUSSLAB_CACHE_DIR sets the default cache directory.
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ class ExperimentConfig:
     statistics: list[Statistic]
     cache_dir: str | None = None
     n_max_override: int | None = None
-    threads: int | None = None
     c3: float | None = None
 
     def __post_init__(self):
@@ -164,31 +162,17 @@ def run_moments(config: ExperimentConfig) -> tuple[list[list[str]], int]:
         n_max = _needed_n_max(config)
     table, _ = _obtain_table(config.k, n_max, config.cache_dir)
     series = prefix_counts(table)
-    # fill the shared lazy caches before any worker threads start
-    series.p_values()
-    series.prefix_float()
 
     cells = [(stat, stat.scale(x)) for stat in config.statistics for x in config.x_grid]
-
-    def compute(cell) -> tuple[MomentSample | Exception, float]:
-        stat, x = cell
-        start = time.perf_counter()
-        try:
-            sample = moments.KERNELS[stat](series, x)
-        except Exception as exc:
-            return exc, (time.perf_counter() - start) * 1e3
-        return sample, (time.perf_counter() - start) * 1e3
-
-    workers = config.threads or os.cpu_count() or 1
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(compute, cells))
-    else:
-        outcomes = [compute(c) for c in cells]
-
     rows = []
     status = EXIT_OK
-    for (stat, x), (outcome, ms) in zip(cells, outcomes):
+    for stat, x in cells:
+        start = time.perf_counter()
+        try:
+            outcome = moments.KERNELS[stat](series, x)
+        except Exception as exc:
+            outcome = exc
+        ms = (time.perf_counter() - start) * 1e3
         if isinstance(outcome, Exception):
             rows.append([str(config.k), _fmt(x), stat.value, f"ERROR: {outcome}", "", "", f"{ms:.3f}"])
             status = EXIT_USAGE
@@ -243,7 +227,6 @@ def cmd_moments(args) -> int:
         statistics=stats,
         cache_dir=_default_cache_dir(args.cache_dir),
         n_max_override=args.n_max,
-        threads=args.threads,
         c3=args.c3,
     )
     rows, status = run_moments(config)
@@ -371,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", action="append", required=True, choices=sorted(_STAT_NAMES))
     p.add_argument("--n-max", type=int, default=None, help="override the derived table size")
     p.add_argument("--cache-dir")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.add_argument("--c3", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_moments)

@@ -47,9 +47,9 @@ def half_power(t, k: int):
         for _ in range(half - 1):
             out *= t
         return out
-    safe = np.where(t > 0.0, t, 1.0)
-    out = np.exp((k / 2.0) * np.log(safe))
-    return np.where(t > 0.0, out, 0.0)
+    # log 0 = -inf and exp(-inf) = 0, so t = 0 needs no mask
+    with np.errstate(divide="ignore"):
+        return np.exp((k / 2.0) * np.log(t))
 
 
 def _minus_volume(counts, vol):

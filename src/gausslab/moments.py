@@ -60,6 +60,10 @@ __all__ = [
 
 MIN_EXP_CUTOFF = 100
 
+# intervals per pass of the Laplace kernel: 2^14 doubles (128 KB) per
+# temporary measured faster than 2^12 and 2^16
+CHUNK = 2**14
+
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _GL_X01 = (_GL_NODES + 1.0) / 2.0
 _GL_W01 = _GL_WEIGHTS / 2.0
@@ -164,15 +168,20 @@ def _laplace_cells(
     step_values: np.ndarray, v_k: float, k: int, X: float, idx: np.ndarray, subdivide: int
 ) -> np.ndarray:
     """Per-interval int_n^{n+1} (S_n - v_k t^{k/2})^2 e^{-t/X} dt by 8-point
-    Gauss-Legendre on `subdivide` equal pieces; idx selects the intervals."""
-    acc = np.zeros(idx.shape[0], dtype=np.float64)
-    base = idx.astype(np.float64)
-    for piece in range(subdivide):
-        for xi, wi in zip(_GL_X01, _GL_W01):
-            t = base + (piece + xi) / subdivide
-            f = (step_values - v_k * half_power(t, k)) ** 2 * np.exp(-t / X)
-            acc += (wi / subdivide) * f
-    return acc
+    Gauss-Legendre on `subdivide` equal pieces; idx selects the intervals.
+    Evaluated CHUNK intervals at a time so the temporaries stay in cache;
+    every operation is elementwise, so the chunking changes no bit."""
+    cells = np.zeros(idx.shape[0], dtype=np.float64)
+    for lo in range(0, idx.shape[0], CHUNK):
+        acc = cells[lo : lo + CHUNK]
+        step = step_values[lo : lo + CHUNK]
+        base = idx[lo : lo + CHUNK].astype(np.float64)
+        for piece in range(subdivide):
+            for xi, wi in zip(_GL_X01, _GL_W01):
+                t = base + (piece + xi) / subdivide
+                f = (step - v_k * half_power(t, k)) ** 2 * np.exp(-t / X)
+                acc += (wi / subdivide) * f
+    return cells
 
 
 def laplace_second_moment(series: DiscrepancySeries, X: float, subdivide: int = 1) -> MomentSample:
@@ -193,7 +202,7 @@ def laplace_second_moment(series: DiscrepancySeries, X: float, subdivide: int = 
 
     tail = 4.0 ** (series.k + 1) * _exp_poly_tail(series.k, X, float(n_cut))
     head = min(100, n_cut)
-    sample = np.unique(np.concatenate([np.arange(head), np.arange(head, n_cut, 100)]))
+    sample = np.concatenate([np.arange(head), np.arange(head, n_cut, 100)])
     fine = _laplace_cells(pf[sample], series.v_k, series.k, X, sample, 2 * subdivide)
     diff = np.abs(fine - cells[sample])
     head_part = float(np.sum(diff[sample < head]))

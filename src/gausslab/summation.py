@@ -2,9 +2,8 @@
 
 The reduction is pairwise within fixed blocks of 1024 elements and
 Neumaier-compensated across blocks.  The block structure depends only on the
-input length, never on threading, so a sum is bit-identical across runs and
-worker counts.  Accumulation error stays below ~1e-13 relative even at 1e8
-terms.
+input length, so a sum is bit-identical across runs.  Accumulation error stays
+below ~1e-13 relative even at 1e8 terms.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
-Two scales: "quick" takes about a second; "full" runs the identity suite at
-acceptance scale (about 6 s on one core of a 2-core box).  Each check returns
+Two scales: "quick" takes under a second; "full" runs the identity suite at
+acceptance scale (about 7 s on one core of a 2-core box).  Each check returns
 a CheckResult; the battery never stops early, so a broken build reports
 every failing identity by name.
 """

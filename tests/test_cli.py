@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import re
+import threading
 
 import pytest
 
@@ -234,6 +235,13 @@ class TestPinnedBytes:
         assert run_cli(argv) == 0
         assert len(read_csv(out)) == 1 + 4 * len(stats)
         assert _stripped_digest(out) == self.PINNED[(k, c3)]
+
+    def test_no_thread_started(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        self.test_digest_unchanged(tmp_path, monkeypatch, 3, None, 2)
 
 
 class TestRegistry:

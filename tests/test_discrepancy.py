@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -178,3 +179,24 @@ class TestHalfPower:
     def test_zero(self):
         assert half_power(np.array([0.0]), 3)[0] == 0.0
         assert half_power(np.array([0.0]), 4)[0] == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equals_masked_form(self, k):
+        # reference: for odd k the masked form that maps t = 0 to 1 before
+        # the log and back to 0 after it; for even k a plain product
+        t = np.random.default_rng(k).uniform(1e-3, 1e7, 100_000)
+        if k % 2:
+            safe = np.where(t > 0.0, t, 1.0)
+            want = np.where(t > 0.0, np.exp((k / 2.0) * np.log(safe)), 0.0)
+        else:
+            want = np.ones_like(t)
+            for _ in range(k // 2):
+                want *= t
+        assert np.array_equal(half_power(t, k), want)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_zero_without_warning(self, k):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert half_power(0.0, k) == 0.0
+            assert np.array_equal(half_power(np.zeros(3), k), np.zeros(3))

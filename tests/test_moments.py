@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import theory
-from gausslab.discrepancy import DiscrepancySeries, prefix_counts
+from gausslab import moments, theory
+from gausslab.discrepancy import DiscrepancySeries, half_power, prefix_counts
 from gausslab.moments import (
+    CHUNK,
     Statistic,
     exp_cutoff,
     laplace_second_moment,
@@ -129,6 +130,32 @@ class TestLaplaceSecond:
         simpson = float(np.sum(acc))
         got = laplace_second_moment(series3_big, x).value
         assert_close(got, simpson, rel=1e-9)
+
+    @staticmethod
+    def _unchunked_cells(step_values, v_k, k, x, idx, subdivide):
+        """The kernel's per-interval integrand over all of idx in one pass."""
+        acc = np.zeros(idx.shape[0], dtype=np.float64)
+        base = idx.astype(np.float64)
+        for piece in range(subdivide):
+            for xi, wi in zip(moments._GL_X01, moments._GL_W01):
+                t = base + (piece + xi) / subdivide
+                f = (step_values - v_k * half_power(t, k)) ** 2 * np.exp(-t / x)
+                acc += (wi / subdivide) * f
+        return acc
+
+    @pytest.mark.parametrize("subdivide", [1, 2])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_chunks_change_no_bit(self, series3_big, series4_small, k, subdivide):
+        series = series3_big if k == 3 else series4_small
+        pf = series.prefix_float()
+        contiguous = np.arange(3 * CHUNK + 1234, dtype=np.int64)
+        # the audit's sample: the first 100 intervals, then every 100th
+        # (about 40,000 indices, three chunks, at the k = 3 size of 4e6)
+        sample = np.concatenate([np.arange(100), np.arange(100, series.n_max, 100)])
+        for idx in (contiguous, sample):
+            args = (pf[idx], series.v_k, k, 2e4, idx, subdivide)
+            got = moments._laplace_cells(*args)
+            assert np.array_equal(got, self._unchunked_cells(*args))
 
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):
