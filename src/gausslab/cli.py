@@ -3,10 +3,21 @@
 Subcommands: table, moments, fit, verify, shortinterval, constants.
 Output is RFC-4180 CSV (header row, '.' decimal, 17 significant digits);
 the runtime_ms column sits last so everything before it is byte-identical
-across reruns.
+across reruns.  A moments cell's runtime_ms can include the one-time float
+preparation of the series: the first LaplaceSecond cell fills prefix_float,
+the first other cell p_values (at n = 1.5e6, about 0.02-0.03 s and
+0.04-0.10 s on a 2-core box).
 
-Exit codes: 0 success, 1 verification/criterion failure, 2 usage error,
-3 I/O or cache error.  GAUSSLAB_CACHE_DIR sets the default cache directory.
+Commands raise; main alone turns an exception into a message on stderr and
+an exit code:
+  0  success
+  1  verification failure, or an exact count beyond 64 bits
+     (ConvolutionOverflowError, PrefixOverflowError)
+  2  usage error: ValueError, or any other OverflowError
+  3  I/O or cache error: OSError, RuntimeError (a locked cache directory)
+Any other exception is an internal fault: it ends in a Python traceback with
+the interpreter's status 1.  GAUSSLAB_CACHE_DIR sets the default cache
+directory.
 """
 
 from __future__ import annotations
@@ -19,16 +30,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import moments, rk, theory, verify
+from .convolve import ConvolutionOverflowError
 from .fit import c3_standard_error, recover_c3
-from .discrepancy import prefix_counts
+from .discrepancy import PrefixOverflowError, prefix_counts
 from .moments import MomentSample, Statistic
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main", "run_moments"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,30 +47,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _STAT_NAMES = {s.value: s for s in Statistic}
-
-
-@dataclass
-class ExperimentConfig:
-    """One moments run: dimension, ascending X grid, statistics, caching."""
-
-    k: int
-    x_grid: list[float]
-    statistics: list[Statistic]
-    cache_dir: str | None = None
-    n_max_override: int | None = None
-    c3: float | None = None
-
-    def __post_init__(self):
-        if not self.x_grid:
-            raise ValueError("empty X grid")
-        if sorted(self.x_grid) != list(self.x_grid):
-            raise ValueError("x_grid must be sorted ascending")
-        if not self.statistics:
-            raise ValueError("no statistics requested")
-
-
-def _needed_n_max(config: ExperimentConfig) -> int:
-    return max(stat.n_needed(config.k, x) for stat in config.statistics for x in config.x_grid)
 
 
 def _default_cache_dir(arg: str | None) -> str | None:
@@ -155,32 +142,44 @@ def _predicted_for(stat: Statistic, k: int, x: float, c3: float | None) -> float
 MOMENTS_HEADER = ["k", "X", "statistic", "value", "truncation_bound", "predicted_value", "runtime_ms"]
 
 
-def run_moments(config: ExperimentConfig) -> tuple[list[list[str]], int]:
-    """All (statistic, X) cells as CSV rows; returns (rows, exit_code)."""
-    n_max = config.n_max_override
+def run_moments(
+    k: int,
+    x_grid: list[float],
+    statistics: list[Statistic],
+    cache_dir: str | None = None,
+    n_max: int | None = None,
+    c3: float | None = None,
+) -> tuple[list[list[str]], int]:
+    """All (statistic, X) cells as CSV rows; returns (rows, exit_code).
+
+    The table is r_k to n_max, by default the smallest one every cell needs.
+    A kernel's ValueError (an X the table or the statistic cannot take, such
+    as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
+    other exception propagates.
+    """
     if n_max is None:
-        n_max = _needed_n_max(config)
-    table, _ = _obtain_table(config.k, n_max, config.cache_dir)
+        n_max = max(stat.n_needed(k, x) for stat in statistics for x in x_grid)
+    table, _ = _obtain_table(k, n_max, cache_dir)
     series = prefix_counts(table)
 
-    cells = [(stat, stat.scale(x)) for stat in config.statistics for x in config.x_grid]
+    cells = [(stat, stat.scale(x)) for stat in statistics for x in x_grid]
     rows = []
     status = EXIT_OK
     for stat, x in cells:
         start = time.perf_counter()
         try:
             outcome = moments.KERNELS[stat](series, x)
-        except Exception as exc:
+        except ValueError as exc:
             outcome = exc
         ms = (time.perf_counter() - start) * 1e3
-        if isinstance(outcome, Exception):
-            rows.append([str(config.k), _fmt(x), stat.value, f"ERROR: {outcome}", "", "", f"{ms:.3f}"])
+        if isinstance(outcome, ValueError):
+            rows.append([str(k), _fmt(x), stat.value, f"ERROR: {outcome}", "", "", f"{ms:.3f}"])
             status = EXIT_USAGE
             continue
-        predicted = _predicted_for(stat, config.k, float(x), config.c3)
+        predicted = _predicted_for(stat, k, float(x), c3)
         rows.append(
             [
-                str(config.k),
+                str(k),
                 _fmt(x),
                 stat.value,
                 _fmt(outcome.value),
@@ -220,16 +219,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    stats = [_STAT_NAMES[s] for s in args.stat]
-    config = ExperimentConfig(
-        k=args.k,
-        x_grid=_geometric_grid(args.x_min, args.x_max, args.points),
-        statistics=stats,
+    rows, status = run_moments(
+        args.k,
+        _geometric_grid(args.x_min, args.x_max, args.points),
+        [_STAT_NAMES[s] for s in args.stat],
         cache_dir=_default_cache_dir(args.cache_dir),
-        n_max_override=args.n_max,
+        n_max=args.n_max,
         c3=args.c3,
     )
-    rows, status = run_moments(config)
     _write_csv(args.out, MOMENTS_HEADER, rows)
     return status
 
@@ -257,19 +254,11 @@ def _read_moment_csv(path: str) -> list[MomentSample]:
 
 
 def cmd_fit(args) -> int:
-    try:
-        samples = _read_moment_csv(args.csv_in)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    samples = _read_moment_csv(args.csv_in)
     wanted = Statistic.SMOOTH_SECOND if args.mode == "smooth" else Statistic.SHARP_SECOND
     subset = [s for s in samples if s.statistic is wanted and s.k == 3]
     if not subset:
-        print(f"error: no k=3 {wanted.value} rows in {args.csv_in}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no k=3 {wanted.value} rows in {args.csv_in}")
     c3, diag = recover_c3(subset)
     se = c3_standard_error(subset)
     c3p = theory.constants_for(3).c3_prime
@@ -299,9 +288,10 @@ def cmd_verify(args) -> int:
 def cmd_shortinterval(args) -> int:
     beta = args.beta
     if not (0.0 < beta <= 1.0):
-        print("error: beta must be in (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("beta must be in (0, 1]")
     grid = [int(x) for x in _geometric_grid(args.x_min, args.x_max, args.points)]
+    if grid[0] < 2:
+        raise ValueError(f"X = {grid[0]} too small: the ratio divides by log X, so int(X) >= 2")
     n_max = max(int(x + x**beta) for x in grid)
     table, _ = _obtain_table(3, n_max, _default_cache_dir(args.cache_dir))
     series = prefix_counts(table)
@@ -386,22 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, (ConvolutionOverflowError, PrefixOverflowError)):
+            return EXIT_VERIFY
+        return EXIT_USAGE if isinstance(exc, (ValueError, OverflowError)) else EXIT_IO
 
 
 if __name__ == "__main__":

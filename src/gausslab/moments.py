@@ -111,7 +111,10 @@ def exp_cutoff(k: int, X: float) -> int:
     """Truncation point for the exponentially smoothed statistics at scale X."""
     if X <= 0:
         raise ValueError("X must be positive")
-    return max(int(math.ceil(X * (k * math.log(X + 2.0) + 46.0))), MIN_EXP_CUTOFF)
+    n_cut = X * (k * math.log(X + 2.0) + 46.0)
+    if not math.isfinite(n_cut):
+        raise ValueError(f"X = {X} too large: its cutoff overflows a float")
+    return max(int(math.ceil(n_cut)), MIN_EXP_CUTOFF)
 
 
 def _require_cutoff(series: DiscrepancySeries, X: float) -> int:
@@ -205,8 +208,8 @@ def laplace_second_moment(series: DiscrepancySeries, X: float, subdivide: int = 
     sample = np.concatenate([np.arange(head), np.arange(head, n_cut, 100)])
     fine = _laplace_cells(pf[sample], series.v_k, series.k, X, sample, 2 * subdivide)
     diff = np.abs(fine - cells[sample])
-    head_part = float(np.sum(diff[sample < head]))
-    tail_part = float(np.sum(diff[sample >= head]))
+    head_part = float(np.sum(diff[:head]))
+    tail_part = float(np.sum(diff[head:]))
     quad_bound = 1.25 * head_part + 100.0 * tail_part * 8.0
     rounding = 1e-14 * float(np.sum(np.abs(cells)))
     return MomentSample(
@@ -222,8 +225,6 @@ def sharp_integral_second_moment(series: DiscrepancySeries, X) -> MomentSample:
         return MomentSample(k, 0.0, Statistic.SHARP_INTEGRAL_SECOND, 0.0, 0.0)
     # cell n = 0 exactly: S = 1, int_0^1 (1 - vk t^{k/2})^2 dt
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
-    if X == 1:
-        return MomentSample(k, 1.0, Statistic.SHARP_INTEGRAL_SECOND, cell0, 1e-13 * abs(cell0))
     n = np.arange(1, X, dtype=np.float64)
     pvals = series.p_values()[1:X]
     nk2 = half_power(n, k)
@@ -264,7 +265,10 @@ def sharp_weighted_first_moment_p3(series: DiscrepancySeries, X) -> MomentSample
 
 
 def _weight_power(n: np.ndarray, j: int) -> np.ndarray:
-    """n^(j/2) for integer j >= 0: integer part times sqrt for odd j."""
+    """n^(j/2) for integer j: integer part times sqrt for odd j >= 0, and
+    the reciprocal of n^(-j/2) for j < 0 (the k = 1 weight n^(-1/2))."""
+    if j < 0:
+        return 1.0 / _weight_power(n, -j)
     out = np.ones_like(n)
     for _ in range(j // 2):
         out *= n

@@ -2,8 +2,8 @@
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
 acceptance scale (about 7 s on one core of a 2-core box).  Each check returns
-a CheckResult; the battery never stops early, so a broken build reports
-every failing identity by name.
+(passed, detail) and BATTERY names it; run_battery makes the CheckResult and
+never stops early, so a broken build reports every failing identity by name.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
 class _Tables:
     """Lazily built, shared tables; overrides let tests inject faults."""
 
@@ -54,7 +50,7 @@ class _Tables:
         return prefix_counts(self.get(k, n_max))
 
 
-def check_specfun(quick: bool, tables: _Tables) -> CheckResult:
+def check_specfun(quick: bool, tables: _Tables) -> tuple[bool, str]:
     worst = 0.0
     checks = [
         (specfun.zeta(2.0), math.pi**2 / 6.0),
@@ -72,14 +68,10 @@ def check_specfun(quick: bool, tables: _Tables) -> CheckResult:
         worst = max(worst, abs(lhs / rhs - 1.0))
     zs = [specfun.zeta(float(s)) for s in (10, 20, 30, 40)]
     monotone = all(a > b > 1.0 for a, b in zip(zs, zs[1:]))
-    return _result(
-        "specfun-closed-forms",
-        worst < 1e-10 and monotone,
-        f"worst rel dev {worst:.2e}, zeta monotone {monotone}",
-    )
+    return worst < 1e-10 and monotone, f"worst rel dev {worst:.2e}, zeta monotone {monotone}"
 
 
-def check_oracle_equivalence(quick: bool, tables: _Tables) -> CheckResult:
+def check_oracle_equivalence(quick: bool, tables: _Tables) -> tuple[bool, str]:
     n_max = 300 if quick else 2000
     reference = rk.rk_enumeration_tables(6, n_max)
     for k in range(1, 7):
@@ -88,24 +80,18 @@ def check_oracle_equivalence(quick: bool, tables: _Tables) -> CheckResult:
         want = reference[k - 1]
         if got != want:
             bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-            return _result(
-                "rk-oracle-equivalence",
-                False,
-                f"k={k}: mismatch at n={bad}: table {got[bad]} vs enumeration {want[bad]}",
-            )
+            return False, f"k={k}: mismatch at n={bad}: table {got[bad]} vs enumeration {want[bad]}"
     spots = 0
     for k, step in ((3, 29 if quick else 97), (4, 61 if quick else 199)):
         cap = min(n_max, 500)
         for n in range(0, cap + 1, step):
             if rk.rk_bruteforce(k, n) != int(tables.get(k, n_max).counts[n]):
-                return _result("rk-oracle-equivalence", False, f"bruteforce mismatch k={k} n={n}")
+                return False, f"bruteforce mismatch k={k} n={n}"
             spots += 1
-    return _result(
-        "rk-oracle-equivalence", True, f"k<=6 exact to n={n_max}, {spots} bruteforce spots"
-    )
+    return True, f"k<=6 exact to n={n_max}, {spots} bruteforce spots"
 
 
-def check_divisor_oracles(quick: bool, tables: _Tables) -> CheckResult:
+def check_divisor_oracles(quick: bool, tables: _Tables) -> tuple[bool, str]:
     n_max = 10**4 if quick else 10**5
     sig1 = rk.sigma_table(1.0, n_max)
     r4 = tables.get(4, n_max).counts.astype(np.int64)
@@ -113,7 +99,7 @@ def check_divisor_oracles(quick: bool, tables: _Tables) -> CheckResult:
     jac[4::4] -= 32.0 * sig1[1 : n_max // 4 + 1]
     if not np.array_equal(r4[1:].astype(np.float64), jac[1:]):
         bad = int(np.argmax(r4[1:].astype(np.float64) != jac[1:])) + 1
-        return _result("jacobi-and-two-squares", False, f"r4 Jacobi mismatch at n={bad}")
+        return False, f"r4 Jacobi mismatch at n={bad}"
     ones = np.zeros(n_max + 1)
     for d in range(1, n_max + 1):
         if d % 4 == 1:
@@ -123,11 +109,11 @@ def check_divisor_oracles(quick: bool, tables: _Tables) -> CheckResult:
     r2 = tables.get(2, n_max).counts.astype(np.float64)
     if not np.array_equal(r2[1:], 4.0 * ones[1:]):
         bad = int(np.argmax(r2[1:] != 4.0 * ones[1:])) + 1
-        return _result("jacobi-and-two-squares", False, f"r2 two-squares mismatch at n={bad}")
-    return _result("jacobi-and-two-squares", True, f"exact to n={n_max}")
+        return False, f"r2 two-squares mismatch at n={bad}"
+    return True, f"exact to n={n_max}"
 
 
-def check_r4_multiplicativity(quick: bool, tables: _Tables) -> CheckResult:
+def check_r4_multiplicativity(quick: bool, tables: _Tables) -> tuple[bool, str]:
     limit = 300 if quick else 10**3
     r4 = tables.get(4, limit * limit).counts
     eighth = (r4[: limit + 1] // np.uint64(8)).astype(np.int64)
@@ -138,19 +124,19 @@ def check_r4_multiplicativity(quick: bool, tables: _Tables) -> CheckResult:
     bad = coprime & (products != expected)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        return _result("r4-multiplicativity", False, f"fails at ({int(m[i])}, {int(m[j])})")
-    return _result("r4-multiplicativity", True, f"all {int(coprime.sum())} coprime pairs <= {limit}")
+        return False, f"fails at ({int(m[i])}, {int(m[j])})"
+    return True, f"all {int(coprime.sum())} coprime pairs <= {limit}"
 
 
-def check_convolution_consistency(quick: bool, tables: _Tables) -> CheckResult:
+def check_convolution_consistency(quick: bool, tables: _Tables) -> tuple[bool, str]:
     n_max = 2000 if quick else 10**4
     r5_a = rk.convolve_tables(tables.get(2, n_max), tables.get(3, n_max))
     r5_b = rk.convolve_tables(tables.get(4, n_max), tables.get(1, n_max))
     ok = r5_a == r5_b and r5_a == tables.get(5, n_max)
-    return _result("r5-convolution-consistency", ok, f"r2*r3 == r4*r1 == build, n<={n_max}")
+    return ok, f"r2*r3 == r4*r1 == build, n<={n_max}"
 
 
-def check_r4_euler_identity(quick: bool, tables: _Tables) -> CheckResult:
+def check_r4_euler_identity(quick: bool, tables: _Tables) -> tuple[bool, str]:
     m_max = 10**5 if quick else 10**6
     table = tables.get(4, m_max)
     details = []
@@ -159,10 +145,10 @@ def check_r4_euler_identity(quick: bool, tables: _Tables) -> CheckResult:
         res = dirichlet.r4_identity_check(table, s, m_max)
         ok &= res.passed
         details.append(f"s={s:.0f}: |lhs-rhs|={res.discrepancy:.2e} tail={res.tail_bound:.2e}")
-    return _result("r4-euler-identity", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_phi_cross(quick: bool, tables: _Tables) -> CheckResult:
+def check_phi_cross(quick: bool, tables: _Tables) -> tuple[bool, str]:
     h_max = 16 if quick else 64
     gamma_max = 200 if quick else 400
     s = 2.0
@@ -171,18 +157,16 @@ def check_phi_cross(quick: bool, tables: _Tables) -> CheckResult:
     for cusp in Cusp:
         values, tail = dirichlet.phi_di_sum_batch(cusp, hs, s, gamma_max)
         if float(np.max(np.abs(values.imag))) >= 1e-9:
-            return _result("phi-closed-vs-di", False, f"nonreal sum at cusp {cusp.label}")
+            return False, f"nonreal sum at cusp {cusp.label}"
         for h, val in zip(hs, values.real):
             diff = abs(val - dirichlet.phi_closed(cusp, h, s))
             if diff > tail:
-                return _result(
-                    "phi-closed-vs-di", False, f"cusp {cusp.label} h={h}: diff {diff:.2e} > tail {tail:.2e}"
-                )
+                return False, f"cusp {cusp.label} h={h}: diff {diff:.2e} > tail {tail:.2e}"
             worst = max(worst, diff / tail)
-    return _result("phi-closed-vs-di", True, f"h<={h_max}, worst diff/tail {worst:.3f}")
+    return True, f"h<={h_max}, worst diff/tail {worst:.3f}"
 
 
-def check_phi_erratum(quick: bool, tables: _Tables) -> CheckResult:
+def check_phi_erratum(quick: bool, tables: _Tables) -> tuple[bool, str]:
     h_max = 16 if quick else 64
     gamma_max = 200 if quick else 400
     s = 2.0
@@ -191,14 +175,10 @@ def check_phi_erratum(quick: bool, tables: _Tables) -> CheckResult:
     hits = sum(
         1 for h, val in zip(hs, values.real) if abs(val - dirichlet.phi_closed(Cusp.HALF, h, s)) > 10.0 * tail
     )
-    return _result(
-        "phi-erratum-discrimination",
-        hits > 0,
-        f"published congruence variant breaks {hits}/{h_max} coefficients at cusp 1/2",
-    )
+    return hits > 0, f"published congruence variant breaks {hits}/{h_max} coefficients at cusp 1/2"
 
 
-def check_ramanujan_reduction(quick: bool, tables: _Tables) -> CheckResult:
+def check_ramanujan_reduction(quick: bool, tables: _Tables) -> tuple[bool, str]:
     rng = np.random.default_rng(20240601)
     pairs = 50 if quick else 200
     for _ in range(pairs):
@@ -210,32 +190,30 @@ def check_ramanujan_reduction(quick: bool, tables: _Tables) -> CheckResult:
         num = complex(np.sum(np.exp(2j * math.pi * h * deltas / gamma)))
         want = dirichlet.ramanujan_sum(gamma, h)
         if abs(num - want) > 1e-7 * max(1.0, abs(want)):
-            return _result("ramanujan-reduction", False, f"gamma={gamma} h={h}: {num} vs {want}")
-    return _result("ramanujan-reduction", True, f"{pairs} random (gamma, h) pairs")
+            return False, f"gamma={gamma} h={h}: {num} vs {want}"
+    return True, f"{pairs} random (gamma, h) pairs"
 
 
-def check_phi_series(quick: bool, tables: _Tables) -> CheckResult:
+def check_phi_series(quick: bool, tables: _Tables) -> tuple[bool, str]:
     ok = True
     details = []
     for cusp in Cusp:
         res = dirichlet.phi_series_identity_check(cusp, 2.0, 3.0, 10**4)
         ok &= res.discrepancy <= 2.0 * res.tail_bound
         details.append(f"{cusp.label}: diff {res.discrepancy:.2e} tail {res.tail_bound:.2e}")
-    return _result("phi-series-identities", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_residue_cancellation(quick: bool, tables: _Tables) -> CheckResult:
+def check_residue_cancellation(quick: bool, tables: _Tables) -> tuple[bool, str]:
     worst = 0.0
     for k in (3, 4, 5):
         res = theory.nonspectral_residue_minus1(k)
         target = -theory.constants_for(k).diagonal_residue
         worst = max(worst, abs(res - target) / abs(target))
-    return _result(
-        "nonspectral-residue-cancellation", worst <= 1e-6, f"worst rel dev {worst:.2e} (k=3,4,5)"
-    )
+    return worst <= 1e-6, f"worst rel dev {worst:.2e} (k=3,4,5)"
 
 
-def check_laplace_gap(quick: bool, tables: _Tables) -> CheckResult:
+def check_laplace_gap(quick: bool, tables: _Tables) -> tuple[bool, str]:
     x3 = 2e3 if quick else 1e4
     x4 = 300.0 if quick else 1e3
     tol = 0.05 if quick else 0.02
@@ -251,10 +229,10 @@ def check_laplace_gap(quick: bool, tables: _Tables) -> CheckResult:
         dev = abs(gap / target - 1.0)
         ok &= dev <= tol
         details.append(f"k={k}: gap/X^{k-1} = {gap:.4f} vs {target:.4f} ({dev:.2%})")
-    return _result("laplace-gap", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_integral_gap(quick: bool, tables: _Tables) -> CheckResult:
+def check_integral_gap(quick: bool, tables: _Tables) -> tuple[bool, str]:
     x = 10**4 if quick else 10**6
     tol = 0.25 if quick else 0.10
     series = tables.series(3, x)
@@ -264,10 +242,10 @@ def check_integral_gap(quick: bool, tables: _Tables) -> CheckResult:
     ) / float(x) ** 2
     target = -math.pi**2 / 3.0
     dev = abs(gap / target - 1.0)
-    return _result("integral-vs-sum-gap", dev <= tol, f"gap/X^2 = {gap:.4f} vs {target:.4f} ({dev:.2%})")
+    return dev <= tol, f"gap/X^2 = {gap:.4f} vs {target:.4f} ({dev:.2%})"
 
 
-def check_first_moments(quick: bool, tables: _Tables) -> CheckResult:
+def check_first_moments(quick: bool, tables: _Tables) -> tuple[bool, str]:
     x_smooth = 2e3 if quick else 1e4
     x_sharp = 10**5 if quick else 10**6
     tol_smooth = 0.02 if quick else 0.01
@@ -277,14 +255,13 @@ def check_first_moments(quick: bool, tables: _Tables) -> CheckResult:
     sh = moments.sharp_weighted_first_moment_p3(series, x_sharp).value / float(x_sharp) ** 2
     dev_sm = abs(sm / math.pi - 1.0)
     dev_sh = abs(sh / (math.pi / 2.0) - 1.0)
-    return _result(
-        "weighted-first-moments",
+    return (
         dev_sm <= tol_smooth and dev_sh <= tol_sharp,
         f"smooth/X^2 = {sm:.5f} vs pi ({dev_sm:.2%}); sharp/X^2 = {sh:.5f} vs pi/2 ({dev_sh:.2%})",
     )
 
 
-def check_diagonal_mean(quick: bool, tables: _Tables) -> CheckResult:
+def check_diagonal_mean(quick: bool, tables: _Tables) -> tuple[bool, str]:
     x = 10**5 if quick else 10**6
     tol = 0.10 if quick else 0.05
     series = tables.series(4, x)
@@ -297,35 +274,31 @@ def check_diagonal_mean(quick: bool, tables: _Tables) -> CheckResult:
             abs(diagonal_partial_mean(series, xx) / target - 1.0) for xx in (10**4, 10**5, 10**6)
         ]
         decreasing = devs[0] >= devs[-1]
-    return _result(
-        "diagonal-partial-mean",
-        dev <= tol and decreasing,
-        f"{got:.4f} vs {target:.4f} ({dev:.2e}), decreasing {decreasing}",
-    )
+    return dev <= tol and decreasing, f"{got:.4f} vs {target:.4f} ({dev:.2e}), decreasing {decreasing}"
 
 
-def check_sign_changes(quick: bool, tables: _Tables) -> CheckResult:
+def check_sign_changes(quick: bool, tables: _Tables) -> tuple[bool, str]:
     tops = (10**2, 10**3) if quick else (10**2, 10**3, 10**4)
     series = tables.series(3, 2 * max(tops))
     p = series.p_values()
     for x in tops:
         window = p[x : 2 * x + 1]
         if not (np.any(window > 0) and np.any(window < 0)):
-            return _result("p3-sign-changes", False, f"no sign change in [{x}, {2 * x}]")
-    return _result("p3-sign-changes", True, f"sign changes in every [X, 2X], X in {tops}")
+            return False, f"no sign change in [{x}, {2 * x}]"
+    return True, f"sign changes in every [X, 2X], X in {tops}"
 
 
-def check_determinism(quick: bool, tables: _Tables) -> CheckResult:
+def check_determinism(quick: bool, tables: _Tables) -> tuple[bool, str]:
     series = tables.series(3, moments.exp_cutoff(3, 500.0))
     a = moments.smooth_second_moment(series, 500.0)
     b = moments.smooth_second_moment(series, 500.0)
     lap_a = moments.laplace_second_moment(series, 300.0)
     lap_b = moments.laplace_second_moment(series, 300.0)
     ok = a.value == b.value and lap_a.value == lap_b.value
-    return _result("moment-determinism", ok, "bit-identical recomputation")
+    return ok, "bit-identical recomputation"
 
 
-def check_cache_roundtrip(quick: bool, tables: _Tables) -> CheckResult:
+def check_cache_roundtrip(quick: bool, tables: _Tables) -> tuple[bool, str]:
     import os
     import tempfile
 
@@ -342,26 +315,26 @@ def check_cache_roundtrip(quick: bool, tables: _Tables) -> CheckResult:
             ok = False
         except rk.CacheChecksumError:
             pass
-    return _result("cache-roundtrip", ok, "save/load bit-exact; a flipped payload byte is caught")
+    return ok, "save/load bit-exact; a flipped payload byte is caught"
 
 
-def check_overflow_abort(quick: bool, tables: _Tables) -> CheckResult:
+def check_overflow_abort(quick: bool, tables: _Tables) -> tuple[bool, str]:
     from .convolve import ConvolutionOverflowError
 
     try:
         if quick:
             # the doubled values 2^63 fit; the j = 2 sum 2^62 + 2 * 2^63 does not
             rk._square_step(np.full(8, 2**62, dtype=np.uint64))
-            return _result("u64-overflow-abort", False, "synthetic 2^64 + 2^62 sum not caught")
+            return False, "synthetic 2^64 + 2^62 sum not caught"
         # real path: dimension-8 counts pass 2^64 near n ~ 1e6 (16 sigma_3(n) ~ 16 n^3)
         rk.build_rk_table(8, 995_000)
-        return _result("u64-overflow-abort", False, "r_8 coefficient beyond 2^64 not caught")
+        return False, "r_8 coefficient beyond 2^64 not caught"
     except ConvolutionOverflowError as exc:
         what = "synthetic sum" if quick else "r_8 build"
-        return _result("u64-overflow-abort", True, f"{what} aborts: {exc}")
+        return True, f"{what} aborts: {exc}"
 
 
-def check_l_theta_consistency(quick: bool, tables: _Tables) -> CheckResult:
+def check_l_theta_consistency(quick: bool, tables: _Tables) -> tuple[bool, str]:
     m_max = 10**4 if quick else 10**5
     ok = True
     details = []
@@ -371,20 +344,20 @@ def check_l_theta_consistency(quick: bool, tables: _Tables) -> CheckResult:
         b = dirichlet.l_theta(table, s, 2 * m_max)
         ok &= abs(a.value - b.value) <= a.tail_bound
         details.append(f"k={k} s={s}: step {abs(a.value - b.value):.2e} tail {a.tail_bound:.2e}")
-    return _result("l-theta-self-consistency", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_fit_roundtrip(quick: bool, tables: _Tables) -> CheckResult:
+def check_fit_roundtrip(quick: bool, tables: _Tables) -> tuple[bool, str]:
     xs = [2e3 * 10 ** (j / 11.0) for j in range(12)]
     samples = [
         moments.MomentSample(3, x, moments.Statistic.SMOOTH_SECOND, theory.predicted_smooth(3, x, c3=10.6), 0.0)
         for x in xs
     ]
     c3, _ = recover_c3(samples)
-    return _result("fit-synthetic-roundtrip", abs(c3 - 10.6) < 1e-8, f"c3 = {c3!r}")
+    return abs(c3 - 10.6) < 1e-8, f"c3 = {c3!r}"
 
 
-BATTERY: list[tuple[str, Callable[[bool, _Tables], CheckResult]]] = [
+BATTERY: list[tuple[str, Callable[[bool, _Tables], tuple[bool, str]]]] = [
     ("specfun-closed-forms", check_specfun),
     ("rk-oracle-equivalence", check_oracle_equivalence),
     ("jacobi-and-two-squares", check_divisor_oracles),
@@ -418,9 +391,10 @@ def run_battery(level: str = "quick", overrides=None, report=None) -> list[Check
     results = []
     for name, func in BATTERY:
         try:
-            res = func(quick, tables)
+            passed, detail = func(quick, tables)
         except Exception as exc:  # a crashed check is a failed check
-            res = CheckResult(name, False, f"exception: {exc!r}")
+            passed, detail = False, f"exception: {exc!r}"
+        res = CheckResult(name, bool(passed), detail)
         results.append(res)
         if report is not None:
             report(res)

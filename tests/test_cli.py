@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import math
@@ -7,8 +8,9 @@ import threading
 
 import pytest
 
-from gausslab import cli, moments, theory, verify
+from gausslab import cli, moments, rk, theory, verify
 from gausslab.cli import main
+from gausslab.convolve import ConvolutionOverflowError
 from gausslab.discrepancy import prefix_counts
 from gausslab.moments import KERNELS, Statistic, sharp_second_moment
 from gausslab.rk import build_rk_table, load_table, save_table
@@ -248,13 +250,17 @@ class TestRegistry:
     def test_every_statistic_has_a_kernel_and_a_prediction(self):
         assert set(KERNELS) == set(Statistic) == set(cli._PREDICTED)
 
-    def test_sharp_scale_snaps_to_integer(self):
+    def test_sharp_scale_snaps_to_integer(self, tmp_path):
         assert Statistic.SHARP_SECOND.scale(215.44) == 215
         assert Statistic.SMOOTH_SECOND.scale(215.44) == 215.44
-        config = cli.ExperimentConfig(k=3, x_grid=[215.44], statistics=[Statistic.SHARP_INTEGRAL_SECOND])
-        assert cli._needed_n_max(config) == 215
-        config.statistics.append(Statistic.LAPLACE_SECOND)
-        assert cli._needed_n_max(config) == moments.exp_cutoff(3, 215.44)
+        # the derived table size shows as the name of the cache file run_moments writes
+        stats = [Statistic.SHARP_INTEGRAL_SECOND]
+        for sub, want in (("sharp", 215), ("laplace", moments.exp_cutoff(3, 215.44))):
+            cache = tmp_path / sub
+            rows, status = cli.run_moments(3, [215.44], stats, cache_dir=str(cache))
+            assert status == 0 and len(rows) == len(stats)
+            assert [p.name for p in cache.glob("rk3_*.rktb")] == [f"rk3_{want}.rktb"]
+            stats = stats + [Statistic.LAPLACE_SECOND]
 
 
 class TestMomentsCache:
@@ -359,15 +365,15 @@ class TestFitCommand:
 
 class TestVerifyCommand:
     def test_exit_zero_on_all_pass(self, monkeypatch, capsys):
-        fake = [("alpha", lambda q, t: verify.CheckResult("alpha", True, "ok"))]
+        fake = [("alpha", lambda q, t: (True, "ok"))]
         monkeypatch.setattr(verify, "BATTERY", fake)
         assert run_cli(["verify", "--level", "quick"]) == 0
         assert "[PASS] alpha" in capsys.readouterr().out
 
     def test_exit_one_on_failure(self, monkeypatch, capsys):
         fake = [
-            ("alpha", lambda q, t: verify.CheckResult("alpha", True, "ok")),
-            ("beta", lambda q, t: verify.CheckResult("beta", False, "broken")),
+            ("alpha", lambda q, t: (True, "ok")),
+            ("beta", lambda q, t: (False, "broken")),
         ]
         monkeypatch.setattr(verify, "BATTERY", fake)
         assert run_cli(["verify", "--level", "quick"]) == 1
@@ -380,9 +386,9 @@ class TestVerifyCommand:
         counts = table.counts.copy()
         counts[1500] += 1
         bad = type(table)(k=3, n_max=2000, counts=counts)
-        res = verify.check_oracle_equivalence(False, verify._Tables({3: bad}))
-        assert not res.passed
-        assert "n=1500" in res.detail
+        passed, detail = verify.check_oracle_equivalence(False, verify._Tables({3: bad}))
+        assert not passed
+        assert "n=1500" in detail
 
 
 class TestShortInterval:
@@ -449,15 +455,84 @@ class TestLock:
                 cli._CacheLock(str(tmp_path)).__enter__()
 
 
-class TestExperimentConfig:
-    def test_grid_must_ascend(self):
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(k=3, x_grid=[100.0, 50.0], statistics=[Statistic.SMOOTH_SECOND])
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
 
-    def test_needs_statistics(self):
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(k=3, x_grid=[100.0], statistics=[])
+    return raiser
 
-    def test_needs_grid(self):
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(k=3, x_grid=[], statistics=[Statistic.SMOOTH_SECOND])
+
+def _moments_csv(name, rows):
+    with open(name, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([cli.MOMENTS_HEADER] + [r.split(",") for r in rows])
+    return ["fit", name]
+
+
+def _failing_verify(monkeypatch, stack):
+    monkeypatch.setattr(verify, "BATTERY", [("beta", lambda q, t: (False, "broken"))])
+    return ["verify"]
+
+
+def _overflowing_table(monkeypatch, stack):
+    monkeypatch.setattr(rk, "build_rk_table", _raise(ConvolutionOverflowError("beyond 64 bits")))
+    return ["table", "--k", "3", "--n-max", "100", "--cache-dir", "."]
+
+
+def _locked_cache(monkeypatch, stack):
+    stack.enter_context(cli._CacheLock("."))
+    return ["table", "--k", "2", "--n-max", "100", "--cache-dir", "."]
+
+
+def _kernel_fault(monkeypatch, stack):
+    monkeypatch.setitem(moments.KERNELS, Statistic.SMOOTH_SECOND, _raise(TypeError("internal fault")))
+    return "moments --k 3 --x-min 100 --x-max 100 --points 1 --stat SmoothSecond".split()
+
+
+_ROW = "3,2000,SmoothSecond,1.0,0,,0"
+
+
+class TestExitCodes:
+    """main alone maps an exception to an exit code: an exact count beyond
+    64 bits 1, usage (ValueError, any other OverflowError) 2, I/O and cache 3;
+    an internal fault propagates.  Each case is argv, or a setup returning it,
+    then the exit code (or escaping exception) and a fragment of main's one
+    stderr line (None: stderr stays empty)."""
+
+    CASES = {
+        "verify-fails": (_failing_verify, 1, None),
+        "table-overflow": (_overflowing_table, 1, "error: beyond 64 bits"),
+        "moments-float-overflow": (
+            "moments --k 3 --x-min 1 --x-max 1e308 --points 2 --stat SmoothSecond", 2, "too large"
+        ),
+        "moments-cell-float-overflow": (
+            "moments --k 3 --x-min 100 --x-max 1e308 --points 2 --stat SmoothSecond --n-max 1000", 2, None
+        ),
+        "moments-x-inf": ("moments --k 3 --x-min 1 --x-max inf --points 2 --stat SharpSecond", 2, "infinity"),
+        "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),
+        "shortinterval-bad-beta": ("shortinterval --x-min 10 --x-max 20 --beta 1.5", 2, "error: beta"),
+        "fit-missing-file": ("fit nope.csv", 3, "error: "),
+        "fit-malformed-csv": (
+            lambda *_: _moments_csv("bad.csv", [_ROW, _ROW, "3,not_a_number,SmoothSecond,1.0,0,,0"]), 2, ":4:"
+        ),
+        "fit-no-k3-rows": (lambda *_: _moments_csv("k4.csv", ["4" + _ROW[1:]]), 2, "error: no k=3"),
+        "table-locked-cache": (_locked_cache, 3, "error: cache directory is locked"),
+        "kernel-internal-fault": (_kernel_fault, TypeError, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+        setup, want, err_part = self.CASES[case]
+        with contextlib.ExitStack() as stack:
+            argv = setup.split() if isinstance(setup, str) else setup(monkeypatch, stack)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    run_cli(argv)
+                return
+            assert run_cli(argv) == want
+        err = capsys.readouterr().err
+        if err_part is None:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err_part in err and err.count("\n") == 1

@@ -223,6 +223,15 @@ class TestSharpIntegral:
 
 
 class TestWeightedFirst:
+    def test_k1_weight_is_inverse_sqrt(self):
+        # n^{k/2-1} is n^{-1/2} at k = 1
+        x = 10.0
+        n_cut = exp_cutoff(1, x)
+        series = prefix_counts(build_rk_table(1, n_cut))
+        n = np.arange(1, n_cut + 1, dtype=np.float64)
+        want = math.fsum(series.p_values()[1 : n_cut + 1] * n**-0.5 * np.exp(-n / x))
+        assert_close(smooth_weighted_first_moment(series, x).value, want, rel=1e-12)
+
     def test_tiny_x(self, series3_small):
         got = smooth_weighted_first_moment(series3_small, 0.1).value
         p1 = float(int(series3_small.prefix[1])) - series3_small.v_k
@@ -294,5 +303,7 @@ class TestStructuralInvariants:
     def test_cutoff_rule(self):
         assert exp_cutoff(3, 10.0) == max(math.ceil(10.0 * (3 * math.log(12.0) + 46.0)), 100)
         assert exp_cutoff(3, 0.01) == 100
+        with pytest.raises(ValueError, match="too large"):
+            exp_cutoff(3, 1e308)
         with pytest.raises(ValueError):
             exp_cutoff(3, 0.0)
