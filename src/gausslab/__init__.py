@@ -42,6 +42,7 @@ from .moments import (
 )
 from .rk import (
     CacheChecksumError,
+    CacheError,
     CacheFormatError,
     CacheTruncatedError,
     RkTable,

@@ -9,12 +9,12 @@ the first other cell p_values (at n = 1.5e6, about 0.02-0.03 s and
 0.04-0.10 s on a 2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
-an exit code:
+an exit code, by its class:
   0  success
-  1  verification failure, or an exact count beyond 64 bits
-     (ConvolutionOverflowError, PrefixOverflowError)
-  2  usage error: ValueError, or any other OverflowError
-  3  I/O or cache error: OSError, RuntimeError (a locked cache directory)
+  1  verify found a failing check
+  2  usage error: ValueError, or an OverflowError (including an exact count
+     beyond 64 bits: a request too large for the tables)
+  3  I/O or cache error: OSError (CacheLockedError: a locked cache directory)
 Any other exception is an internal fault: it ends in a Python traceback with
 the interpreter's status 1.  GAUSSLAB_CACHE_DIR sets the default cache
 directory.
@@ -34,12 +34,11 @@ import time
 import numpy as np
 
 from . import moments, rk, theory, verify
-from .convolve import ConvolutionOverflowError
 from .fit import c3_standard_error, recover_c3
-from .discrepancy import PrefixOverflowError, prefix_counts
+from .discrepancy import prefix_counts
 from .moments import MomentSample, Statistic
 
-__all__ = ["main", "run_moments"]
+__all__ = ["CacheLockedError", "main", "run_moments"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,34 +48,12 @@ EXIT_IO = 3
 _STAT_NAMES = {s.value: s for s in Statistic}
 
 
-def _default_cache_dir(arg: str | None) -> str | None:
-    return arg if arg is not None else os.environ.get("GAUSSLAB_CACHE_DIR")
-
-
 def _cache_path(cache_dir: str, k: int, n_max: int) -> str:
     return os.path.join(cache_dir, f"rk{k}_{n_max}.rktb")
 
 
-class _CacheLock:
-    """Advisory per-directory lock so one process owns a cache directory."""
-
-    def __init__(self, cache_dir: str):
-        self._path = os.path.join(cache_dir, ".gausslab.lock")
-        self._fh = None
-
-    def __enter__(self):
-        self._fh = open(self._path, "a+")
-        try:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError as exc:
-            self._fh.close()
-            raise RuntimeError(f"cache directory is locked by another process: {exc}") from exc
-        return self
-
-    def __exit__(self, *exc_info):
-        fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-        self._fh.close()
-        return False
+class CacheLockedError(OSError):
+    """Another process holds the cache directory's lock."""
 
 
 def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable, str]:
@@ -88,14 +65,19 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, k, n_max)
     outcome = "miss"
-    with _CacheLock(cache_dir):
+    # one process owns a cache directory; closing the file releases the lock
+    with open(os.path.join(cache_dir, ".gausslab.lock"), "a+") as lock:
+        try:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            raise CacheLockedError(f"cache directory is locked by another process: {exc}") from exc
         if os.path.exists(path):
             try:
                 table = rk.load_table(path)
                 if (table.k, table.n_max) != (k, n_max):
                     raise rk.CacheFormatError(f"it holds r_{table.k} to n_max = {table.n_max}")
                 return table, "hit"
-            except (rk.CacheFormatError, rk.CacheTruncatedError, rk.CacheChecksumError) as exc:
+            except rk.CacheError as exc:
                 print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
                 outcome = "rebuild"
         table = rk.build_rk_table(k, n_max)
@@ -201,7 +183,7 @@ def _geometric_grid(x_min: float, x_max: float, points: int) -> list[float]:
 
 
 def cmd_table(args) -> int:
-    cache_dir = _default_cache_dir(args.cache_dir) or "."
+    cache_dir = args.cache_dir or "."
     path = _cache_path(cache_dir, args.k, args.n_max)
     start = time.perf_counter()
     _, outcome = _obtain_table(args.k, args.n_max, cache_dir)
@@ -223,7 +205,7 @@ def cmd_moments(args) -> int:
         args.k,
         _geometric_grid(args.x_min, args.x_max, args.points),
         [_STAT_NAMES[s] for s in args.stat],
-        cache_dir=_default_cache_dir(args.cache_dir),
+        cache_dir=args.cache_dir,
         n_max=args.n_max,
         c3=args.c3,
     )
@@ -293,7 +275,7 @@ def cmd_shortinterval(args) -> int:
     if grid[0] < 2:
         raise ValueError(f"X = {grid[0]} too small: the ratio divides by log X, so int(X) >= 2")
     n_max = max(int(x + x**beta) for x in grid)
-    table, _ = _obtain_table(3, n_max, _default_cache_dir(args.cache_dir))
+    table, _ = _obtain_table(3, n_max, args.cache_dir)
     series = prefix_counts(table)
     p = series.p_values()
     psq = p * p
@@ -329,11 +311,12 @@ def cmd_constants(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gausslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    cache_dir = os.environ.get("GAUSSLAB_CACHE_DIR")
 
     p = sub.add_parser("table", help="build a representation table and cache it")
     p.add_argument("--k", type=int, required=True, choices=range(1, rk.MAX_K + 1))
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", default=cache_dir)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("moments", help="compute moment statistics on a geometric X grid")
@@ -343,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--stat", action="append", required=True, choices=sorted(_STAT_NAMES))
     p.add_argument("--n-max", type=int, default=None, help="override the derived table size")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", default=cache_dir)
     p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.add_argument("--c3", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -363,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", default=cache_dir)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_shortinterval)
 
@@ -379,11 +362,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (ConvolutionOverflowError, PrefixOverflowError)):
-            return EXIT_VERIFY
-        return EXIT_USAGE if isinstance(exc, (ValueError, OverflowError)) else EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -128,8 +128,8 @@ def r4_euler_rhs(s: float) -> float:
 def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
     """Compare (1/64) sum_{m<=m_max} r_4(m)^2 / m^s with the Euler product.
 
-    The certified bound has three parts: the truncation tail from
-    r_4(m)^2 <= c m^2 (ln m + 1)^2 with c calibrated on the table itself, a
+    The bound is estimated, since c is calibrated on the table itself.  It has
+    three parts: the truncation tail from r_4(m)^2 <= c m^2 (ln m + 1)^2, a
     compensated-summation rounding allowance, and the zeta-evaluation
     tolerance of the right-hand side (the truncation tail alone drops below
     double rounding by s = 6).
@@ -138,7 +138,7 @@ def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
         raise ValueError("r4_identity_check needs a k = 4 table")
     s = float(s)
     if s < 4.0:
-        raise ValueError(f"r4_identity_check: needs s >= 4 to certify tails (got {s})")
+        raise ValueError(f"r4_identity_check: needs s >= 4 to bound tails (got {s})")
     if m_max < 1 or m_max > table.n_max:
         raise ValueError(f"m_max = {m_max} outside [1, {table.n_max}]")
     m = np.arange(1, m_max + 1, dtype=np.float64)

@@ -52,6 +52,7 @@ __all__ = [
     "sigma_table",
     "save_table",
     "load_table",
+    "CacheError",
     "CacheFormatError",
     "CacheTruncatedError",
     "CacheChecksumError",
@@ -71,15 +72,19 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, version, k, n_max
 _DIGEST_SIZE = 8
 
 
-class CacheFormatError(ValueError):
+class CacheError(ValueError):
+    """A cache file that cannot be used: rebuild it."""
+
+
+class CacheFormatError(CacheError):
     """Bad magic bytes, unsupported format version or an invalid header."""
 
 
-class CacheTruncatedError(ValueError):
+class CacheTruncatedError(CacheError):
     """File shorter than the header-declared payload."""
 
 
-class CacheChecksumError(ValueError):
+class CacheChecksumError(CacheError):
     """Stored digest does not match the header and payload."""
 
 

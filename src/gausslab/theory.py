@@ -183,8 +183,9 @@ def predicted_integral_p3(X: float, c3: float) -> float:
     X = float(X)
     if X == 0.0:
         return 0.0
-    c3p = constants_for(3).c3_prime
-    return 0.5 * c3p * X**2 * math.log(X) + (0.5 * c3 - 0.25 * c3p - math.pi**2 / 3.0) * X**2
+    consts = constants_for(3)
+    c3p = consts.c3_prime
+    return 0.5 * c3p * X**2 * math.log(X) + (0.5 * c3 - 0.25 * c3p + consts.integral_gap) * X**2
 
 
 def predicted_smooth_weighted_first(k: int, X: float) -> float:
@@ -195,7 +196,7 @@ def predicted_smooth_weighted_first(k: int, X: float) -> float:
     X = float(X)
     if X == 0.0:
         return 0.0
-    lead = math.pi ** (k / 2.0) * gamma_fn(k - 1.0) / (2.0 * gamma_fn(k / 2.0))
+    lead = constants_for(k).first_moment_coeff
     second = math.pi ** (k / 2.0) * gamma_fn(k - 2.0) / (12.0 * gamma_fn(k / 2.0 - 1.0))
     return lead * X ** (k - 1) + second * X ** (k - 2)
 

@@ -240,7 +240,7 @@ def check_integral_gap(quick: bool, tables: _Tables) -> tuple[bool, str]:
         moments.sharp_integral_second_moment(series, x).value
         - moments.sharp_second_moment(series, x).value
     ) / float(x) ** 2
-    target = -math.pi**2 / 3.0
+    target = theory.constants_for(3).integral_gap
     dev = abs(gap / target - 1.0)
     return dev <= tol, f"gap/X^2 = {gap:.4f} vs {target:.4f} ({dev:.2%})"
 
@@ -382,12 +382,12 @@ BATTERY: list[tuple[str, Callable[[bool, _Tables], tuple[bool, str]]]] = [
 ]
 
 
-def run_battery(level: str = "quick", overrides=None, report=None) -> list[CheckResult]:
+def run_battery(level: str = "quick", report=None) -> list[CheckResult]:
     """Run every check at the requested level; returns all results."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     quick = level == "quick"
-    tables = _Tables(overrides)
+    tables = _Tables()
     results = []
     for name, func in BATTERY:
         try:

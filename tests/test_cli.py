@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import fcntl
 import hashlib
 import math
 import os
@@ -188,6 +189,16 @@ class TestMoments:
         rows = read_csv(out)
         assert rows[1][3].startswith("ERROR") or rows[2][3].startswith("ERROR")
         assert any(not r[3].startswith("ERROR") for r in rows[1:])
+
+    def test_error_rows_print_x_like_the_x_column(self, tmp_path):
+        out = tmp_path / "m.csv"
+        argv = "moments --k 3 --x-min 100 --x-max 1e200 --points 2 --stat SharpSecond --stat SmoothSecond"
+        assert run_cli(argv.split() + ["--n-max", "1000", "--out", str(out)]) == 2
+        errors = [r for r in read_csv(out)[1:] if r[3].startswith("ERROR")]
+        assert len(errors) == 3
+        for row in errors:
+            assert f"X = {row[1]}" in row[3]
+            assert not re.search(r"\d{18}", row[3]), row[3]
 
     def test_crlf_line_endings(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -448,11 +459,21 @@ class TestConstantsCommand:
         assert run_cli(["constants", "--k", "2"]) == 2
 
 
+def _hold_lock(stack, cache_dir):
+    """Hold cache_dir's lock, as another process would, until stack closes."""
+    fh = stack.enter_context(open(os.path.join(cache_dir, ".gausslab.lock"), "a+"))
+    fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
 class TestLock:
     def test_second_locker_fails(self, tmp_path):
-        with cli._CacheLock(str(tmp_path)):
-            with pytest.raises(RuntimeError):
-                cli._CacheLock(str(tmp_path)).__enter__()
+        with contextlib.ExitStack() as stack:
+            _hold_lock(stack, str(tmp_path))
+            with pytest.raises(cli.CacheLockedError, match="locked by another process"):
+                cli._obtain_table(2, 100, str(tmp_path))
+        # closing the file released the lock, and _obtain_table released its own
+        assert cli._obtain_table(2, 100, str(tmp_path))[1] == "miss"
+        assert cli._obtain_table(2, 100, str(tmp_path))[1] == "hit"
 
 
 def _raise(exc):
@@ -479,28 +500,35 @@ def _overflowing_table(monkeypatch, stack):
 
 
 def _locked_cache(monkeypatch, stack):
-    stack.enter_context(cli._CacheLock("."))
+    _hold_lock(stack, ".")
     return ["table", "--k", "2", "--n-max", "100", "--cache-dir", "."]
 
 
-def _kernel_fault(monkeypatch, stack):
-    monkeypatch.setitem(moments.KERNELS, Statistic.SMOOTH_SECOND, _raise(TypeError("internal fault")))
-    return "moments --k 3 --x-min 100 --x-max 100 --points 1 --stat SmoothSecond".split()
+def _kernel_raising(exc):
+    def setup(monkeypatch, stack):
+        monkeypatch.setitem(moments.KERNELS, Statistic.SMOOTH_SECOND, _raise(exc))
+        return "moments --k 3 --x-min 100 --x-max 100 --points 1 --stat SmoothSecond".split()
+
+    return setup
 
 
 _ROW = "3,2000,SmoothSecond,1.0,0,,0"
 
 
 class TestExitCodes:
-    """main alone maps an exception to an exit code: an exact count beyond
-    64 bits 1, usage (ValueError, any other OverflowError) 2, I/O and cache 3;
-    an internal fault propagates.  Each case is argv, or a setup returning it,
+    """main alone maps an exception to an exit code by its class: usage
+    (ValueError, OverflowError, an exact count beyond 64 bits among them) 2,
+    I/O and cache (OSError) 3; exit 1 means only that verify failed, and an
+    internal fault propagates.  Each case is argv, or a setup returning it,
     then the exit code (or escaping exception) and a fragment of main's one
     stderr line (None: stderr stays empty)."""
 
     CASES = {
         "verify-fails": (_failing_verify, 1, None),
-        "table-overflow": (_overflowing_table, 1, "error: beyond 64 bits"),
+        "table-overflow": (_overflowing_table, 2, "error: beyond 64 bits"),
+        "moments-prefix-overflow": (
+            "moments --k 8 --x-min 50000 --x-max 50000 --points 1 --stat SharpSecond", 2, "S_8 exceeds 64 bits"
+        ),
         "moments-float-overflow": (
             "moments --k 3 --x-min 1 --x-max 1e308 --points 2 --stat SmoothSecond", 2, "too large"
         ),
@@ -516,7 +544,8 @@ class TestExitCodes:
         ),
         "fit-no-k3-rows": (lambda *_: _moments_csv("k4.csv", ["4" + _ROW[1:]]), 2, "error: no k=3"),
         "table-locked-cache": (_locked_cache, 3, "error: cache directory is locked"),
-        "kernel-internal-fault": (_kernel_fault, TypeError, None),
+        "kernel-internal-fault": (_kernel_raising(TypeError("internal fault")), TypeError, None),
+        "kernel-runtime-error": (_kernel_raising(RecursionError("too deep")), RecursionError, None),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -163,6 +163,14 @@ class TestLaplaceSecond:
         fine = laplace_second_moment(series3_small, x, subdivide=2)
         assert abs(fine.value - coarse.value) < coarse.truncation_bound
 
+    @pytest.mark.parametrize("x", [10.0, 1000.0])
+    def test_k1_bound_covers_refinement(self, x):
+        # at k = 1 halving cuts interval 0's error only by 2^{-1.5}
+        series = prefix_counts(build_rk_table(1, exp_cutoff(1, x)))
+        coarse = laplace_second_moment(series, x)
+        fine = laplace_second_moment(series, x, subdivide=16)
+        assert abs(fine.value - coarse.value) <= coarse.truncation_bound
+
     def test_gap_to_smooth_k3(self, series3_big):
         x = 1e4
         gap = (
