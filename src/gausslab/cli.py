@@ -35,7 +35,7 @@ import numpy as np
 
 from . import moments, rk, theory, verify
 from .fit import c3_standard_error, recover_c3
-from .discrepancy import prefix_counts
+from .discrepancy import check_prefix_fits, prefix_counts
 from .moments import MomentSample, Statistic
 
 __all__ = ["CacheLockedError", "main", "run_moments"]
@@ -111,7 +111,7 @@ _PREDICTED = {
         lambda k, x, c3: None if c3 is None else theory.predicted_integral_p3(x, c3)
     ),
     Statistic.SMOOTH_WEIGHTED_FIRST: lambda k, x, c3: theory.predicted_smooth_weighted_first(k, x),
-    Statistic.SHARP_WEIGHTED_FIRST: lambda k, x, c3: math.pi / 2.0 * x**2 if k == 3 else None,
+    Statistic.SHARP_WEIGHTED_FIRST: lambda k, x, c3: theory.predicted_sharp_weighted_first(k, x),
 }
 
 
@@ -134,13 +134,15 @@ def run_moments(
 ) -> tuple[list[list[str]], int]:
     """All (statistic, X) cells as CSV rows; returns (rows, exit_code).
 
-    The table is r_k to n_max, by default the smallest one every cell needs.
+    The table is r_k to n_max, by default the smallest one every cell needs;
+    an n_max whose S_k is sure to pass 64 bits raises before the build.
     A kernel's ValueError (an X the table or the statistic cannot take, such
     as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
     other exception propagates.
     """
     if n_max is None:
         n_max = max(stat.n_needed(k, x) for stat in statistics for x in x_grid)
+    check_prefix_fits(k, n_max)
     table, _ = _obtain_table(k, n_max, cache_dir)
     series = prefix_counts(table)
 
@@ -155,21 +157,12 @@ def run_moments(
             outcome = exc
         ms = (time.perf_counter() - start) * 1e3
         if isinstance(outcome, ValueError):
-            rows.append([str(k), _fmt(x), stat.value, f"ERROR: {outcome}", "", "", f"{ms:.3f}"])
-            status = EXIT_USAGE
-            continue
-        predicted = _predicted_for(stat, k, float(x), c3)
-        rows.append(
-            [
-                str(k),
-                _fmt(x),
-                stat.value,
-                _fmt(outcome.value),
-                _fmt(outcome.truncation_bound),
-                "" if predicted is None else _fmt(predicted),
-                f"{ms:.3f}",
-            ]
-        )
+            cols, status = [f"ERROR: {outcome}", "", ""], EXIT_USAGE
+        else:
+            predicted = _predicted_for(stat, k, float(x), c3)
+            shown = "" if predicted is None else _fmt(predicted)
+            cols = [_fmt(outcome.value), _fmt(outcome.truncation_bound), shown]
+        rows.append([str(k), _fmt(x), stat.value, *cols, f"{ms:.3f}"])
     return rows, status
 
 

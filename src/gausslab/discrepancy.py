@@ -26,6 +26,8 @@ __all__ = [
     "DiscrepancySeries",
     "PrefixOverflowError",
     "prefix_counts",
+    "prefix_lower_bound",
+    "check_prefix_fits",
     "p_at_integer",
     "p_at_real",
     "diagonal_partial_mean",
@@ -98,12 +100,28 @@ class DiscrepancySeries:
         return self._p_cache
 
 
+def prefix_lower_bound(k: int, n):
+    """V_k (sqrt(n) - sqrt(k)/2)^k <= S_k(n): the unit cubes centred on the lattice
+    points of the ball of radius sqrt(n) cover the ball of radius sqrt(n) - sqrt(k)/2."""
+    inner = np.maximum(np.sqrt(np.asarray(n, dtype=np.float64)) - math.sqrt(k) / 2.0, 0.0)
+    return ball_volume(k) * inner**k
+
+
+def check_prefix_fits(k: int, n_max: int) -> None:
+    """Reject, before any build, an n_max whose S_k(n_max) is sure to pass 2^64
+    (the relative margin 1e-9 absorbs rounding in the bound)."""
+    bound = float(prefix_lower_bound(k, n_max))
+    if bound > 2.0**64 * (1.0 + 1e-9):
+        raise PrefixOverflowError(f"S_{k} exceeds 64 bits by n = {n_max} (lattice-cube bound {bound:.6g})")
+
+
 def prefix_counts(table: RkTable) -> DiscrepancySeries:
     """Exact running sums of a representation table; aborts on u64 overflow."""
     prefix = np.cumsum(table.counts, dtype=np.uint64)
-    # counts are nonnegative, so any wraparound shows up as a decrease
-    if prefix.shape[0] > 1 and bool(np.any(prefix[1:] < prefix[:-1])):
-        raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits before n = {table.n_max}")
+    # counts are nonnegative and below 2^64: the first wraparound is the first decrease
+    dropped = prefix[1:] < prefix[:-1]
+    if bool(dropped.any()):
+        raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {int(np.argmax(dropped)) + 1}")
     return DiscrepancySeries(k=table.k, n_max=table.n_max, prefix=prefix, v_k=ball_volume(table.k))
 
 

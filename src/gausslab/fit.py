@@ -4,15 +4,16 @@ Models are linear in a small set of basis functions drawn from
 
   X^{k-1} ln X,  X^{k-1},  X^{k-3/2},  X^{k-2},  X^{k-2} ln X,
 
-mirroring the main and error terms of the second-moment asymptotics.  Fits
-go through an orthogonal factorization (SVD), never the normal equations,
-and report a condition estimate; a condition above 1e12 is an error rather
-than a silent answer.
+mirroring the main and error terms of the second-moment asymptotics.  One
+solver serves every fit: it goes through an orthogonal factorization (SVD),
+never the normal equations, and reports a condition estimate; a condition
+above 1e12 is an error rather than a silent answer.
 
 recover_c3 implements the constrained recovery of the dimension-three
 constant: the X^2 ln X coefficient is pinned to its proven closed form
 (X^2 ln X and X^2 are nearly collinear over a decade, so leaving both free
-is ill-conditioned), and only the X^2 coefficient is solved for.
+is ill-conditioned).  Its model is that known main term plus a FitModel in
+X^2 and X (smoothed) or X^2 and X^{3/2} (sharp) whose X^2 coefficient gives c3.
 """
 
 from __future__ import annotations
@@ -50,21 +51,18 @@ class RankDeficiencyError(ValueError):
 class BasisTerm(enum.Enum):
     """Basis descriptors; exponents are relative to the dimension k."""
 
-    XK1_LOG = "x^(k-1)*lnx"
-    XK1 = "x^(k-1)"
-    XK32 = "x^(k-3/2)"
-    XK2 = "x^(k-2)"
-    XK2_LOG = "x^(k-2)*lnx"
+    XK1_LOG = ("x^(k-1)*lnx", -1.0, True)
+    XK1 = ("x^(k-1)", -1.0, False)
+    XK32 = ("x^(k-3/2)", -1.5, False)
+    XK2 = ("x^(k-2)", -2.0, False)
+    XK2_LOG = ("x^(k-2)*lnx", -2.0, True)
 
-    @property
-    def offset(self) -> float:
-        return {"x^(k-1)*lnx": -1.0, "x^(k-1)": -1.0, "x^(k-3/2)": -1.5, "x^(k-2)": -2.0, "x^(k-2)*lnx": -2.0}[
-            self.value
-        ]
-
-    @property
-    def has_log(self) -> bool:
-        return self.value.endswith("*lnx")
+    def __new__(cls, name: str, offset: float, has_log: bool):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.offset = offset
+        member.has_log = has_log
+        return member
 
     def evaluate(self, k: int, x: np.ndarray) -> np.ndarray:
         col = x ** (k + self.offset)
@@ -99,57 +97,53 @@ class FitResult:
     samples_used: int
 
 
-def _weights(weighting: Weighting, k: int, x: np.ndarray) -> np.ndarray:
-    if weighting is Weighting.UNIFORM:
-        return np.ones_like(x)
-    return x ** float(-(k - 1))
-
-
-def _solve(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
-    wd = design * w[:, None]
-    wy = y * w
-    coef, _, rank, sv = np.linalg.lstsq(wd, wy, rcond=None)
-    cond = math.inf if (sv[-1] == 0 or rank < design.shape[1]) else float(sv[0] / sv[-1])
-    if cond > CONDITION_LIMIT:
-        raise RankDeficiencyError(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    resid = wd @ coef - wy
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return coef, rms, cond
-
-
-def fit(model: FitModel, samples: list[MomentSample]) -> FitResult:
-    """Weighted linear least squares of sample values against the basis."""
-    if len(samples) < len(model.basis) + 2:
-        raise ValueError(
-            f"need at least {len(model.basis) + 2} samples for {len(model.basis)} basis terms"
-        )
+def _solve(
+    model: FitModel, samples: list[MomentSample], known: np.ndarray | float = 0.0
+) -> tuple[FitResult, np.ndarray, np.ndarray]:
+    """Weighted least squares of the sample values less the known term against
+    the model's basis: the result, the weighted design and the weighted residual."""
     kinds = {s.statistic for s in samples}
     if len(kinds) != 1:
         raise ValueError(f"samples mix statistics: {sorted(k.value for k in kinds)}")
     if any(s.k != model.k for s in samples):
         raise ValueError("sample dimension does not match the model's k")
     x = np.array([s.x_scale for s in samples], dtype=np.float64)
-    y = np.array([s.value for s in samples], dtype=np.float64)
-    design = np.stack([term.evaluate(model.k, x) for term in model.basis], axis=1)
-    coef, rms, cond = _solve(design, y, _weights(model.weighting, model.k, x))
-    return FitResult(tuple(float(c) for c in coef), rms, cond, len(samples))
+    y = np.array([s.value for s in samples], dtype=np.float64) - known
+    w = np.ones_like(x) if model.weighting is Weighting.UNIFORM else x ** float(-(model.k - 1))
+    wd = np.stack([term.evaluate(model.k, x) for term in model.basis], axis=1) * w[:, None]
+    wy = y * w
+    coef, _, rank, sv = np.linalg.lstsq(wd, wy, rcond=None)
+    cond = math.inf if (sv[-1] == 0 or rank < wd.shape[1]) else float(sv[0] / sv[-1])
+    if cond > CONDITION_LIMIT:
+        raise RankDeficiencyError(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    resid = wd @ coef - wy
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return FitResult(tuple(float(c) for c in coef), rms, cond, len(samples)), wd, resid
 
 
-def _c3_design(stat: Statistic, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Known main term, c3 translation factor, and the free design columns."""
+def fit(model: FitModel, samples: list[MomentSample]) -> FitResult:
+    """Weighted linear least squares of sample values against the basis."""
+    terms = len(model.basis)
+    if len(samples) < terms + 2:
+        raise ValueError(f"need at least {terms + 2} samples for {terms} basis terms")
+    return _solve(model, samples)[0]
+
+
+# statistic -> the free basis of its c3 model and the factor from the X^2
+# coefficient to c3 (the sharp sum carries c3/2)
+_C3_MODELS = {
+    Statistic.SMOOTH_SECOND: ((BasisTerm.XK1, BasisTerm.XK2), 1.0),
+    Statistic.SHARP_SECOND: ((BasisTerm.XK1, BasisTerm.XK32), 2.0),
+}
+
+
+def _c3_known(stat: Statistic, x: np.ndarray) -> np.ndarray:
+    """The main term pinned by the closed form of C3'."""
     consts = constants_for(3)
     c3p = consts.c3_prime
     if stat is Statistic.SMOOTH_SECOND:
-        known = c3p * x**2 * (np.log(x) + 1.0 - consts.euler_gamma)
-        factor = 1.0
-        design = np.stack([x**2, x], axis=1)
-    elif stat is Statistic.SHARP_SECOND:
-        known = x**2 * (0.5 * c3p * np.log(x) - 0.25 * c3p)
-        factor = 2.0
-        design = np.stack([x**2, x**1.5], axis=1)
-    else:
-        raise ValueError(f"recover_c3 needs SmoothSecond or SharpSecond samples, got {stat.value}")
-    return known, factor, design
+        return c3p * x**2 * (np.log(x) + 1.0 - consts.euler_gamma)
+    return x**2 * (0.5 * c3p * np.log(x) - 0.25 * c3p)
 
 
 def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
@@ -157,25 +151,18 @@ def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
     (c3, diagnostics, residual-based standard error of c3)."""
     if not samples:
         raise ValueError("no samples")
-    kinds = {s.statistic for s in samples}
-    if len(kinds) != 1:
-        raise ValueError("samples mix statistics")
-    if any(s.k != 3 for s in samples):
-        raise ValueError("recover_c3 needs k = 3 samples")
+    stat = samples[0].statistic
+    if stat not in _C3_MODELS:
+        raise ValueError(f"recover_c3 needs SmoothSecond or SharpSecond samples, got {stat.value}")
     x = np.array([s.x_scale for s in samples], dtype=np.float64)
-    y = np.array([s.value for s in samples], dtype=np.float64)
     if x.max() < 1e4 * (1.0 - SPAN_RTOL) or x.max() / x.min() < 10.0 * (1.0 - SPAN_RTOL):
         raise ValueError("samples must span a decade of X with max(X) >= 1e4")
-    (stat,) = kinds
-    known, factor, design = _c3_design(stat, x)
-    w = x**-2.0
-    coef, rms, cond = _solve(design, y - known, w)
-    diagnostics = FitResult(tuple(float(c) for c in coef), rms, cond, len(samples))
-    wd = design * w[:, None]
+    basis, factor = _C3_MODELS[stat]
+    model = FitModel(3, basis, Weighting.RELATIVE_TO_LEADING)
+    diagnostics, wd, resid = _solve(model, samples, _c3_known(stat, x))
     cov = np.linalg.inv(wd.T @ wd)
-    dof = max(len(samples) - design.shape[1], 1)
-    sigma2 = float(np.sum((wd @ coef - (y - known) * w) ** 2)) / dof
-    return factor * float(coef[0]), diagnostics, factor * math.sqrt(sigma2 * cov[0, 0])
+    sigma2 = float(np.sum(resid**2)) / max(len(samples) - len(basis), 1)
+    return factor * diagnostics.coefficients[0], diagnostics, factor * math.sqrt(sigma2 * cov[0, 0])
 
 
 def recover_c3(samples: list[MomentSample]) -> tuple[float, FitResult]:

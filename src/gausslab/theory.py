@@ -44,6 +44,7 @@ __all__ = [
     "predicted_sharp",
     "predicted_integral_p3",
     "predicted_smooth_weighted_first",
+    "predicted_sharp_weighted_first",
     "nonspectral_E",
     "nonspectral_residue_minus1",
 ]
@@ -52,6 +53,7 @@ MIN_K = 3
 MAX_K = 8
 
 _POLE_TOL = 9.999e-7  # strict spec threshold is 1e-6; tiny margin for float offsets
+RESIDUE_OFFSET = 1e-6  # distance from s = -1 of the residue's symmetric limits
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,7 @@ def predicted_smooth(k: int, X: float, c3: float | None = None) -> float:
 
 def predicted_laplace(k: int, X: float, c3: float | None = None) -> float:
     """Smoothed prediction plus the Laplace gap term."""
-    X = float(X)
-    if X == 0.0:
-        _check_k(k)
-        _check_c3(k, c3)
-        return 0.0
-    return predicted_smooth(k, X, c3) + constants_for(k).laplace_gap * X ** (k - 1)
+    return predicted_smooth(k, X, c3) + constants_for(k).laplace_gap * float(X) ** (k - 1)
 
 
 def predicted_sharp(k: int, X: float, c3: float | None = None) -> float:
@@ -194,11 +191,16 @@ def predicted_smooth_weighted_first(k: int, X: float) -> float:
     + (pi^{k/2} Gamma(k-2) / (12 Gamma(k/2-1))) X^{k-2}."""
     _check_k(k)
     X = float(X)
-    if X == 0.0:
-        return 0.0
     lead = constants_for(k).first_moment_coeff
     second = math.pi ** (k / 2.0) * gamma_fn(k - 2.0) / (12.0 * gamma_fn(k / 2.0 - 1.0))
     return lead * X ** (k - 1) + second * X ** (k - 2)
+
+
+def predicted_sharp_weighted_first(k: int, X: float) -> float:
+    """Main term (pi/2) X^2 of sum_{n<=X} P_3(n) sqrt(n); dimension 3 only."""
+    if k != 3:
+        raise ValueError(f"SharpWeightedFirst is defined for k = 3 only, not k = {k}")
+    return math.pi / 2.0 * float(X) ** 2
 
 
 def nonspectral_E(k: int, s: float) -> float:
@@ -224,12 +226,12 @@ def nonspectral_E(k: int, s: float) -> float:
     return num / den * two_factor
 
 
-def nonspectral_residue_minus1(k: int, offset: float = 1e-6) -> float:
+def nonspectral_residue_minus1(k: int) -> float:
     """Residue of E_k at s = -1 by symmetric numerical limits.
 
-    Averaging (s+1) E_k(s) at s = -1 +/- offset cancels the linear Laurent
-    term (one Richardson step), leaving an O(offset^2) error.
+    Averaging (s+1) E_k(s) at s = -1 +/- RESIDUE_OFFSET cancels the linear
+    Laurent term (one Richardson step), leaving an O(RESIDUE_OFFSET^2) error.
     """
-    plus = (offset) * nonspectral_E(k, -1.0 + offset)
-    minus = (-offset) * nonspectral_E(k, -1.0 - offset)
+    plus = RESIDUE_OFFSET * nonspectral_E(k, -1.0 + RESIDUE_OFFSET)
+    minus = (-RESIDUE_OFFSET) * nonspectral_E(k, -1.0 - RESIDUE_OFFSET)
     return 0.5 * (plus + minus)

@@ -217,6 +217,37 @@ class TestMoments:
         assert b"\r\n" in raw
 
 
+class TestPrefixOverflow:
+    """S_8 passes 2^64 at n = 46,172.  A request whose lattice-cube lower
+    bound on S_k(n_max) already passes 2^64 is rejected before any table is
+    built; one just past the overflow, where the bound is still below 2^64,
+    is caught by the exact scan after the build and names the first n."""
+
+    def test_doomed_request_never_builds(self, monkeypatch, capsys):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+
+        def refuse(k, n_max):
+            raise AssertionError(f"built r_{k} to {n_max}")
+
+        monkeypatch.setattr(rk, "build_rk_table", refuse)
+        argv = "moments --k 8 --x-min 5000 --x-max 5000 --points 1 --stat SmoothSecond"
+        assert run_cli(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: S_8 exceeds 64 bits") and "n = 570704" in err
+
+    @pytest.mark.parametrize("x, code", [(46171, 0), (46172, 2)])
+    def test_k8_sharp_boundary(self, tmp_path, monkeypatch, capsys, x, code):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+        out = tmp_path / "m.csv"
+        argv = f"moments --k 8 --x-min {x} --x-max {x} --points 1 --stat SharpSecond --out {out}"
+        assert run_cli(argv.split()) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and len(read_csv(out)) == 2
+        else:
+            assert err == "error: S_8 exceeds 64 bits at n = 46172\n"
+
+
 def _stripped_digest(path):
     """sha256 of the CSV bytes with each line's last field (runtime_ms) cut."""
     lines = [line.rsplit(b",", 1)[0] for line in path.read_bytes().split(b"\r\n") if line]

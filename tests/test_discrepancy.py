@@ -8,11 +8,13 @@ import pytest
 from gausslab.discrepancy import (
     DiscrepancySeries,
     PrefixOverflowError,
+    check_prefix_fits,
     diagonal_partial_mean,
     half_power,
     p_at_integer,
     p_at_real,
     prefix_counts,
+    prefix_lower_bound,
 )
 from gausslab.rk import RkTable, build_rk_table, rk_bruteforce
 
@@ -50,8 +52,36 @@ class TestPrefix:
     def test_overflow_detected(self):
         counts = np.array([1, 2**63, 2**63, 4], dtype=np.uint64)
         table = RkTable(k=1, n_max=3, counts=counts)
-        with pytest.raises(PrefixOverflowError):
+        with pytest.raises(PrefixOverflowError, match=r"S_1 exceeds 64 bits at n = 2$"):
             prefix_counts(table)
+
+    def test_k8_overflow_n_matches_exact_running_sum(self):
+        table = build_rk_table(8, 50_000)
+        running, first = 0, None
+        for n, c in enumerate(table.counts.tolist()):
+            running += c
+            if running >= 2**64:
+                first = n
+                break
+        assert first == 46_172
+        with pytest.raises(PrefixOverflowError, match=rf"S_8 exceeds 64 bits at n = {first}$"):
+            prefix_counts(table)
+
+
+class TestPrefixLowerBound:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bound_below_counts(self, k):
+        prefix = np.cumsum(build_rk_table(k, 3000).counts.astype(object))
+        bound = prefix_lower_bound(k, np.arange(3001))
+        assert all(float(b) <= int(s) for b, s in zip(bound, prefix))
+
+    def test_k8_boundary(self):
+        # S_8 first passes 2^64 at n = 46,172, where the bound is 0.9485 of
+        # 2^64; the bound itself passes 2^64 only from n = 46,783 on
+        assert 0.948 < prefix_lower_bound(8, 46_172) / 2.0**64 < 0.949
+        check_prefix_fits(8, 46_782)
+        with pytest.raises(PrefixOverflowError, match="S_8 exceeds 64 bits by n = 46783"):
+            check_prefix_fits(8, 46_783)
 
 
 class TestPAt:

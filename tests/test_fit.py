@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gausslab import theory
+from gausslab import cli, theory
 from gausslab.fit import (
     BasisTerm,
     FitModel,
@@ -11,7 +13,7 @@ from gausslab.fit import (
     fit,
     recover_c3,
 )
-from gausslab.moments import MomentSample, Statistic, smooth_second_moment
+from gausslab.moments import MomentSample, Statistic, sharp_second_moment, smooth_second_moment
 
 from conftest import assert_close
 
@@ -199,3 +201,37 @@ class TestRecoverC3:
         c3_drop, _ = recover_c3(samples[:-1])
         interval = c3_standard_error(samples)
         assert abs(c3_full - c3_drop) < max(interval, 1e-3)
+
+
+def _repr_digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestPinnedFit:
+    """The fit results on the seed-0 c3 grids, pinned by the sha256 of their
+    repr: any change to a basis column, a weight, the known main term, the
+    solver or the standard error shows here."""
+
+    PINNED = {
+        "smooth": "da48c895b8fe7859cc77cf928b721fc47fa10c838a8ae93dc3680c624f6fb2c3",
+        "sharp": "10dd2293111cf68e3d2ac7a4cb513cb91f7e9d2e56db2511dd1fa538fb758640",
+        "free": "1b419d8169a8db53d48272d064ac43e91caa54c7b9dd5300fee6bbde6f17fe72",
+    }
+
+    @pytest.mark.parametrize("mode", ["smooth", "sharp"])
+    def test_c3_digest_unchanged(self, series3_big, mode):
+        if mode == "smooth":
+            samples = [smooth_second_moment(series3_big, x) for x in cli._geometric_grid(2000, 20000, 12)]
+        else:
+            grid = cli._geometric_grid(10000, 100000, 12)
+            samples = [sharp_second_moment(series3_big, Statistic.SHARP_SECOND.scale(x)) for x in grid]
+        c3, diag = recover_c3(samples)
+        assert _repr_digest((c3, diag, c3_standard_error(samples))) == self.PINNED[mode]
+
+    def test_free_fit_digest_unchanged(self, series3_big):
+        # the model and grid of TestRecoverC3.test_free_fit_lead_matches_c3_prime
+        samples = [smooth_second_moment(series3_big, x) for x in _geometric(2e3, 2e4, 12)]
+        model = FitModel(
+            3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2), Weighting.RELATIVE_TO_LEADING
+        )
+        assert _repr_digest(fit(model, samples)) == self.PINNED["free"]

@@ -12,7 +12,9 @@ from gausslab.theory import (
     predicted_integral_p3,
     predicted_laplace,
     predicted_sharp,
+    predicted_sharp_weighted_first,
     predicted_smooth,
+    predicted_smooth_weighted_first,
 )
 
 from conftest import assert_close, zeta_eta_oracle
@@ -113,6 +115,27 @@ class TestPredicted:
 
     def test_laplace_at_zero(self):
         assert predicted_laplace(4, 0.0) == 0.0
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_zero_scale_gives_positive_zero(self, k):
+        c3 = 10.6 if k == 3 else None
+        assert repr(predicted_laplace(k, 0.0, c3)) == "0.0"
+        assert repr(predicted_smooth_weighted_first(k, 0.0)) == "0.0"
+
+    def test_zero_scale_still_checks_arguments(self):
+        with pytest.raises(ValueError, match="need the fitted constant"):
+            predicted_laplace(3, 0.0)
+        with pytest.raises(ValueError, match="c3 only applies"):
+            predicted_laplace(4, 0.0, c3=1.0)
+        for f in (predicted_laplace, predicted_smooth_weighted_first):
+            with pytest.raises(ValueError, match="outside"):
+                f(9, 0.0)
+
+    def test_sharp_weighted_first(self):
+        assert predicted_sharp_weighted_first(3, 10.0) == math.pi / 2.0 * 100.0
+        assert predicted_sharp_weighted_first(3, 0.0) == 0.0
+        with pytest.raises(ValueError, match="k = 3 only"):
+            predicted_sharp_weighted_first(4, 10.0)
 
     def test_sharp_log_root(self):
         x = math.exp(0.5)
