@@ -15,9 +15,8 @@ an exit code, by its class:
   2  usage error: ValueError, or an OverflowError (including an exact count
      beyond 64 bits: a request too large for the tables)
   3  I/O or cache error: OSError (CacheLockedError: a locked cache directory)
-Any other exception is an internal fault: it ends in a Python traceback with
-the interpreter's status 1.  GAUSSLAB_CACHE_DIR sets the default cache
-directory.
+  4  internal fault: any other exception; main prints its traceback to stderr
+GAUSSLAB_CACHE_DIR sets the default cache directory.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 _STAT_NAMES = {s.value: s for s in Statistic}
 
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

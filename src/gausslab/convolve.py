@@ -43,19 +43,12 @@ class ConvolutionCapacityError(ValueError):
     """Requested transform size exceeds what the fixed primes support."""
 
 
-_bitrev_cache: dict[int, np.ndarray] = {}
-
-
 def _bitrev_indices(n: int) -> np.ndarray:
-    cached = _bitrev_cache.get(n)
-    if cached is not None:
-        return cached
     lg = n.bit_length() - 1
     j = np.arange(n, dtype=np.int64)
     rev = np.zeros(n, dtype=np.int64)
     for b in range(lg):
         rev |= ((j >> b) & 1) << (lg - 1 - b)
-    _bitrev_cache[n] = rev
     return rev
 
 
@@ -103,9 +96,8 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     """
     if n_out <= 0:
         return np.zeros(0, dtype=np.uint64)
-    same = b is a
     a = np.ascontiguousarray(np.asarray(a, dtype=np.uint64)[:n_out])
-    b = a if same else np.ascontiguousarray(np.asarray(b, dtype=np.uint64)[:n_out])
+    b = np.ascontiguousarray(np.asarray(b, dtype=np.uint64)[:n_out])
     need = a.shape[0] + b.shape[0] - 1
     if need > MAX_RESULT_LEN:
         raise ConvolutionCapacityError(
@@ -116,13 +108,10 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     for p, g in zip(_PRIMES, _GENERATORS):
         pa = np.zeros(size, dtype=np.uint64)
         pa[: a.shape[0]] = a % np.uint64(p)
+        pb = np.zeros(size, dtype=np.uint64)
+        pb[: b.shape[0]] = b % np.uint64(p)
         fa = _ntt(pa, p, g, invert=False)
-        if same:
-            fb = fa
-        else:
-            pb = np.zeros(size, dtype=np.uint64)
-            pb[: b.shape[0]] = b % np.uint64(p)
-            fb = _ntt(pb, p, g, invert=False)
+        fb = _ntt(pb, p, g, invert=False)
         residues.append(_ntt(fa * fb % np.uint64(p), p, g, invert=True)[:n_out])
     return _crt3(residues)
 

@@ -83,9 +83,9 @@ class DiscrepancySeries:
         self.prefix.flags.writeable = False
 
     def prefix_float(self) -> np.ndarray:
-        """Split-converted float64 view of the prefix counts (read-only)."""
+        """The prefix counts as float64, each rounded to nearest (read-only)."""
         if self._prefix_float is None:
-            pf = _minus_volume(self.prefix, 0.0)
+            pf = self.prefix.astype(np.float64)
             pf.flags.writeable = False
             self._prefix_float = pf
         return self._prefix_float

@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (about 7 s on one core of a 2-core box).  Each check returns
+acceptance scale (6.5 s on one core of a 2-core box).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
 """
@@ -30,21 +30,17 @@ class CheckResult:
 
 
 class _Tables:
-    """Lazily built, shared tables; overrides let tests inject faults."""
+    """The largest table built so far for each k, handed out at the size asked
+    for; the initial contents (k -> table) let tests inject faults."""
 
-    def __init__(self, overrides=None):
-        self._cache: dict[tuple[int, int], rk.RkTable] = {}
-        self._overrides = overrides or {}
+    def __init__(self, held=None):
+        self._held: dict[int, rk.RkTable] = dict(held or {})
 
     def get(self, k: int, n_max: int) -> rk.RkTable:
-        if k in self._overrides and self._overrides[k].n_max >= n_max:
-            return self._overrides[k]
-        for (kk, nn), table in self._cache.items():
-            if kk == k and nn >= n_max:
-                return table
-        table = rk.build_rk_table(k, n_max)
-        self._cache[(k, n_max)] = table
-        return table
+        table = self._held.get(k)
+        if table is None or table.n_max < n_max:
+            table = self._held[k] = rk.build_rk_table(k, n_max)
+        return rk.RkTable(k, n_max, table.counts[: n_max + 1])
 
     def series(self, k: int, n_max: int):
         return prefix_counts(self.get(k, n_max))
@@ -308,7 +304,7 @@ def check_cache_roundtrip(quick: bool, tables: _Tables) -> tuple[bool, str]:
         rk.save_table(table, path)
         ok = rk.load_table(path) == table
         with open(path, "r+b") as fh:
-            fh.seek(40)  # r_3(2) = 12 becomes 13
+            fh.seek(40)  # byte 4 of r_3(2): 12 becomes 12 + 13 * 2^32
             fh.write(b"\x0d")
         try:
             rk.load_table(path)

@@ -432,6 +432,22 @@ class TestVerifyCommand:
         assert not passed
         assert "n=1500" in detail
 
+    def test_reversed_battery_passes(self, monkeypatch):
+        # each check sees tables of exactly the size it asks for, whatever ran before it
+        monkeypatch.setattr(verify, "BATTERY", verify.BATTERY[::-1])
+        results = verify.run_battery("quick")
+        assert [r.name for r in results if not r.passed] == []
+        assert len(results) == 21
+
+    def test_tables_hand_out_requested_size(self):
+        tables = verify._Tables()
+        assert tables.get(3, 5000).n_max == 5000
+        small = tables.get(3, 300)
+        assert small.n_max == 300 and small.counts.shape == (301,)
+        assert small == build_rk_table(3, 300)
+        assert list(tables._held) == [3] and tables._held[3].n_max == 5000
+        assert not small.counts.flags.writeable
+
 
 class TestShortInterval:
     def test_finite_positive_ratios(self, tmp_path):
@@ -549,10 +565,11 @@ _ROW = "3,2000,SmoothSecond,1.0,0,,0"
 class TestExitCodes:
     """main alone maps an exception to an exit code by its class: usage
     (ValueError, OverflowError, an exact count beyond 64 bits among them) 2,
-    I/O and cache (OSError) 3; exit 1 means only that verify failed, and an
-    internal fault propagates.  Each case is argv, or a setup returning it,
-    then the exit code (or escaping exception) and a fragment of main's one
-    stderr line (None: stderr stays empty)."""
+    I/O and cache (OSError) 3, any other exception (an internal fault) 4 with
+    its traceback on stderr; exit 1 means only that verify failed.  Each case
+    is argv, or a setup returning it, then the exit code and a fragment of
+    main's stderr: its one line, or the traceback at code 4 (None: stderr
+    stays empty)."""
 
     CASES = {
         "verify-fails": (_failing_verify, 1, None),
@@ -575,8 +592,8 @@ class TestExitCodes:
         ),
         "fit-no-k3-rows": (lambda *_: _moments_csv("k4.csv", ["4" + _ROW[1:]]), 2, "error: no k=3"),
         "table-locked-cache": (_locked_cache, 3, "error: cache directory is locked"),
-        "kernel-internal-fault": (_kernel_raising(TypeError("internal fault")), TypeError, None),
-        "kernel-runtime-error": (_kernel_raising(RecursionError("too deep")), RecursionError, None),
+        "kernel-internal-fault": (_kernel_raising(TypeError("internal fault")), 4, "TypeError: internal fault"),
+        "kernel-runtime-error": (_kernel_raising(RecursionError("too deep")), 4, "RecursionError: too deep"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -586,13 +603,11 @@ class TestExitCodes:
         setup, want, err_part = self.CASES[case]
         with contextlib.ExitStack() as stack:
             argv = setup.split() if isinstance(setup, str) else setup(monkeypatch, stack)
-            if isinstance(want, type):
-                with pytest.raises(want):
-                    run_cli(argv)
-                return
             assert run_cli(argv) == want
         err = capsys.readouterr().err
         if err_part is None:
             assert err == ""
+        elif want == 4:
+            assert err.startswith("Traceback (most recent call last):") and err.endswith(err_part + "\n")
         else:
             assert err.startswith("error: ") and err_part in err and err.count("\n") == 1
