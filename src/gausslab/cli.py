@@ -3,10 +3,11 @@
 Subcommands: table, moments, fit, verify, shortinterval, constants.
 Output is RFC-4180 CSV (header row, '.' decimal, 17 significant digits);
 the runtime_ms column sits last so everything before it is byte-identical
-across reruns.  A moments cell's runtime_ms can include the one-time float
-preparation of the series: the first LaplaceSecond cell fills prefix_float,
-the first other cell p_values (at n = 1.5e6, about 0.02-0.03 s and
-0.04-0.10 s on a 2-core box).
+across reruns.  A moments row's predicted_value is theory.predicted's main
+term, blank where it has none.  A cell's runtime_ms can include the one-time
+float preparation of the series: the first LaplaceSecond cell fills
+prefix_float, the first other cell p_values (at n = 1.5e6, about 0.02-0.03 s
+and 0.04-0.10 s on a 2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
@@ -45,9 +46,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-_STAT_NAMES = {s.value: s for s in Statistic}
-
 
 def _cache_path(cache_dir: str, k: int, n_max: int) -> str:
     return os.path.join(cache_dir, f"rk{k}_{n_max}.rktb")
@@ -103,25 +101,6 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
             fh.write(data)
 
 
-# statistic -> predicted main term (k, X, c3); c3 is None unless k = 3
-_PREDICTED = {
-    Statistic.SMOOTH_SECOND: theory.predicted_smooth,
-    Statistic.SHARP_SECOND: theory.predicted_sharp,
-    Statistic.LAPLACE_SECOND: theory.predicted_laplace,
-    Statistic.SHARP_INTEGRAL_SECOND: (
-        lambda k, x, c3: None if c3 is None else theory.predicted_integral_p3(x, c3)
-    ),
-    Statistic.SMOOTH_WEIGHTED_FIRST: lambda k, x, c3: theory.predicted_smooth_weighted_first(k, x),
-    Statistic.SHARP_WEIGHTED_FIRST: lambda k, x, c3: theory.predicted_sharp_weighted_first(k, x),
-}
-
-
-def _predicted_for(stat: Statistic, k: int, x: float, c3: float | None) -> float | None:
-    try:
-        return _PREDICTED[stat](k, x, c3 if k == 3 else None)
-    except ValueError:
-        return None
-
 MOMENTS_HEADER = ["k", "X", "statistic", "value", "truncation_bound", "predicted_value", "runtime_ms"]
 
 
@@ -160,7 +139,7 @@ def run_moments(
         if isinstance(outcome, ValueError):
             cols, status = [f"ERROR: {outcome}", "", ""], EXIT_USAGE
         else:
-            predicted = _predicted_for(stat, k, float(x), c3)
+            predicted = theory.predicted(stat, k, x, c3)
             shown = "" if predicted is None else _fmt(predicted)
             cols = [_fmt(outcome.value), _fmt(outcome.truncation_bound), shown]
         rows.append([str(k), _fmt(x), stat.value, *cols, f"{ms:.3f}"])
@@ -168,7 +147,7 @@ def run_moments(
 
 
 def _geometric_grid(x_min: float, x_max: float, points: int) -> list[float]:
-    if points < 1 or x_min <= 0 or x_max < x_min:
+    if points < 1 or not (0 < x_min <= x_max):
         raise ValueError("bad grid: need 0 < x-min <= x-max and points >= 1")
     if points == 1:
         return [x_min]
@@ -198,7 +177,7 @@ def cmd_moments(args) -> int:
     rows, status = run_moments(
         args.k,
         _geometric_grid(args.x_min, args.x_max, args.points),
-        [_STAT_NAMES[s] for s in args.stat],
+        [Statistic(s) for s in args.stat],
         cache_dir=args.cache_dir,
         n_max=args.n_max,
         c3=args.c3,
@@ -220,10 +199,10 @@ def _read_moment_csv(path: str) -> list[MomentSample]:
             try:
                 k = int(row[0])
                 x = float(row[1])
-                stat = _STAT_NAMES[row[2]]
+                stat = Statistic(row[2])
                 value = float(row[3])
                 bound = float(row[4]) if row[4] else 0.0
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             samples.append(MomentSample(k, x, stat, value, bound))
     return samples
@@ -318,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--stat", action="append", required=True, choices=sorted(_STAT_NAMES))
+    p.add_argument("--stat", action="append", required=True, choices=sorted(s.value for s in Statistic))
     p.add_argument("--n-max", type=int, default=None, help="override the derived table size")
     p.add_argument("--cache-dir", default=cache_dir)
     p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")

@@ -12,8 +12,9 @@ above 1e12 is an error rather than a silent answer.
 recover_c3 implements the constrained recovery of the dimension-three
 constant: the X^2 ln X coefficient is pinned to its proven closed form
 (X^2 ln X and X^2 are nearly collinear over a decade, so leaving both free
-is ill-conditioned).  Its model is that known main term plus a FitModel in
-X^2 and X (smoothed) or X^2 and X^{3/2} (sharp) whose X^2 coefficient gives c3.
+is ill-conditioned).  Its model is theory's main term at c3 = 0, the one known
+term (this module writes none), plus a FitModel in X^2 and X (smoothed) or
+X^2 and X^{3/2} (sharp) whose X^2 coefficient gives c3.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import MomentSample, Statistic
-from .theory import constants_for
+from .theory import predicted
 
 __all__ = [
     "BasisTerm",
@@ -137,15 +138,6 @@ _C3_MODELS = {
 }
 
 
-def _c3_known(stat: Statistic, x: np.ndarray) -> np.ndarray:
-    """The main term pinned by the closed form of C3'."""
-    consts = constants_for(3)
-    c3p = consts.c3_prime
-    if stat is Statistic.SMOOTH_SECOND:
-        return c3p * x**2 * (np.log(x) + 1.0 - consts.euler_gamma)
-    return x**2 * (0.5 * c3p * np.log(x) - 0.25 * c3p)
-
-
 def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
     """Validate the samples, solve the constrained c3 system once, and return
     (c3, diagnostics, residual-based standard error of c3)."""
@@ -159,7 +151,8 @@ def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
         raise ValueError("samples must span a decade of X with max(X) >= 1e4")
     basis, factor = _C3_MODELS[stat]
     model = FitModel(3, basis, Weighting.RELATIVE_TO_LEADING)
-    diagnostics, wd, resid = _solve(model, samples, _c3_known(stat, x))
+    known = np.array([predicted(stat, 3, s.x_scale, 0.0) for s in samples])
+    diagnostics, wd, resid = _solve(model, samples, known)
     cov = np.linalg.inv(wd.T @ wd)
     sigma2 = float(np.sum(resid**2)) / max(len(samples) - len(basis), 1)
     return factor * diagnostics.coefficients[0], diagnostics, factor * math.sqrt(sigma2 * cov[0, 0])

@@ -34,11 +34,13 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
+from .moments import Statistic
 from .specfun import ball_volume, euler_gamma, gamma_fn
 
 __all__ = [
     "ConstantSet",
     "constants_for",
+    "predicted",
     "predicted_smooth",
     "predicted_laplace",
     "predicted_sharp",
@@ -201,6 +203,30 @@ def predicted_sharp_weighted_first(k: int, X: float) -> float:
     if k != 3:
         raise ValueError(f"SharpWeightedFirst is defined for k = 3 only, not k = {k}")
     return math.pi / 2.0 * float(X) ** 2
+
+
+def predicted(stat: Statistic, k: int, X: float, c3: float | None = None) -> float | None:
+    """The main term of one statistic at scale X, or None where the theory
+    gives none: k outside [3, 8], a second moment at k = 3 without c3, or a
+    dimension-3-only statistic at another k.  A c3 given at k != 3 is ignored.
+    Every main term outside this module comes from here or the functions above."""
+    if not MIN_K <= k <= MAX_K:
+        return None
+    if stat is Statistic.SMOOTH_WEIGHTED_FIRST:
+        return predicted_smooth_weighted_first(k, X)
+    if stat is Statistic.SHARP_WEIGHTED_FIRST:
+        return predicted_sharp_weighted_first(k, X) if k == 3 else None
+    if k != 3:
+        c3 = None
+    elif c3 is None:
+        return None
+    if stat is Statistic.SMOOTH_SECOND:
+        return predicted_smooth(k, X, c3)
+    if stat is Statistic.SHARP_SECOND:
+        return predicted_sharp(k, X, c3)
+    if stat is Statistic.LAPLACE_SECOND:
+        return predicted_laplace(k, X, c3)
+    return predicted_integral_p3(X, c3) if k == 3 else None  # SharpIntegralSecond
 
 
 def nonspectral_E(k: int, s: float) -> float:

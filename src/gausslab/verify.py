@@ -249,8 +249,8 @@ def check_first_moments(quick: bool, tables: _Tables) -> tuple[bool, str]:
     series = tables.series(3, max(moments.exp_cutoff(3, x_smooth), x_sharp))
     sm = moments.smooth_weighted_first_moment(series, x_smooth).value / x_smooth**2
     sh = moments.sharp_weighted_first_moment_p3(series, x_sharp).value / float(x_sharp) ** 2
-    dev_sm = abs(sm / math.pi - 1.0)
-    dev_sh = abs(sh / (math.pi / 2.0) - 1.0)
+    dev_sm = abs(sm / theory.constants_for(3).first_moment_coeff - 1.0)
+    dev_sh = abs(sh / (theory.predicted_sharp_weighted_first(3, x_sharp) / float(x_sharp) ** 2) - 1.0)
     return (
         dev_sm <= tol_smooth and dev_sh <= tol_sharp,
         f"smooth/X^2 = {sm:.5f} vs pi ({dev_sm:.2%}); sharp/X^2 = {sh:.5f} vs pi/2 ({dev_sh:.2%})",

@@ -290,7 +290,8 @@ class TestPinnedBytes:
 
 class TestRegistry:
     def test_every_statistic_has_a_kernel_and_a_prediction(self):
-        assert set(KERNELS) == set(Statistic) == set(cli._PREDICTED)
+        assert set(KERNELS) == set(Statistic)
+        assert all(theory.predicted(stat, 3, 1e4, c3=10.56) is not None for stat in Statistic)
 
     def test_sharp_scale_snaps_to_integer(self, tmp_path):
         assert Statistic.SHARP_SECOND.scale(215.44) == 215
@@ -584,11 +585,16 @@ class TestExitCodes:
             "moments --k 3 --x-min 100 --x-max 1e308 --points 2 --stat SmoothSecond --n-max 1000", 2, None
         ),
         "moments-x-inf": ("moments --k 3 --x-min 1 --x-max inf --points 2 --stat SharpSecond", 2, "infinity"),
+        "moments-x-min-nan": ("moments --k 3 --x-min nan --x-max 10 --points 2 --stat SmoothSecond", 2, "bad grid"),
+        "moments-x-max-nan": ("moments --k 3 --x-min 1 --x-max nan --points 2 --stat SharpSecond", 2, "bad grid"),
         "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),
         "shortinterval-bad-beta": ("shortinterval --x-min 10 --x-max 20 --beta 1.5", 2, "error: beta"),
         "fit-missing-file": ("fit nope.csv", 3, "error: "),
         "fit-malformed-csv": (
             lambda *_: _moments_csv("bad.csv", [_ROW, _ROW, "3,not_a_number,SmoothSecond,1.0,0,,0"]), 2, ":4:"
+        ),
+        "fit-unknown-statistic": (
+            lambda *_: _moments_csv("stat.csv", [_ROW, "3,2000,SmoothThird,1.0,0,,0"]), 2, ":3:"
         ),
         "fit-no-k3-rows": (lambda *_: _moments_csv("k4.csv", ["4" + _ROW[1:]]), 2, "error: no k=3"),
         "table-locked-cache": (_locked_cache, 3, "error: cache directory is locked"),

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from gausslab import theory
+from gausslab.moments import Statistic
 from gausslab.specfun import gamma_fn
 from gausslab.theory import (
     constants_for,
@@ -171,6 +173,46 @@ class TestPredicted:
             predicted_smooth(4, 10.0, c3=10.6)
         with pytest.raises(ValueError):
             predicted_sharp(5, 10.0, c3=1.0)
+
+
+class TestPredictedEntryPoint:
+    """theory.predicted, the one map from a statistic to its main term."""
+
+    # every statistic x k = 1..8 x c3 absent or 10.56 x X = 0 and 500
+    # log-uniform X in [1, 1e7]; each cell "" (no main term) or .17g, as the
+    # moments CSV writes predicted_value
+    PINNED = "7c42baa23d3b3a44be56867268d8c603422beecf7503f1d2435554f50be3ca35"
+
+    def test_digest_unchanged(self):
+        xs = [0.0, *(10.0 ** float(u) for u in np.random.default_rng(11).uniform(0.0, 7.0, 500))]
+        digest = hashlib.sha256()
+        for stat in Statistic:
+            for k in range(1, 9):
+                for c3 in (None, 10.56):
+                    for x in xs:
+                        value = theory.predicted(stat, k, x, c3)
+                        cell = "" if value is None else format(value, ".17g")
+                        digest.update(f"{stat.value},{k},{c3},{x!r},{cell}\n".encode())
+        assert digest.hexdigest() == self.PINNED
+
+    def test_where_no_main_term(self):
+        for stat in Statistic:
+            assert theory.predicted(stat, 2, 100.0, c3=10.56) is None
+            assert theory.predicted(stat, 9, 100.0) is None
+        for stat in (
+            Statistic.SMOOTH_SECOND,
+            Statistic.SHARP_SECOND,
+            Statistic.LAPLACE_SECOND,
+            Statistic.SHARP_INTEGRAL_SECOND,
+        ):
+            assert theory.predicted(stat, 3, 100.0) is None
+        for stat in (Statistic.SHARP_INTEGRAL_SECOND, Statistic.SHARP_WEIGHTED_FIRST):
+            assert theory.predicted(stat, 4, 100.0) is None
+
+    def test_c3_ignored_off_dimension_3(self):
+        x = 1234.5
+        assert theory.predicted(Statistic.SHARP_SECOND, 4, x, 10.56) == predicted_sharp(4, x)
+        assert theory.predicted(Statistic.LAPLACE_SECOND, 5, x, 10.56) == predicted_laplace(5, x)
 
 
 class TestNonspectral:
