@@ -58,10 +58,7 @@ from .theory import (
     ConstantSet,
     constants_for,
     nonspectral_E,
-    predicted_integral_p3,
-    predicted_laplace,
-    predicted_sharp,
-    predicted_smooth,
+    predicted,
 )
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import ConvolutionOverflowError, exact_convolve
+from .specfun import as_int
 
 __all__ = [
     "RkTable",
@@ -113,11 +114,14 @@ class RkTable:
         )
 
 
-def _check_range(k: int, n_max: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or not (1 <= k <= MAX_K):
+def _check_range(k: int, n_max: int) -> tuple[int, int]:
+    """k and n_max as Python ints, or a ValueError if either is out of range."""
+    k_int, n_int = as_int(k), as_int(n_max)
+    if k_int is None or not (1 <= k_int <= MAX_K):
         raise ValueError(f"k = {k} outside [1, {MAX_K}]")
-    if not isinstance(n_max, int) or n_max < 0 or n_max > MAX_N:
+    if n_int is None or not (0 <= n_int <= MAX_N):
         raise ValueError(f"n_max = {n_max} outside [0, {MAX_N}]")
+    return k_int, n_int
 
 
 def _r1_u32(n_max: int) -> np.ndarray:
@@ -171,7 +175,7 @@ def _square_step(base: np.ndarray) -> np.ndarray:
 
 def build_rk_table(k: int, n_max: int) -> RkTable:
     """Exact r_k(0..n_max); see the module docstring for the routes."""
-    _check_range(k, n_max)
+    k, n_max = _check_range(k, n_max)
     if k == 1:
         counts = _r1_u32(n_max).astype(np.uint64)
     else:

@@ -21,6 +21,7 @@ reflection for x < 1/2.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -153,10 +154,19 @@ def euler_gamma() -> float:
     return _EULER_GAMMA
 
 
+def as_int(value) -> int | None:
+    """value as a Python int if it is an integer (numpy ones too) but not a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def ball_volume(k: int) -> float:
     """Volume of the unit ball in dimension k: pi^(k/2) / Gamma(k/2 + 1)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError("ball_volume: k must be an integer")
-    if not (1 <= k <= BALL_MAX_K):
+    k_int = as_int(k)
+    if k_int is None or not (1 <= k_int <= BALL_MAX_K):
         raise ValueError(f"ball_volume: k = {k} outside [1, {BALL_MAX_K}]")
-    return math.pi ** (k / 2.0) / gamma_fn(k / 2.0 + 1.0)
+    return math.pi ** (k_int / 2.0) / gamma_fn(k_int / 2.0 + 1.0)

@@ -17,6 +17,13 @@ coefficient); it is always a runtime parameter, recovered by fitting.  The
 Laplace transform subtracts Gamma(k-1) pi^k / (6 Gamma(k/2)^2) X^{k-1} from
 the smoothed prediction; the sharp sum carries (C3'/2) ln X - C3'/4 and
 C_k/(k-1); the sharp k=3 integral sits another pi^2/3 below the sharp sum.
+The weighted first moment sum P_k(n) n^{k/2-1} e^{-n/X} has
+(pi^{k/2} Gamma(k-1) / (2 Gamma(k/2))) X^{k-1}
++ (pi^{k/2} Gamma(k-2) / (12 Gamma(k/2-1))) X^{k-2}, its sharp k=3 form
+sum_{n<=X} P_3(n) sqrt(n) has (pi/2) X^2.
+
+predicted(stat, k, X, c3) writes every one of these main terms, each formula
+once; constants_for(k) hands out the constants, evaluated once per k at import.
 
 nonspectral_E(k, s) evaluates the explicit zeta-gamma product
 
@@ -31,22 +38,16 @@ pi^k zeta(k-1) / (zeta^(2)(k) Gamma(k/2)^2) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import specfun
 from .moments import Statistic
-from .specfun import ball_volume, euler_gamma, gamma_fn
+from .specfun import as_int, ball_volume, euler_gamma, gamma_fn
 
 __all__ = [
     "ConstantSet",
     "constants_for",
     "predicted",
-    "predicted_smooth",
-    "predicted_laplace",
-    "predicted_sharp",
-    "predicted_integral_p3",
-    "predicted_smooth_weighted_first",
-    "predicted_sharp_weighted_first",
     "nonspectral_E",
     "nonspectral_residue_minus1",
 ]
@@ -76,28 +77,20 @@ class ConstantSet:
     integral_gap: float | None = None
 
     def rows(self) -> list[tuple[str, float]]:
-        out = [
-            ("v_k", self.v_k),
-            ("euler_gamma", self.euler_gamma),
-            ("diagonal_residue", self.diagonal_residue),
-            ("laplace_gap", self.laplace_gap),
-            ("first_moment_coeff", self.first_moment_coeff),
-        ]
-        for name in ("c3_prime", "c4_prime", "c_k", "integral_gap"):
-            val = getattr(self, name)
-            if val is not None:
-                out.append((name, val))
-        return out
+        """(name, value) of every field after k, in order, the absent ones left out."""
+        pairs = [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+        return [(name, val) for name, val in pairs if val is not None]
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or not (MIN_K <= k <= MAX_K):
+def _check_k(k: int) -> int:
+    k_int = as_int(k)
+    if k_int is None or not (MIN_K <= k_int <= MAX_K):
         raise ValueError(f"k = {k} outside [{MIN_K}, {MAX_K}]")
+    return k_int
 
 
-def constants_for(k: int) -> ConstantSet:
-    """Evaluate the closed forms above for one dimension k in [3, 8]."""
-    _check_k(k)
+def _evaluate(k: int) -> ConstantSet:
+    """The closed forms above for one dimension k."""
     vk = ball_volume(k)
     zeta = specfun.zeta
     z2 = specfun.zeta_two_removed
@@ -106,11 +99,7 @@ def constants_for(k: int) -> ConstantSet:
     first_moment = math.pi ** (k / 2.0) * gamma_fn(k - 1.0) / (2.0 * gamma_fn(k / 2.0))
     c3p = math.pi**2 / (3.0 * z2(3.0)) if k == 3 else None
     c4p = (
-        16.0
-        * (9.0 * math.sqrt(2.0) - 8.0)
-        * zeta(0.5)
-        * zeta(1.5) ** 2
-        * zeta(2.5)
+        16.0 * (9.0 * math.sqrt(2.0) - 8.0) * zeta(0.5) * zeta(1.5) ** 2 * zeta(2.5)
         / (7.0 * math.pi**2 * zeta(3.0))
         if k == 4
         else None
@@ -135,98 +124,54 @@ def constants_for(k: int) -> ConstantSet:
     )
 
 
-def _check_c3(k: int, c3: float | None) -> None:
-    if k == 3 and c3 is None:
-        raise ValueError("k = 3 predictions need the fitted constant c3")
-    if k != 3 and c3 is not None:
-        raise ValueError(f"c3 only applies at k = 3, not k = {k}")
+_CONSTANTS = {k: _evaluate(k) for k in range(MIN_K, MAX_K + 1)}
 
 
-def predicted_smooth(k: int, X: float, c3: float | None = None) -> float:
-    """Main terms of the smoothed second moment at scale X."""
-    _check_k(k)
-    _check_c3(k, c3)
-    X = float(X)
-    if X == 0.0:
-        return 0.0
-    consts = constants_for(k)
-    if k == 3:
-        return consts.c3_prime * X**2 * (math.log(X) + 1.0 - consts.euler_gamma) + c3 * X**2
-    value = consts.c_k * gamma_fn(k - 1.0) * X ** (k - 1)
-    if k == 4:
-        value += consts.c4_prime * gamma_fn(2.5) * X**2.5
-    return value
-
-
-def predicted_laplace(k: int, X: float, c3: float | None = None) -> float:
-    """Smoothed prediction plus the Laplace gap term."""
-    return predicted_smooth(k, X, c3) + constants_for(k).laplace_gap * float(X) ** (k - 1)
-
-
-def predicted_sharp(k: int, X: float, c3: float | None = None) -> float:
-    """Main terms of the sharp second moment sum_{n<=X} P_k(n)^2."""
-    _check_k(k)
-    _check_c3(k, c3)
-    X = float(X)
-    if X == 0.0:
-        return 0.0
-    consts = constants_for(k)
-    if k == 3:
-        c3p = consts.c3_prime
-        return X**2 * (0.5 * c3p * math.log(X) - 0.25 * c3p + 0.5 * c3)
-    return consts.c_k / (k - 1) * X ** (k - 1)
-
-
-def predicted_integral_p3(X: float, c3: float) -> float:
-    """Main terms of int_0^X P_3(t)^2 dt."""
-    X = float(X)
-    if X == 0.0:
-        return 0.0
-    consts = constants_for(3)
-    c3p = consts.c3_prime
-    return 0.5 * c3p * X**2 * math.log(X) + (0.5 * c3 - 0.25 * c3p + consts.integral_gap) * X**2
-
-
-def predicted_smooth_weighted_first(k: int, X: float) -> float:
-    """Main terms of the weighted first moment sum P_k(n) n^{k/2-1} e^{-n/X}:
-    (pi^{k/2} Gamma(k-1) / (2 Gamma(k/2))) X^{k-1}
-    + (pi^{k/2} Gamma(k-2) / (12 Gamma(k/2-1))) X^{k-2}."""
-    _check_k(k)
-    X = float(X)
-    lead = constants_for(k).first_moment_coeff
-    second = math.pi ** (k / 2.0) * gamma_fn(k - 2.0) / (12.0 * gamma_fn(k / 2.0 - 1.0))
-    return lead * X ** (k - 1) + second * X ** (k - 2)
-
-
-def predicted_sharp_weighted_first(k: int, X: float) -> float:
-    """Main term (pi/2) X^2 of sum_{n<=X} P_3(n) sqrt(n); dimension 3 only."""
-    if k != 3:
-        raise ValueError(f"SharpWeightedFirst is defined for k = 3 only, not k = {k}")
-    return math.pi / 2.0 * float(X) ** 2
+def constants_for(k: int) -> ConstantSet:
+    """The explicit constants of one dimension k in [3, 8], evaluated once at import."""
+    return _CONSTANTS[_check_k(k)]
 
 
 def predicted(stat: Statistic, k: int, X: float, c3: float | None = None) -> float | None:
     """The main term of one statistic at scale X, or None where the theory
-    gives none: k outside [3, 8], a second moment at k = 3 without c3, or a
-    dimension-3-only statistic at another k.  A c3 given at k != 3 is ignored.
-    Every main term outside this module comes from here or the functions above."""
-    if not MIN_K <= k <= MAX_K:
+    gives none: k not an integer in [3, 8], a second moment at k = 3 without c3, or a
+    dimension-3-only statistic (SharpWeightedFirst, SharpIntegralSecond) at
+    another k.  A c3 given at k != 3 is ignored.  Every main term comes from
+    here."""
+    consts = _CONSTANTS.get(as_int(k))
+    if consts is None:
         return None
+    k = consts.k
+    first_moment = stat in (Statistic.SMOOTH_WEIGHTED_FIRST, Statistic.SHARP_WEIGHTED_FIRST)
+    if k == 3 and c3 is None and not first_moment:
+        return None
+    if k != 3 and stat in (Statistic.SHARP_WEIGHTED_FIRST, Statistic.SHARP_INTEGRAL_SECOND):
+        return None
+    X = float(X)
+    if X == 0.0:
+        return 0.0
     if stat is Statistic.SMOOTH_WEIGHTED_FIRST:
-        return predicted_smooth_weighted_first(k, X)
+        second = math.pi ** (k / 2.0) * gamma_fn(k - 2.0) / (12.0 * gamma_fn(k / 2.0 - 1.0))
+        return consts.first_moment_coeff * X ** (k - 1) + second * X ** (k - 2)
     if stat is Statistic.SHARP_WEIGHTED_FIRST:
-        return predicted_sharp_weighted_first(k, X) if k == 3 else None
-    if k != 3:
-        c3 = None
-    elif c3 is None:
-        return None
-    if stat is Statistic.SMOOTH_SECOND:
-        return predicted_smooth(k, X, c3)
+        return math.pi / 2.0 * X**2
+    c3p = consts.c3_prime
     if stat is Statistic.SHARP_SECOND:
-        return predicted_sharp(k, X, c3)
+        if k == 3:
+            return X**2 * (0.5 * c3p * math.log(X) - 0.25 * c3p + 0.5 * c3)
+        return consts.c_k / (k - 1) * X ** (k - 1)
+    if stat is Statistic.SHARP_INTEGRAL_SECOND:
+        return 0.5 * c3p * X**2 * math.log(X) + (0.5 * c3 - 0.25 * c3p + consts.integral_gap) * X**2
+    # SmoothSecond; LaplaceSecond adds its gap term to the smoothed value
+    if k == 3:
+        value = c3p * X**2 * (math.log(X) + 1.0 - consts.euler_gamma) + c3 * X**2
+    else:
+        value = consts.c_k * gamma_fn(k - 1.0) * X ** (k - 1)
+        if k == 4:
+            value += consts.c4_prime * gamma_fn(2.5) * X**2.5
     if stat is Statistic.LAPLACE_SECOND:
-        return predicted_laplace(k, X, c3)
-    return predicted_integral_p3(X, c3) if k == 3 else None  # SharpIntegralSecond
+        value += consts.laplace_gap * X ** (k - 1)
+    return value
 
 
 def nonspectral_E(k: int, s: float) -> float:
@@ -235,7 +180,7 @@ def nonspectral_E(k: int, s: float) -> float:
     Rejects s within 1e-6 of a nonpositive integer (the pole locations lie
     among them).
     """
-    _check_k(k)
+    k = _check_k(k)
     s = float(s)
     if not (-6.0 <= s <= 6.0):
         raise ValueError(f"s = {s} outside [-6, 6]")

@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (6.5 s on one core of a 2-core box).  Each check returns
+acceptance scale (5.0-7.3 s on one core of a 2-core box).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
 """
@@ -250,7 +250,8 @@ def check_first_moments(quick: bool, tables: _Tables) -> tuple[bool, str]:
     sm = moments.smooth_weighted_first_moment(series, x_smooth).value / x_smooth**2
     sh = moments.sharp_weighted_first_moment_p3(series, x_sharp).value / float(x_sharp) ** 2
     dev_sm = abs(sm / theory.constants_for(3).first_moment_coeff - 1.0)
-    dev_sh = abs(sh / (theory.predicted_sharp_weighted_first(3, x_sharp) / float(x_sharp) ** 2) - 1.0)
+    target_sh = theory.predicted(moments.Statistic.SHARP_WEIGHTED_FIRST, 3, x_sharp) / float(x_sharp) ** 2
+    dev_sh = abs(sh / target_sh - 1.0)
     return (
         dev_sm <= tol_smooth and dev_sh <= tol_sharp,
         f"smooth/X^2 = {sm:.5f} vs pi ({dev_sm:.2%}); sharp/X^2 = {sh:.5f} vs pi/2 ({dev_sh:.2%})",
@@ -345,10 +346,8 @@ def check_l_theta_consistency(quick: bool, tables: _Tables) -> tuple[bool, str]:
 
 def check_fit_roundtrip(quick: bool, tables: _Tables) -> tuple[bool, str]:
     xs = [2e3 * 10 ** (j / 11.0) for j in range(12)]
-    samples = [
-        moments.MomentSample(3, x, moments.Statistic.SMOOTH_SECOND, theory.predicted_smooth(3, x, c3=10.6), 0.0)
-        for x in xs
-    ]
+    stat = moments.Statistic.SMOOTH_SECOND
+    samples = [moments.MomentSample(3, x, stat, theory.predicted(stat, 3, x, 10.6), 0.0) for x in xs]
     c3, _ = recover_c3(samples)
     return abs(c3 - 10.6) < 1e-8, f"c3 = {c3!r}"
 

@@ -120,7 +120,7 @@ class TestMoments:
         )
         rows = read_csv(out)
         for r in rows[1:]:
-            want = theory.predicted_smooth(3, float(r[1]), c3=10.6)
+            want = theory.predicted(Statistic.SMOOTH_SECOND, 3, float(r[1]), 10.6)
             assert abs(float(r[5]) - want) <= 1e-9 * want
 
     def test_k4_predicted_column(self, tmp_path):
@@ -138,7 +138,7 @@ class TestMoments:
         )
         rows = read_csv(out)
         for r in rows[1:]:
-            want = theory.predicted_smooth(4, float(r[1]))
+            want = theory.predicted(Statistic.SMOOTH_SECOND, 4, float(r[1]))
             assert abs(float(r[5]) - want) <= 1e-9 * abs(want)
 
     def test_deterministic_apart_from_runtime(self, tmp_path):
@@ -372,7 +372,7 @@ class TestFitCommand:
                     "3",
                     format(x, ".17g"),
                     "SmoothSecond",
-                    format(theory.predicted_smooth(3, x, c3=c3), ".17g"),
+                    format(theory.predicted(Statistic.SMOOTH_SECOND, 3, x, c3), ".17g"),
                     "0",
                     "",
                     "0.0",
@@ -505,6 +505,16 @@ class TestConstantsCommand:
 
     def test_k_range(self, tmp_path):
         assert run_cli(["constants", "--k", "2"]) == 2
+
+    # sha256 of the stdout of `constants --k K` for K = 3..8, concatenated
+    PINNED_STDOUT = "ff92872816262ff4a9a1a763f2881582c9aeea5b0814bc569655e50cb4c7b5a2"
+
+    def test_stdout_bytes_pinned(self, capsys):
+        out = ""
+        for k in range(3, 9):
+            assert run_cli(["constants", "--k", str(k)]) == 0
+            out += capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_STDOUT
 
 
 def _hold_lock(stack, cache_dir):

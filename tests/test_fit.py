@@ -105,14 +105,14 @@ class TestFit:
 class TestRecoverC3:
     def test_synthetic_round_trip(self):
         xs = _geometric(2e3, 2e4, 12)
-        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         c3, diag = recover_c3(_samples(xs, values))
         assert_close(c3, 10.6, abs_=1e-9)
         assert diag.samples_used == 12
 
     def test_synthetic_sharp_round_trip(self):
         xs = [round(x) for x in _geometric(1e4, 1e5, 12)]
-        values = [theory.predicted_sharp(3, x, c3=9.7) for x in xs]
+        values = [theory.predicted(Statistic.SHARP_SECOND, 3, x, 9.7) for x in xs]
         c3, _ = recover_c3(_samples(xs, values, stat=Statistic.SHARP_SECOND))
         assert_close(c3, 9.7, abs_=1e-6)
 
@@ -121,7 +121,7 @@ class TestRecoverC3:
         from gausslab.specfun import gamma_fn
 
         xs = _geometric(300.0, 3000.0, 12)
-        values = [theory.predicted_smooth(k, x) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, k, x) for x in xs]
         basis = (BasisTerm.XK1, BasisTerm.XK32) if k == 4 else (BasisTerm.XK1,)
         model = FitModel(k, basis, Weighting.RELATIVE_TO_LEADING)
         res = fit(model, _samples(xs, values, k=k))
@@ -137,8 +137,10 @@ class TestRecoverC3:
     def test_standard_error_rejects_mixed_statistics(self):
         # one design per statistic; a mixed set has no single answer
         xs = _geometric(2e3, 2e4, 12)
-        smooth = _samples(xs, [theory.predicted_smooth(3, x, c3=10.6) for x in xs])
-        sharp = _samples(xs, [theory.predicted_sharp(3, x, c3=10.6) for x in xs], stat=Statistic.SHARP_SECOND)
+        smooth, sharp = (
+            _samples(xs, [theory.predicted(stat, 3, x, 10.6) for x in xs], stat=stat)
+            for stat in (Statistic.SMOOTH_SECOND, Statistic.SHARP_SECOND)
+        )
         with pytest.raises(ValueError):
             c3_standard_error(smooth + sharp)
         with pytest.raises(ValueError):
@@ -146,7 +148,7 @@ class TestRecoverC3:
 
     def test_standard_error_checks_like_recover_c3(self):
         xs = _geometric(1e4, 5e4, 8)  # less than a decade
-        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             c3_standard_error(_samples(xs, values))
         xs = _geometric(2e3, 2e4, 12)
@@ -155,11 +157,11 @@ class TestRecoverC3:
 
     def test_span_preconditions(self):
         xs = _geometric(1e4, 5e4, 8)  # less than a decade
-        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             recover_c3(_samples(xs, values))
         xs = _geometric(2e2, 5e3, 8)  # decade but max too small
-        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             recover_c3(_samples(xs, values))
 
@@ -173,7 +175,7 @@ class TestRecoverC3:
     def test_one_decade_grid_accepted_despite_rounding(self, x0, x1, points):
         xs = _geometric(x0, x1, points)
         assert xs[-1] / xs[0] < 10.0 or xs[-1] < 1e4
-        values = [theory.predicted_smooth(3, x, c3=10.6) for x in xs]
+        values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         c3, _ = recover_c3(_samples(xs, values))
         assert_close(c3, 10.6, abs_=1e-9)
 

@@ -58,7 +58,7 @@ class TestSmoothSecond:
 
     def test_x_1e4_against_stated_constant(self, series3_big):
         got = smooth_second_moment(series3_big, 1e4).value
-        want = theory.predicted_smooth(3, 1e4, c3=10.6)
+        want = theory.predicted(moments.Statistic.SMOOTH_SECOND, 3, 1e4, 10.6)
         assert_close(got, want, rel=0.01)
 
     def test_requires_big_enough_table(self, series3_small):

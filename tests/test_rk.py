@@ -74,6 +74,14 @@ class TestBuild:
             build_rk_table(9, 10)
         with pytest.raises(ValueError):
             build_rk_table(3, -1)
+        for k, n_max in ((True, 10), (3, True), (3.0, 10), (3, 10.0)):
+            with pytest.raises(ValueError, match="outside"):
+                build_rk_table(k, n_max)
+
+    def test_numpy_integers_accepted(self):
+        table = build_rk_table(np.int64(3), np.int64(100))
+        assert table == build_rk_table(3, 100)
+        assert type(table.k) is int and type(table.n_max) is int
 
     def test_counts_read_only(self):
         table = build_rk_table(2, 10)

@@ -136,3 +136,8 @@ class TestBallVolume:
             ball_volume(33)
         with pytest.raises(ValueError):
             ball_volume(2.0)
+        with pytest.raises(ValueError):
+            ball_volume(True)
+
+    def test_numpy_integer_dimension(self):
+        assert ball_volume(np.int64(3)) == ball_volume(3)

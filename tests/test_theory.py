@@ -7,17 +7,7 @@ import pytest
 from gausslab import theory
 from gausslab.moments import Statistic
 from gausslab.specfun import gamma_fn
-from gausslab.theory import (
-    constants_for,
-    nonspectral_E,
-    nonspectral_residue_minus1,
-    predicted_integral_p3,
-    predicted_laplace,
-    predicted_sharp,
-    predicted_sharp_weighted_first,
-    predicted_smooth,
-    predicted_smooth_weighted_first,
-)
+from gausslab.theory import constants_for, nonspectral_E, nonspectral_residue_minus1, predicted
 
 from conftest import assert_close, zeta_eta_oracle
 
@@ -82,72 +72,74 @@ class TestConstants:
         with pytest.raises(ValueError):
             constants_for(9)
 
+    def test_any_integer_k(self):
+        assert constants_for(np.int64(4)) == constants_for(4)
+        assert constants_for(4) is constants_for(4)  # one shared set per k
+        for bad in (True, 4.0):
+            with pytest.raises(ValueError, match="outside"):
+                constants_for(bad)
+
     def test_rows_cover_present_fields(self):
         names = [name for name, _ in constants_for(4).rows()]
         assert "c4_prime" in names and "c_k" in names and "c3_prime" not in names
+
+
+SMOOTH = Statistic.SMOOTH_SECOND
+SHARP = Statistic.SHARP_SECOND
+LAPLACE = Statistic.LAPLACE_SECOND
+INTEGRAL = Statistic.SHARP_INTEGRAL_SECOND
 
 
 class TestPredicted:
     def test_smooth_k3_at_one(self):
         consts = constants_for(3)
         want = consts.c3_prime * (1.0 - consts.euler_gamma) + 10.6
-        assert_close(predicted_smooth(3, 1.0, c3=10.6), want, rel=1e-13)
-        assert_close(predicted_smooth(3, 1.0, c3=10.6), 11.923, abs_=2e-3)
+        assert_close(predicted(SMOOTH, 3, 1.0, 10.6), want, rel=1e-13)
+        assert_close(predicted(SMOOTH, 3, 1.0, 10.6), 11.923, abs_=2e-3)
 
     def test_smooth_k4_at_ten(self):
         consts = constants_for(4)
         lead = consts.c_k * gamma_fn(3.0) * 10.0**3
         second = consts.c4_prime * gamma_fn(2.5) * 10.0**2.5
-        assert_close(predicted_smooth(4, 10.0), lead + second, rel=1e-13)
+        assert_close(predicted(SMOOTH, 4, 10.0), lead + second, rel=1e-13)
         assert_close(lead, 71948.0, abs_=1.0)
         assert_close(second, -5119.0, abs_=1.0)
 
     def test_smooth_k5_at_one(self):
-        assert_close(predicted_smooth(5, 1.0), 6.0 * constants_for(5).c_k, rel=1e-13)
+        assert_close(predicted(SMOOTH, 5, 1.0), 6.0 * constants_for(5).c_k, rel=1e-13)
 
     def test_laplace_gap_identity_k3(self):
         for x in (1.0, 7.5, 120.0):
-            gap = predicted_laplace(3, x, c3=10.6) - predicted_smooth(3, x, c3=10.6)
+            gap = predicted(LAPLACE, 3, x, 10.6) - predicted(SMOOTH, 3, x, 10.6)
             assert_close(gap, -(2.0 * math.pi**2 / 3.0) * x**2, rel=1e-12)
 
     def test_laplace_gap_identity_k4(self):
         for x in (2.0, 31.0):
-            gap = predicted_laplace(4, x) - predicted_smooth(4, x)
+            gap = predicted(LAPLACE, 4, x) - predicted(SMOOTH, 4, x)
             assert_close(gap, -(math.pi**4 / 3.0) * x**3, rel=1e-12)
 
     def test_laplace_at_zero(self):
-        assert predicted_laplace(4, 0.0) == 0.0
+        assert predicted(LAPLACE, 4, 0.0) == 0.0
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_zero_scale_gives_positive_zero(self, k):
         c3 = 10.6 if k == 3 else None
-        assert repr(predicted_laplace(k, 0.0, c3)) == "0.0"
-        assert repr(predicted_smooth_weighted_first(k, 0.0)) == "0.0"
-
-    def test_zero_scale_still_checks_arguments(self):
-        with pytest.raises(ValueError, match="need the fitted constant"):
-            predicted_laplace(3, 0.0)
-        with pytest.raises(ValueError, match="c3 only applies"):
-            predicted_laplace(4, 0.0, c3=1.0)
-        for f in (predicted_laplace, predicted_smooth_weighted_first):
-            with pytest.raises(ValueError, match="outside"):
-                f(9, 0.0)
+        assert repr(predicted(LAPLACE, k, 0.0, c3)) == "0.0"
+        assert repr(predicted(Statistic.SMOOTH_WEIGHTED_FIRST, k, 0.0)) == "0.0"
 
     def test_sharp_weighted_first(self):
-        assert predicted_sharp_weighted_first(3, 10.0) == math.pi / 2.0 * 100.0
-        assert predicted_sharp_weighted_first(3, 0.0) == 0.0
-        with pytest.raises(ValueError, match="k = 3 only"):
-            predicted_sharp_weighted_first(4, 10.0)
+        assert predicted(Statistic.SHARP_WEIGHTED_FIRST, 3, 10.0) == math.pi / 2.0 * 100.0
+        assert predicted(Statistic.SHARP_WEIGHTED_FIRST, 3, 0.0) == 0.0
 
     def test_sharp_log_root(self):
         x = math.exp(0.5)
-        assert abs(predicted_sharp(3, x, c3=0.0)) <= 1e-12 * x**2
+        assert abs(predicted(SHARP, 3, x, 0.0)) <= 1e-12 * x**2
 
     def test_sharp_k4(self):
-        assert_close(predicted_sharp(4, 10.0), constants_for(4).c_k / 3.0 * 10.0**3, rel=1e-13)
+        assert_close(predicted(SHARP, 4, 10.0), constants_for(4).c_k / 3.0 * 10.0**3, rel=1e-13)
 
     def test_sharp_k3_at_1e4(self):
-        got = predicted_sharp(3, 1e4, c3=10.6)
+        got = predicted(SHARP, 3, 1e4, 10.6)
         assert_close(got, 1.885e9, rel=5e-3)
 
     def test_integral_minus_sharp_is_constant_gap(self):
@@ -155,24 +147,20 @@ class TestPredicted:
         for _ in range(10):
             x = float(rng.uniform(2.0, 1e5))
             c3 = float(rng.uniform(-20.0, 20.0))
-            diff = predicted_integral_p3(x, c3) - predicted_sharp(3, x, c3=c3)
+            diff = predicted(INTEGRAL, 3, x, c3) - predicted(SHARP, 3, x, c3)
             assert_close(diff, -(math.pi**2 / 3.0) * x**2, rel=1e-11, label=f"x={x}")
 
     def test_integral_at_one(self):
         c3 = 10.6
         c3p = constants_for(3).c3_prime
-        assert_close(predicted_integral_p3(1.0, c3), c3 / 2.0 - c3p / 4.0 - math.pi**2 / 3.0, rel=1e-12)
+        assert_close(predicted(INTEGRAL, 3, 1.0, c3), c3 / 2.0 - c3p / 4.0 - math.pi**2 / 3.0, rel=1e-12)
 
     def test_integral_at_1e3(self):
-        assert_close(predicted_integral_p3(1e3, 10.6), 1.203e7, rel=2e-3)
+        assert_close(predicted(INTEGRAL, 3, 1e3, 10.6), 1.203e7, rel=2e-3)
 
-    def test_c3_argument_policing(self):
-        with pytest.raises(ValueError):
-            predicted_smooth(3, 10.0)
-        with pytest.raises(ValueError):
-            predicted_smooth(4, 10.0, c3=10.6)
-        with pytest.raises(ValueError):
-            predicted_sharp(5, 10.0, c3=1.0)
+    def test_integer_types_of_k(self):
+        assert predicted(SMOOTH, np.int64(4), 10.0) == predicted(SMOOTH, 4, 10.0)
+        assert predicted(SMOOTH, 4.0, 10.0) is None
 
 
 class TestPredictedEntryPoint:
@@ -211,8 +199,8 @@ class TestPredictedEntryPoint:
 
     def test_c3_ignored_off_dimension_3(self):
         x = 1234.5
-        assert theory.predicted(Statistic.SHARP_SECOND, 4, x, 10.56) == predicted_sharp(4, x)
-        assert theory.predicted(Statistic.LAPLACE_SECOND, 5, x, 10.56) == predicted_laplace(5, x)
+        assert predicted(SHARP, 4, x, 10.56) == predicted(SHARP, 4, x)
+        assert predicted(LAPLACE, 5, x, 10.56) == predicted(LAPLACE, 5, x)
 
 
 class TestNonspectral:
