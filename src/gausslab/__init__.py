@@ -13,7 +13,6 @@ from .discrepancy import (
     DiscrepancySeries,
     PrefixOverflowError,
     diagonal_partial_mean,
-    p_at_integer,
     p_at_real,
     prefix_counts,
 )
@@ -28,7 +27,7 @@ from .dirichlet import (
     r4_euler_rhs,
     r4_identity_check,
 )
-from .fit import BasisTerm, FitModel, FitResult, RankDeficiencyError, Weighting, fit, recover_c3
+from .fit import BasisTerm, FitModel, FitResult, RankDeficiencyError, fit, recover_c3
 from .moments import (
     MomentSample,
     Statistic,

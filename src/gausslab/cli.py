@@ -204,6 +204,10 @@ def _read_moment_csv(path: str) -> list[MomentSample]:
                 bound = float(row[4]) if row[4] else 0.0
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(x) and x > 0.0):
+                raise ValueError(f"{path}:{lineno}: X = {row[1]} is not a finite positive number")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: value = {row[3]} is not finite")
             samples.append(MomentSample(k, x, stat, value, bound))
     return samples
 

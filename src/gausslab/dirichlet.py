@@ -15,8 +15,9 @@ Three families of checks live here, all real-argument:
 
 * Fourier coefficients phi_{a,h}(s) of the weight-0 Eisenstein series at the
   three cusps 0, 1/2, infinity of Gamma_0(4), represented by 1/1, 1/2, 1/4.
-  Each coefficient has a divisor-sum closed form and a Kloosterman-type
-  double-sum expression (Deshouillers-Iwaniec 1982, p. 247); the published
+  Each coefficient has a divisor-sum closed form (phi_closed) and a
+  Kloosterman-type double sum (phi_di_sum, Deshouillers-Iwaniec 1982,
+  p. 247), each evaluated for h = 1..h_max in one array; the published
   congruence condition there is missing a factor of v on the left, and both
   variants are implemented so the correction is checkable:
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .rk import RkTable, sigma, sigma_table
+from .rk import RkTable, sigma_table
 from .summation import block_compensated_sum
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "r4_identity_check",
     "phi_closed",
     "phi_di_sum",
-    "phi_di_sum_batch",
     "phi_series_identity_check",
     "ramanujan_sum",
 ]
@@ -162,35 +162,32 @@ def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, abs(lhs - rhs), trunc + rounding + rhs_eval)
 
 
-def _sigma_fractional(nu: float, h: int, c: int) -> float:
-    """sigma_nu(h/c) under the convention that c must divide h."""
-    if h % c:
-        return 0.0
-    return sigma(nu, h // c)
-
-
-def phi_closed(cusp: Cusp, h: int, s: float) -> float:
-    """Divisor-sum closed form of the cusp coefficient phi_{a,h}(s), s > 1/2:
+def phi_closed(cusp: Cusp, h_max: int, s: float) -> np.ndarray:
+    """Divisor-sum closed forms of the cusp coefficients phi_{a,h}(s) for
+    h = 1..h_max (entry h - 1), s > 1/2:
 
       cusp 0:    sigma^(2)_{1-2s}(h) / (4^s zeta^(2)(2s))
       cusp 1/2:  (-1)^h sigma^(2)_{1-2s}(h) / (4^s zeta^(2)(2s))
       cusp inf:  (2^{2-4s} sigma_{1-2s}(h/4) - 2^{1-4s} sigma_{1-2s}(h/2))
                  / zeta^(2)(2s)
     """
-    if h < 1:
-        raise ValueError("phi_closed: h must be a positive integer")
+    if h_max < 1:
+        raise ValueError("phi_closed: h_max must be a positive integer")
     s = float(s)
     if s <= 0.5:
         raise ValueError(f"phi_closed: needs s > 1/2 (got {s})")
     z2 = specfun.zeta_two_removed(2.0 * s)
     nu = 1.0 - 2.0 * s
-    if cusp is Cusp.ZERO:
-        return sigma(nu, h, odd_only=True) / (4.0**s * z2)
+    if cusp is Cusp.INFINITY:
+        sig = sigma_table(nu, h_max // 2)[1:]
+        vals = np.zeros(h_max, dtype=np.float64)
+        vals[3::4] = 2.0 ** (2 - 4 * s) * sig[: h_max // 4]
+        vals[1::2] -= 2.0 ** (1 - 4 * s) * sig
+        return vals / z2
+    vals = sigma_table(nu, h_max, odd_only=True)[1:] / (4.0**s * z2)
     if cusp is Cusp.HALF:
-        return (-1.0) ** (h % 2) * sigma(nu, h, odd_only=True) / (4.0**s * z2)
-    t1 = 2.0 ** (2 - 4 * s) * _sigma_fractional(nu, h, 4)
-    t2 = 2.0 ** (1 - 4 * s) * _sigma_fractional(nu, h, 2)
-    return (t1 - t2) / z2
+        vals[::2] = -vals[::2]
+    return vals
 
 
 def _admissible_deltas(cusp: Cusp, gamma: int, corrected: bool) -> np.ndarray:
@@ -208,25 +205,26 @@ def _admissible_deltas(cusp: Cusp, gamma: int, corrected: bool) -> np.ndarray:
     return delta[mask]
 
 
-def phi_di_sum_batch(
-    cusp: Cusp, h_values, s: float, gamma_max: int, corrected: bool = True
+def phi_di_sum(
+    cusp: Cusp, h_max: int, s: float, gamma_max: int, corrected: bool = True
 ) -> tuple[np.ndarray, float]:
-    """Truncated Kloosterman-type double sums for several h at once.
+    """Truncated Kloosterman-type double sums for h = 1..h_max (entry h - 1).
 
-    Returns (values, tail_bound); values are complex, one per h.  The tail
-    bound v * sum_{gamma > gamma_max} gamma^{1-2s} <= v gamma_max^{2-2s}/(2s-2)
-    dominates the omitted terms since each inner sum has at most gamma*v
-    unit-modulus summands.
+    Returns (values, tail_bound).  The values must be real: an imaginary part
+    of 1e-9 or more raises ArithmeticError (it asserts the implementation, not
+    the math).  The tail bound v * sum_{gamma > gamma_max} gamma^{1-2s}
+    <= v gamma_max^{2-2s}/(2s-2) dominates the omitted terms since each inner
+    sum has at most gamma*v unit-modulus summands.
     """
     s = float(s)
     if s <= 1.0:
         raise ValueError(f"phi_di_sum: needs s > 1 (got {s})")
-    if gamma_max < 4:
-        raise ValueError("phi_di_sum: gamma_max must be at least 4")
-    h_arr = np.asarray(list(h_values), dtype=np.float64)
+    if gamma_max < 4 or h_max < 1:
+        raise ValueError("phi_di_sum: needs gamma_max >= 4 and h_max >= 1")
+    h_arr = np.arange(1, h_max + 1, dtype=np.float64)
     u, v = cusp.u, cusp.v
     prefactor = (math.gcd(v, 4 // v) / (4.0 * v)) ** s
-    totals = np.zeros(h_arr.shape[0], dtype=np.complex128)
+    totals = np.zeros(h_max, dtype=np.complex128)
     for gamma in range(1, gamma_max + 1):
         deltas = _admissible_deltas(cusp, gamma, corrected)
         if deltas.shape[0] == 0:
@@ -235,21 +233,11 @@ def phi_di_sum_batch(
         phases = np.exp((2j * math.pi / gv) * np.outer(h_arr, deltas.astype(np.float64)))
         totals += float(gamma) ** (-2.0 * s) * phases.sum(axis=1)
     tail = v * float(gamma_max) ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)
-    return prefactor * totals, tail
-
-
-def phi_di_sum(
-    cusp: Cusp, h: int, s: float, gamma_max: int, corrected: bool = True
-) -> SeriesValue:
-    """One truncated cusp-coefficient double sum; the result must be real
-    (imaginary part below 1e-9 asserts the implementation, not the math)."""
-    values, tail = phi_di_sum_batch(cusp, [h], s, gamma_max, corrected)
-    value = complex(values[0])
-    if abs(value.imag) >= 1e-9:
-        raise ArithmeticError(
-            f"phi_di_sum: nonreal value {value} at cusp {cusp.label}, h = {h}"
-        )
-    return SeriesValue(value.real, tail)
+    values = prefactor * totals
+    i = int(np.argmax(np.abs(values.imag)))
+    if abs(values.imag[i]) >= 1e-9:
+        raise ArithmeticError(f"phi_di_sum: nonreal value {values[i]} at cusp {cusp.label}, h = {i + 1}")
+    return values.real, tail
 
 
 def phi_series_identity_check(cusp: Cusp, s: float, w: float, h_max: int) -> IdentityCheck:
@@ -268,26 +256,13 @@ def phi_series_identity_check(cusp: Cusp, s: float, w: float, h_max: int) -> Ide
         raise ValueError("h_max must be at least 2")
     zeta = specfun.zeta
     z2 = specfun.zeta_two_removed
-    nu = 1.0 - 2.0 * s
-    h = np.arange(1, h_max + 1, dtype=np.float64)
-    hw = h**-w
+    lhs = block_compensated_sum(phi_closed(cusp, h_max, s) * np.arange(1.0, h_max + 1.0) ** -w)
     if cusp in (Cusp.ZERO, Cusp.HALF):
-        sig = sigma_table(nu, h_max, odd_only=True)[1:]
-        if cusp is Cusp.HALF:
-            sig = sig * np.where(np.arange(1, h_max + 1) % 2 == 1, -1.0, 1.0)
-        lhs = block_compensated_sum(sig * hw) / (4.0**s * z2(2.0 * s))
         rhs = zeta(w) * z2(w - 1.0 + 2.0 * s) / (4.0**s * z2(2.0 * s))
         if cusp is Cusp.HALF:
             rhs *= 2.0 ** (1.0 - w) - 1.0
         coeff_scale = 1.0 / (4.0**s * abs(z2(2.0 * s)))
     else:
-        sig = sigma_table(nu, h_max)[1:]
-        vals = np.zeros(h_max, dtype=np.float64)
-        quarters = np.arange(4, h_max + 1, 4)
-        vals[quarters - 1] += 2.0 ** (2 - 4 * s) * sig[quarters // 4 - 1]
-        halves = np.arange(2, h_max + 1, 2)
-        vals[halves - 1] -= 2.0 ** (1 - 4 * s) * sig[halves // 2 - 1]
-        lhs = block_compensated_sum(vals * hw) / z2(2.0 * s)
         rhs = (
             zeta(w)
             * zeta(w - 1.0 + 2.0 * s)

@@ -28,7 +28,6 @@ __all__ = [
     "prefix_counts",
     "prefix_lower_bound",
     "check_prefix_fits",
-    "p_at_integer",
     "p_at_real",
     "diagonal_partial_mean",
     "half_power",
@@ -128,13 +127,6 @@ def prefix_counts(table: RkTable) -> DiscrepancySeries:
 def _check_n(series: DiscrepancySeries, n) -> None:
     if n < 0 or n > series.n_max:
         raise ValueError(f"n = {n} outside [0, {series.n_max}]")
-
-
-def p_at_integer(series: DiscrepancySeries, n: int) -> float:
-    """P_k(n) = S_k(n) - V_k n^{k/2} as a double."""
-    _check_n(series, n)
-    vol = series.v_k * float(half_power(np.float64(n), series.k))
-    return float(_minus_volume(series.prefix[n], vol))
 
 
 def p_at_real(series: DiscrepancySeries, t: float) -> float:

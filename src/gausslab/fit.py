@@ -30,7 +30,6 @@ from .theory import predicted
 
 __all__ = [
     "BasisTerm",
-    "Weighting",
     "FitModel",
     "FitResult",
     "RankDeficiencyError",
@@ -72,16 +71,10 @@ class BasisTerm(enum.Enum):
         return col
 
 
-class Weighting(enum.Enum):
-    UNIFORM = "Uniform"
-    RELATIVE_TO_LEADING = "RelativeToLeading"
-
-
 @dataclass(frozen=True)
 class FitModel:
     k: int
     basis: tuple[BasisTerm, ...]
-    weighting: Weighting = Weighting.UNIFORM
 
     def __post_init__(self):
         if len(self.basis) == 0:
@@ -110,7 +103,7 @@ def _solve(
         raise ValueError("sample dimension does not match the model's k")
     x = np.array([s.x_scale for s in samples], dtype=np.float64)
     y = np.array([s.value for s in samples], dtype=np.float64) - known
-    w = np.ones_like(x) if model.weighting is Weighting.UNIFORM else x ** float(-(model.k - 1))
+    w = x ** float(-(model.k - 1))
     wd = np.stack([term.evaluate(model.k, x) for term in model.basis], axis=1) * w[:, None]
     wy = y * w
     coef, _, rank, sv = np.linalg.lstsq(wd, wy, rcond=None)
@@ -123,7 +116,8 @@ def _solve(
 
 
 def fit(model: FitModel, samples: list[MomentSample]) -> FitResult:
-    """Weighted linear least squares of sample values against the basis."""
+    """Linear least squares of sample values against the basis, each row
+    weighted by X^{-(k-1)}, the inverse of the leading term's size."""
     terms = len(model.basis)
     if len(samples) < terms + 2:
         raise ValueError(f"need at least {terms + 2} samples for {terms} basis terms")
@@ -150,7 +144,7 @@ def _c3_solve(samples: list[MomentSample]) -> tuple[float, FitResult, float]:
     if x.max() < 1e4 * (1.0 - SPAN_RTOL) or x.max() / x.min() < 10.0 * (1.0 - SPAN_RTOL):
         raise ValueError("samples must span a decade of X with max(X) >= 1e4")
     basis, factor = _C3_MODELS[stat]
-    model = FitModel(3, basis, Weighting.RELATIVE_TO_LEADING)
+    model = FitModel(3, basis)
     known = np.array([predicted(stat, 3, s.x_scale, 0.0) for s in samples])
     diagnostics, wd, resid = _solve(model, samples, known)
     cov = np.linalg.inv(wd.T @ wd)

@@ -15,7 +15,7 @@ import pytest
 
 from gausslab import theory, verify
 from gausslab.discrepancy import diagonal_partial_mean, prefix_counts
-from gausslab.fit import BasisTerm, FitModel, Weighting, fit, recover_c3
+from gausslab.fit import BasisTerm, FitModel, fit, recover_c3
 from gausslab.moments import (
     laplace_second_moment,
     sharp_integral_second_moment,
@@ -170,9 +170,7 @@ class TestAcceptance:
 
     def test_criterion_6_dimension_four_constants(self, series4_1m):
         samples = [smooth_second_moment(series4_1m, x) for x in _geometric(300.0, 3000.0, 12)]
-        model = FitModel(
-            4, (BasisTerm.XK1, BasisTerm.XK32, BasisTerm.XK2), Weighting.RELATIVE_TO_LEADING
-        )
+        model = FitModel(4, (BasisTerm.XK1, BasisTerm.XK32, BasisTerm.XK2))
         res = fit(model, samples)
         lead, half_term = res.coefficients[0], res.coefficients[1]
         lead_target = 2.0 * theory.constants_for(4).c_k  # = pi^4/3 + 4 pi^2

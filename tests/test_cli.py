@@ -9,9 +9,10 @@ import threading
 
 import pytest
 
-from gausslab import cli, moments, rk, theory, verify
+from gausslab import cli, dirichlet, moments, rk, theory, verify
 from gausslab.cli import main
 from gausslab.convolve import ConvolutionOverflowError
+from gausslab.dirichlet import Cusp
 from gausslab.discrepancy import prefix_counts
 from gausslab.moments import KERNELS, Statistic, sharp_second_moment
 from gausslab.rk import build_rk_table, load_table, save_table
@@ -433,6 +434,22 @@ class TestVerifyCommand:
         assert not passed
         assert "n=1500" in detail
 
+    def test_fault_injection_caught_by_phi_checks(self, monkeypatch):
+        # a cusp-1/2 closed form that lost its (-1)^h sign fails both checks that use it
+        real = dirichlet.phi_closed
+        unsigned = lambda cusp, h_max, s: real(Cusp.ZERO if cusp is Cusp.HALF else cusp, h_max, s)
+        monkeypatch.setattr(dirichlet, "phi_closed", unsigned)
+        passed, detail = verify.check_phi_cross(True, verify._Tables())
+        assert not passed and detail.startswith("cusp 1/2 h=1:")
+        assert not verify.check_phi_series(True, verify._Tables())[0]
+
+    def test_nonreal_di_sum_fails_by_name(self, monkeypatch):
+        real_deltas = dirichlet._admissible_deltas
+        monkeypatch.setattr(dirichlet, "_admissible_deltas", lambda *a: real_deltas(*a)[:1])
+        monkeypatch.setattr(verify, "BATTERY", [b for b in verify.BATTERY if b[0] == "phi-closed-vs-di"])
+        [res] = verify.run_battery("quick")
+        assert not res.passed and "ArithmeticError" in res.detail and "nonreal" in res.detail
+
     def test_reversed_battery_passes(self, monkeypatch):
         # each check sees tables of exactly the size it asks for, whatever ran before it
         monkeypatch.setattr(verify, "BATTERY", verify.BATTERY[::-1])
@@ -607,10 +624,25 @@ class TestExitCodes:
             lambda *_: _moments_csv("stat.csv", [_ROW, "3,2000,SmoothThird,1.0,0,,0"]), 2, ":3:"
         ),
         "fit-no-k3-rows": (lambda *_: _moments_csv("k4.csv", ["4" + _ROW[1:]]), 2, "error: no k=3"),
+        "fit-value-nan": (lambda *_: _moments_csv("vnan.csv", [_ROW, "3,2000,SmoothSecond,nan,0,,0"]), 2, ":3:"),
+        "fit-value-inf": (lambda *_: _moments_csv("vinf.csv", [_ROW, "3,2000,SmoothSecond,inf,0,,0"]), 2, ":3:"),
+        "fit-x-zero": (lambda *_: _moments_csv("x0.csv", [_ROW, "3,0,SmoothSecond,1.0,0,,0"]), 2, ":3:"),
+        "fit-x-nan": (lambda *_: _moments_csv("xnan.csv", [_ROW, "3,nan,SmoothSecond,1.0,0,,0"]), 2, ":3:"),
         "table-locked-cache": (_locked_cache, 3, "error: cache directory is locked"),
         "kernel-internal-fault": (_kernel_raising(TypeError("internal fault")), 4, "TypeError: internal fault"),
         "kernel-runtime-error": (_kernel_raising(RecursionError("too deep")), 4, "RecursionError: too deep"),
     }
+
+    @pytest.mark.parametrize("bad_x", ["0", "nan", "inf"])
+    def test_bad_x_stops_before_the_solver(self, tmp_path, monkeypatch, capfd, bad_x):
+        # on a full c3 grid a nonpositive or non-finite X used to reach LAPACK,
+        # which wrote DLASCL complaints straight to the file descriptors
+        monkeypatch.chdir(tmp_path)
+        rows = [f"3,{2000 * 10 ** (j / 11)!r},SmoothSecond,{1e6 * (j + 1)!r},0,,0" for j in range(12)]
+        rows[5] = f"3,{bad_x},SmoothSecond,1e6,0,,0"
+        assert run_cli(_moments_csv("grid.csv", rows)) == 2
+        out, err = capfd.readouterr()
+        assert "grid.csv:7:" in err and "DLASCL" not in out + err
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_exit_code(self, tmp_path, monkeypatch, capsys, case):

@@ -1,21 +1,21 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from gausslab import specfun
+from gausslab import dirichlet, specfun
 from gausslab.dirichlet import (
     Cusp,
     l_theta,
     phi_closed,
     phi_di_sum,
-    phi_di_sum_batch,
     phi_series_identity_check,
     r4_euler_rhs,
     r4_identity_check,
     ramanujan_sum,
 )
-from gausslab.rk import build_rk_table
+from gausslab.rk import build_rk_table, sigma
 
 from conftest import assert_close, zeta_eta_oracle
 
@@ -99,23 +99,56 @@ class TestR4Euler:
             r4_identity_check(r1_table, 4.0, 100)
 
 
+def _scalar_phi_closed(cusp, h, s):
+    """The closed forms one coefficient at a time over trial-division sigma."""
+    z2 = specfun.zeta_two_removed(2.0 * s)
+    nu = 1.0 - 2.0 * s
+    if cusp is Cusp.ZERO:
+        return sigma(nu, h, odd_only=True) / (4.0**s * z2)
+    if cusp is Cusp.HALF:
+        return (-1.0) ** (h % 2) * sigma(nu, h, odd_only=True) / (4.0**s * z2)
+    t1 = 2.0 ** (2 - 4 * s) * (sigma(nu, h // 4) if h % 4 == 0 else 0.0)
+    t2 = 2.0 ** (1 - 4 * s) * (sigma(nu, h // 2) if h % 2 == 0 else 0.0)
+    return (t1 - t2) / z2
+
+
+# sha256 of the float64 bytes of phi_di_sum(cusp, 64, 2.0, 400) for cusps 0,
+# 1/2, inf and then cusp 1/2 with corrected=False, concatenated in that order
+_DI_DIGEST = "6df383a91fdd29b717770dee663b238593ada8332f0e601ad2f3bb771d3c6fbd"
+
+
 class TestPhiClosed:
+    def test_shape_and_dtype(self):
+        for cusp in Cusp:
+            got = phi_closed(cusp, 7, 2.0)
+            assert got.shape == (7,) and got.dtype == np.float64
+
     def test_infinity_vanishes_on_odd_h(self):
         for s in (0.75, 2.0, 3.0):
-            assert phi_closed(Cusp.INFINITY, 1, s) == 0.0
-            assert phi_closed(Cusp.INFINITY, 3, s) == 0.0
+            vals = phi_closed(Cusp.INFINITY, 3, s)
+            assert vals[1 - 1] == 0.0
+            assert vals[3 - 1] == 0.0
 
     def test_cusp0_h1_s2(self):
         # 4^{-2} / zeta^(2)(4) = 6 / pi^4 = 0.0615959...
-        assert_close(phi_closed(Cusp.ZERO, 1, 2.0), 6.0 / math.pi**4, rel=1e-12)
-        assert_close(phi_closed(Cusp.ZERO, 1, 2.0), 0.0616, abs_=1e-4)
+        assert_close(phi_closed(Cusp.ZERO, 1, 2.0)[0], 6.0 / math.pi**4, rel=1e-12)
+        assert_close(phi_closed(Cusp.ZERO, 1, 2.0)[0], 0.0616, abs_=1e-4)
 
     def test_half_even_h_matches_cusp0(self):
         for s in (1.5, 2.0):
-            assert phi_closed(Cusp.HALF, 2, s) == phi_closed(Cusp.ZERO, 2, s)
+            assert phi_closed(Cusp.HALF, 2, s)[2 - 1] == phi_closed(Cusp.ZERO, 2, s)[2 - 1]
 
     def test_half_odd_h_flips_sign(self):
-        assert phi_closed(Cusp.HALF, 3, 2.0) == -phi_closed(Cusp.ZERO, 3, 2.0)
+        assert phi_closed(Cusp.HALF, 3, 2.0)[3 - 1] == -phi_closed(Cusp.ZERO, 3, 2.0)[3 - 1]
+
+    @pytest.mark.parametrize("s", [0.75, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("cusp", list(Cusp))
+    def test_matches_scalar_formulas(self, cusp, s):
+        got = phi_closed(cusp, 200, s)
+        want = np.array([_scalar_phi_closed(cusp, h, s) for h in range(1, 201)])
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nonzero = want != 0.0
+        assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) <= 4e-15
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -126,41 +159,54 @@ class TestPhiClosed:
 
 class TestPhiDiSum:
     def test_cusp0_matches_closed(self):
-        got = phi_di_sum(Cusp.ZERO, 1, 2.0, 400)
-        assert abs(got.value - phi_closed(Cusp.ZERO, 1, 2.0)) <= got.tail_bound
+        values, tail = phi_di_sum(Cusp.ZERO, 1, 2.0, 400)
+        assert abs(values[1 - 1] - phi_closed(Cusp.ZERO, 1, 2.0)[1 - 1]) <= tail
 
     def test_infinity_h1_vanishes(self):
-        got = phi_di_sum(Cusp.INFINITY, 1, 2.0, 400)
-        assert abs(got.value) <= got.tail_bound
+        values, tail = phi_di_sum(Cusp.INFINITY, 1, 2.0, 400)
+        assert abs(values[1 - 1]) <= tail
 
     def test_half_h3_sign_rule(self):
-        got = phi_di_sum(Cusp.HALF, 3, 2.0, 400)
-        assert abs(got.value - (-phi_closed(Cusp.ZERO, 3, 2.0))) <= got.tail_bound
+        values, tail = phi_di_sum(Cusp.HALF, 3, 2.0, 400)
+        assert abs(values[3 - 1] - (-phi_closed(Cusp.ZERO, 3, 2.0)[3 - 1])) <= tail
 
     @pytest.mark.parametrize("cusp", list(Cusp))
     def test_all_cusps_small_h(self, cusp):
-        hs = list(range(1, 13))
-        values, tail = phi_di_sum_batch(cusp, hs, 2.0, 300)
-        assert float(np.max(np.abs(values.imag))) < 1e-9
-        for h, val in zip(hs, values.real):
-            diff = abs(val - phi_closed(cusp, h, 2.0))
-            assert diff <= tail, f"cusp {cusp.label} h={h}: {diff:.2e} > {tail:.2e}"
+        values, tail = phi_di_sum(cusp, 12, 2.0, 300)
+        assert values.dtype == np.float64 and values.shape == (12,)
+        diff = np.abs(values - phi_closed(cusp, 12, 2.0))
+        assert np.all(diff <= tail), f"cusp {cusp.label}: {diff.max():.2e} > {tail:.2e}"
 
     def test_erratum_discrimination_at_half(self):
         # with the missing-v congruence the delta sum at cusp 1/2 is empty,
         # so every coefficient collapses to zero and misses the closed form
-        hs = list(range(1, 13))
-        values, tail = phi_di_sum_batch(Cusp.HALF, hs, 2.0, 300, corrected=False)
-        hits = sum(
-            1
-            for h, val in zip(hs, values.real)
-            if abs(val - phi_closed(Cusp.HALF, h, 2.0)) > 10.0 * tail
-        )
+        values, tail = phi_di_sum(Cusp.HALF, 12, 2.0, 300, corrected=False)
+        hits = np.count_nonzero(np.abs(values - phi_closed(Cusp.HALF, 12, 2.0)) > 10.0 * tail)
         assert hits > 0
+
+    def test_values_pinned(self):
+        parts = [phi_di_sum(cusp, 64, 2.0, 400)[0] for cusp in Cusp]
+        parts.append(phi_di_sum(Cusp.HALF, 64, 2.0, 400, corrected=False)[0])
+        digest = hashlib.sha256()
+        for part in parts:
+            assert part.dtype == np.float64
+            digest.update(part.tobytes())
+        assert digest.hexdigest() == _DI_DIGEST
+
+    def test_nonreal_sum_raises(self, monkeypatch):
+        # one residue per gamma breaks the delta -> -delta pairing that makes each inner sum real
+        real_deltas = dirichlet._admissible_deltas
+        monkeypatch.setattr(dirichlet, "_admissible_deltas", lambda *a: real_deltas(*a)[:1])
+        with pytest.raises(ArithmeticError, match="nonreal"):
+            phi_di_sum(Cusp.ZERO, 4, 2.0, 50)
 
     def test_gamma_max_floor(self):
         with pytest.raises(ValueError):
             phi_di_sum(Cusp.ZERO, 1, 2.0, 2)
+
+    def test_h_max_floor(self):
+        with pytest.raises(ValueError):
+            phi_di_sum(Cusp.ZERO, 0, 2.0, 100)
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from gausslab.discrepancy import (
     check_prefix_fits,
     diagonal_partial_mean,
     half_power,
-    p_at_integer,
     p_at_real,
     prefix_counts,
     prefix_lower_bound,
@@ -86,22 +85,22 @@ class TestPrefixLowerBound:
 
 class TestPAt:
     def test_origin(self, series3):
-        assert p_at_integer(series3, 0) == 1.0
+        assert p_at_real(series3, 0.0) == 1.0
 
     def test_n4(self, series3):
         v3 = 4.0 * math.pi / 3.0
-        assert_close(p_at_integer(series3, 4), 33.0 - v3 * 8.0, rel=1e-13)
-        assert_close(p_at_integer(series3, 4), -0.5103, abs_=1e-4)
+        assert_close(p_at_real(series3, 4.0), 33.0 - v3 * 8.0, rel=1e-13)
+        assert_close(p_at_real(series3, 4.0), -0.5103, abs_=1e-4)
 
     def test_k4_n1(self, series4):
-        assert_close(p_at_integer(series4, 1), 9.0 - math.pi**2 / 2.0, rel=1e-13)
+        assert_close(p_at_real(series4, 1.0), 9.0 - math.pi**2 / 2.0, rel=1e-13)
 
     def test_real_half(self, series3):
         v3 = 4.0 * math.pi / 3.0
         assert_close(p_at_real(series3, 0.5), 1.0 - v3 * 0.5**1.5, rel=1e-12)
 
     def test_real_matches_integer_on_floor(self, series3):
-        assert p_at_real(series3, 4.0) == p_at_integer(series3, 4)
+        assert p_at_real(series3, 4.0) == series3.p_values()[4]
 
     def test_left_limit_at_one(self, series3):
         t = np.nextafter(1.0, 0.0)
@@ -117,7 +116,7 @@ class TestPAt:
 
     def test_out_of_range(self, series3):
         with pytest.raises(ValueError):
-            p_at_integer(series3, 10**4 + 1)
+            p_at_real(series3, 10**4 + 1.0)
         with pytest.raises(ValueError):
             p_at_real(series3, -0.5)
 
@@ -125,7 +124,7 @@ class TestPAt:
         # fabricated prefix beyond 2^53: the 32/32 split keeps low-order bits
         big = 2**60 + 12345
         series = DiscrepancySeries(k=2, n_max=1, prefix=np.array([1, big], dtype=np.uint64), v_k=0.25)
-        got = p_at_integer(series, 1)
+        got = p_at_real(series, 1.0)
         want = float(Fraction(big) - Fraction(0.25))
         assert_close(got, want, rel=1e-15)
 
@@ -138,17 +137,17 @@ class TestPAt:
         assert series.prefix_float().tolist() == [float(int(v)) for v in prefix]
         p = series.p_values()
         for n in range(64):
-            assert p[n] == p_at_integer(series, n) == p_at_real(series, float(n))
+            assert p[n] == p_at_real(series, float(n))
         # the volume cancels the high word exactly, so every low bit survives;
         # converting the count to float first would give 12288
         prefix = np.array([1, 2**60 + 12345], dtype=np.uint64)
         series = DiscrepancySeries(k=2, n_max=1, prefix=prefix, v_k=2.0**60)
-        assert series.p_values()[1] == p_at_integer(series, 1) == p_at_real(series, 1.0) == 12345.0
+        assert series.p_values()[1] == p_at_real(series, 1.0) == 12345.0
 
     def test_batch_matches_scalar(self, series3):
         p = series3.p_values()
         for n in (0, 1, 2, 17, 5000, 10**4):
-            assert p[n] == p_at_integer(series3, n)
+            assert p[n] == p_at_real(series3, float(n))
 
 
 class TestGaussBoundScan:

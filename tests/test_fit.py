@@ -8,7 +8,6 @@ from gausslab.fit import (
     BasisTerm,
     FitModel,
     RankDeficiencyError,
-    Weighting,
     c3_standard_error,
     fit,
     recover_c3,
@@ -91,16 +90,6 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit(model, _samples(xs, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]))
 
-    def test_weighting_changes_solution_on_noisy_data(self):
-        rng = np.random.default_rng(5)
-        xs = np.array(_geometric(100.0, 10000.0, 14))
-        values = 2.0 * xs**2 + rng.normal(0.0, 1.0, 14) * xs**2.5 * 1e-3
-        uniform = fit(FitModel(3, (BasisTerm.XK1,), Weighting.UNIFORM), _samples(xs, values))
-        relative = fit(
-            FitModel(3, (BasisTerm.XK1,), Weighting.RELATIVE_TO_LEADING), _samples(xs, values)
-        )
-        assert uniform.coefficients != relative.coefficients
-
 
 class TestRecoverC3:
     def test_synthetic_round_trip(self):
@@ -123,7 +112,7 @@ class TestRecoverC3:
         xs = _geometric(300.0, 3000.0, 12)
         values = [theory.predicted(Statistic.SMOOTH_SECOND, k, x) for x in xs]
         basis = (BasisTerm.XK1, BasisTerm.XK32) if k == 4 else (BasisTerm.XK1,)
-        model = FitModel(k, basis, Weighting.RELATIVE_TO_LEADING)
+        model = FitModel(k, basis)
         res = fit(model, _samples(xs, values, k=k))
         consts = theory.constants_for(k)
         assert_close(res.coefficients[0], consts.c_k * gamma_fn(k - 1.0), rel=1e-8)
@@ -189,9 +178,7 @@ class TestRecoverC3:
         # unconstrained three-term fit still sees the proven log coefficient
         xs = _geometric(2e3, 2e4, 12)
         samples = [smooth_second_moment(series3_big, x) for x in xs]
-        model = FitModel(
-            3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2), Weighting.RELATIVE_TO_LEADING
-        )
+        model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2))
         res = fit(model, samples)
         assert_close(res.coefficients[0], theory.constants_for(3).c3_prime, rel=0.01)
 
@@ -233,7 +220,5 @@ class TestPinnedFit:
     def test_free_fit_digest_unchanged(self, series3_big):
         # the model and grid of TestRecoverC3.test_free_fit_lead_matches_c3_prime
         samples = [smooth_second_moment(series3_big, x) for x in _geometric(2e3, 2e4, 12)]
-        model = FitModel(
-            3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2), Weighting.RELATIVE_TO_LEADING
-        )
+        model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2))
         assert _repr_digest(fit(model, samples)) == self.PINNED["free"]
