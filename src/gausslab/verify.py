@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (5.0-7.3 s on one core of a 2-core box).  Each check returns
+acceptance scale (3.4-4.0 s on one core of a 2-core box).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
 """
@@ -317,11 +317,15 @@ def check_overflow_abort(quick: bool, tables: _Tables) -> tuple[bool, str]:
             # the doubled values 2^63 fit; the j = 2 sum 2^62 + 2 * 2^63 does not
             rk._square_step(np.full(8, 2**62, dtype=np.uint64))
             return False, "synthetic 2^64 + 2^62 sum not caught"
-        # real path: dimension-8 counts pass 2^64 near n ~ 1e6 (16 sigma_3(n) ~ 16 n^3)
-        rk.build_rk_table(8, 995_000)
+        # real path: r_8 passes 2^64 at rk.R8_FIRST_OVERFLOW, so four steps from
+        # the r_4 that r4-multiplicativity holds must abort; build_rk_table
+        # would refuse this size before any step
+        counts = tables.get(4, 995_000).counts
+        for _ in range(4):
+            counts = rk._square_step(counts)
         return False, "r_8 coefficient beyond 2^64 not caught"
     except ConvolutionOverflowError as exc:
-        what = "synthetic sum" if quick else "r_8 build"
+        what = "synthetic sum" if quick else "r_8 from the held r_4"
         return True, f"{what} aborts: {exc}"
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import threading
 
+import numpy as np
 import pytest
 
 from gausslab import cli, dirichlet, moments, rk, theory, verify
@@ -450,6 +451,18 @@ class TestVerifyCommand:
         [res] = verify.run_battery("quick")
         assert not res.passed and "ArithmeticError" in res.detail and "nonreal" in res.detail
 
+    def test_overflow_abort_steps_from_the_held_r4(self, monkeypatch):
+        tables = verify._Tables({4: build_rk_table(4, 10**6)})
+        monkeypatch.setattr(rk, "build_rk_table", _raise(AssertionError("build_rk_table called")))
+        passed, detail = verify.check_overflow_abort(False, tables)
+        assert passed and "step j = " in detail
+
+    def test_fault_injection_caught_by_overflow_check(self):
+        zeros = np.zeros(995_001, dtype=np.uint64)
+        tables = verify._Tables({4: rk.RkTable(4, 995_000, zeros)})
+        passed, detail = verify.check_overflow_abort(False, tables)
+        assert not passed and detail.endswith("not caught")
+
     def test_reversed_battery_passes(self, monkeypatch):
         # each check sees tables of exactly the size it asks for, whatever ran before it
         monkeypatch.setattr(verify, "BATTERY", verify.BATTERY[::-1])
@@ -602,6 +615,7 @@ class TestExitCodes:
     CASES = {
         "verify-fails": (_failing_verify, 1, None),
         "table-overflow": (_overflowing_table, 2, "error: beyond 64 bits"),
+        "table-k8-doomed": ("table --k 8 --n-max 1000000 --cache-dir .", 2, "exceeds 64 bits from n = 987840;"),
         "moments-prefix-overflow": (
             "moments --k 8 --x-min 50000 --x-max 50000 --points 1 --stat SharpSecond", 2, "S_8 exceeds 64 bits"
         ),

@@ -167,6 +167,85 @@ class TestSquareStep:
             rk._square_step(base)
 
 
+_BLOCK_LENGTHS = [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 3]
+
+
+class TestBlockedStep:
+    """The step walks its output in blocks of rk._BLOCK entries; each case is
+    checked against the NTT product with r_1, which shares no code with it."""
+
+    @staticmethod
+    def _ntt_step(base):
+        n_max = base.shape[0] - 1
+        return convolve.exact_convolve(base, build_rk_table(1, n_max).counts, n_max + 1)
+
+    @pytest.mark.parametrize("length", _BLOCK_LENGTHS)
+    def test_u64_unchecked_matches_ntt(self, length):
+        # every sum stays below top * (2j + 1) < 2^64, so no add is checked
+        top = 2**64 // (2 * math.isqrt(length - 1) + 1) - 1
+        base = np.random.default_rng(length).integers(0, top, size=length, dtype=np.uint64, endpoint=True)
+        assert np.array_equal(rk._square_step(base), self._ntt_step(base))
+
+    @pytest.mark.parametrize("length", _BLOCK_LENGTHS)
+    def test_u32_checked_matches_ntt(self, length):
+        # spikes of 2^30 put the adds past j = 1 in the checked regime; their
+        # doubled images never meet, so every true sum still fits in u32
+        base = np.random.default_rng(length).integers(0, 2**12, size=length, dtype=np.uint32)
+        base[[3, rk._BLOCK - 5]] = 2**30
+        want = self._ntt_step(base)
+        assert int(want.max()) < 2**32
+        got = rk._square_step(base)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
+
+    def test_wrap_in_last_block_only(self):
+        # out[n_max] = base[n_max] + 2 sum base[n_max - j^2]: one more than
+        # 2^64 - 1 must raise at the last add, although every earlier block fits
+        length = _BLOCK_LENGTHS[-1]
+        n_max = length - 1
+        base = np.random.default_rng(0).integers(0, 2**20, size=length, dtype=np.uint64)
+        rest = 2 * sum(int(base[n_max - j * j]) for j in range(1, math.isqrt(n_max) + 1))
+        base[n_max] = 2**64 - 1 - rest
+        assert int(rk._square_step(base)[n_max]) == 2**64 - 1
+        base[n_max] += np.uint64(1)
+        with pytest.raises(ConvolutionOverflowError, match=f"step j = {math.isqrt(n_max)}$"):
+            rk._square_step(base)
+
+
+def _r8_jacobi(n: np.ndarray) -> list[int]:
+    """r_8(n) = 16 sum_{d | n} (-1)^(n+d) d^3 (Jacobi), exact in Python ints;
+    the signed divisor sum fits int64 for n below 2^20."""
+    acc = np.zeros(n.shape, dtype=np.int64)
+    for d in range(1, math.isqrt(int(n.max())) + 1):
+        q = n // d
+        hit = (n % d == 0) & (d <= q)
+        acc += np.where(hit, (-1) ** ((n + d) % 2) * d**3, 0)
+        acc += np.where(hit & (q != d), (-1) ** ((n + q) % 2) * q**3, 0)
+    return [16 * int(v) for v in acc]
+
+
+class TestR8Limit:
+    def test_jacobi_oracle_matches_build(self):
+        n = np.arange(1, 3001, dtype=np.int64)
+        assert _r8_jacobi(n) == build_rk_table(8, 3000).counts[1:].tolist()
+
+    def test_first_overflow_index(self):
+        # |r_8(n)| <= 16 sigma_3(n) < 16 zeta(3) n^3, below 2^64 for n < 980,000
+        lo = 980_000
+        assert 16 * 1.2020569031595942 * lo**3 < 0.99 * 2**64
+        r8 = _r8_jacobi(np.arange(lo, rk.R8_FIRST_OVERFLOW + 1, dtype=np.int64))
+        assert max(r8[:-1]) < 2**64 <= r8[-1] == 18_503_996_770_242_547_200
+
+    def test_doomed_request_refused_before_any_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_square_step called")
+
+        monkeypatch.setattr(rk, "_square_step", refuse)
+        for n_max in (rk.R8_FIRST_OVERFLOW, rk.MAX_N):
+            with pytest.raises(ConvolutionOverflowError, match=f"from n = {rk.R8_FIRST_OVERFLOW};"):
+                build_rk_table(8, n_max)
+
+
 class TestBruteforce:
     def test_examples(self):
         assert rk_bruteforce(2, 5) == 8
