@@ -4,10 +4,12 @@ Subcommands: table, moments, fit, verify, shortinterval, constants.
 Output is RFC-4180 CSV (header row, '.' decimal, 17 significant digits);
 the runtime_ms column sits last so everything before it is byte-identical
 across reruns.  A moments row's predicted_value is theory.predicted's main
-term, blank where it has none.  A cell's runtime_ms can include the one-time
-float preparation of the series: the first LaplaceSecond cell fills
-prefix_float, the first other cell p_values (at n = 1.5e6, about 0.02-0.03 s
-and 0.04-0.10 s on a 2-core box).
+term, blank where it has none.  A cell's runtime_ms can include one-time
+work shared with later cells: the first LaplaceSecond cell evaluates every
+LaplaceSecond X of the grid in one pass (filling prefix_float), so it carries
+the grid's whole Laplace time and the later LaplaceSecond cells read about 0;
+the first other cell fills p_values (at n = 1.5e6, about 0.04-0.10 s on a
+2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
@@ -123,16 +125,19 @@ def run_moments(
     if n_max is None:
         n_max = max(stat.n_needed(k, x) for stat in statistics for x in x_grid)
     check_prefix_fits(k, n_max)
-    table, _ = _obtain_table(k, n_max, cache_dir)
-    series = prefix_counts(table)
+    # the table is dropped once counted: the LaplaceSecond pass needs the room
+    series = prefix_counts(_obtain_table(k, n_max, cache_dir)[0])
 
     cells = [(stat, stat.scale(x)) for stat in statistics for x in x_grid]
+    laplace_grid = [x for stat, x in cells if stat is Statistic.LAPLACE_SECOND]
     rows = []
     status = EXIT_OK
     for stat, x in cells:
         start = time.perf_counter()
         try:
-            outcome = moments.KERNELS[stat](series, x)
+            # the first LaplaceSecond cell evaluates the whole grid in one pass
+            grid = {"grid": laplace_grid} if stat is Statistic.LAPLACE_SECOND else {}
+            outcome = moments.KERNELS[stat](series, x, **grid)
         except ValueError as exc:
             outcome = exc
         ms = (time.perf_counter() - start) * 1e3

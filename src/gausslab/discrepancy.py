@@ -66,7 +66,8 @@ class DiscrepancySeries:
     """Running lattice counts prefix[n] = S_k(n) with the cached ball volume.
 
     Immutable after construction (the prefix array is read-only); the
-    float-conversion caches are filled lazily and do not affect results.
+    float-conversion caches and the LaplaceSecond samples a grid pass keeps
+    are filled lazily and do not affect results.
     """
 
     k: int
@@ -75,6 +76,8 @@ class DiscrepancySeries:
     v_k: float
     _prefix_float: np.ndarray | None = field(default=None, repr=False)
     _p_cache: np.ndarray | None = field(default=None, repr=False)
+    # (X, subdivide) -> LaplaceSecond MomentSample, filled by laplace_second_moment's grid pass
+    _laplace_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.prefix.dtype != np.uint64 or self.prefix.shape != (self.n_max + 1,):

@@ -21,8 +21,13 @@ pairwise block-compensated summation (block 1024).
 
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
-halving the first hundred intervals and a 1% sample of the rest.  The sharp
-integral evaluates the per-interval antiderivative in the centered form
+halving the first hundred intervals and a 1% sample of the rest.  Given the
+grid of a run, it evaluates every X of the grid in one pass: the
+X-independent node values (S_n - V t^{k/2})^2 are formed once per interval
+and node and shared by every X, bit for bit as a pass per X would give them.
+
+The sharp integral evaluates the per-interval antiderivative in the centered
+form
 
   int_n^{n+1} (S - V t^{k/2})^2 dt
       = P_k(n)^2 - 2 P_k(n) V I_1(n) + V^2 I_2(n),
@@ -36,6 +41,7 @@ lose ~13 digits to cancellation by n ~ 1e6, which this form avoids.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -169,56 +175,99 @@ def sharp_second_moment(series: DiscrepancySeries, X) -> MomentSample:
 
 
 def _laplace_cells(
-    step_values: np.ndarray, v_k: float, k: int, X: float, idx: np.ndarray, subdivide: int
-) -> np.ndarray:
+    step_values: np.ndarray,
+    v_k: float,
+    k: int,
+    sizes: dict[float, int],
+    subdivide: int,
+    idx: np.ndarray | None = None,
+) -> dict[float, np.ndarray]:
     """Per-interval int_n^{n+1} (S_n - v_k t^{k/2})^2 e^{-t/X} dt by 8-point
-    Gauss-Legendre on `subdivide` equal pieces; idx selects the intervals.
-    Evaluated CHUNK intervals at a time so the temporaries stay in cache;
-    every operation is elementwise, so the chunking changes no bit."""
-    cells = np.zeros(idx.shape[0], dtype=np.float64)
-    for lo in range(0, idx.shape[0], CHUNK):
-        acc = cells[lo : lo + CHUNK]
-        step = step_values[lo : lo + CHUNK]
-        base = idx[lo : lo + CHUNK].astype(np.float64)
+    Gauss-Legendre on `subdivide` equal pieces, for each X in `sizes` on its
+    first sizes[X] intervals: n = 0, 1, 2, ... or, given idx, n = idx[0],
+    idx[1], ...; step_values[i] is S at the i-th of them.
+
+    One pass, CHUNK intervals at a time so the temporaries stay in cache: the
+    X-independent (S_n - v_k t^{k/2})^2 is formed once per chunk and node and
+    shared by every X whose intervals reach the chunk.  Every operation is
+    elementwise, so neither the chunking nor the sharing changes a bit."""
+    cells = {x: np.zeros(m, dtype=np.float64) for x, m in sizes.items()}
+    total = max(sizes.values())
+    for lo in range(0, total, CHUNK):
+        hi = min(lo + CHUNK, total)
+        live = [(x, acc[lo:hi]) for x, acc in cells.items() if acc.shape[0] > lo]
+        step = step_values[lo:hi]
+        base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
         for piece in range(subdivide):
             for xi, wi in zip(_GL_X01, _GL_W01):
                 t = base + (piece + xi) / subdivide
-                f = (step - v_k * half_power(t, k)) ** 2 * np.exp(-t / X)
-                acc += (wi / subdivide) * f
+                g = (step - v_k * half_power(t, k)) ** 2
+                for x, acc in live:
+                    m = acc.shape[0]
+                    acc += (wi / subdivide) * (g[:m] * np.exp(-t[:m] / x))
     return cells
 
 
-def laplace_second_moment(series: DiscrepancySeries, X: float, subdivide: int = 1) -> MomentSample:
+def _laplace_samples(
+    series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int
+) -> dict[float, MomentSample]:
+    """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
+    over the intervals and one over the audit sample."""
+    k = series.k
+    pf = series.prefix_float()
+    cells = _laplace_cells(pf, series.v_k, k, n_cuts, subdivide)
+    # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
+    # (the first 100 intervals, then every 100th below its cutoff) is a
+    # prefix of the largest one
+    head = 100
+    sample = np.concatenate([np.arange(head), np.arange(head, max(n_cuts.values()), 100)])
+    sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
+    fine = _laplace_cells(pf[sample], series.v_k, k, sample_sizes, 2 * subdivide, sample)
+    # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
+    # its coarse error is 1/(1 - 2^{-(k/2+1)}) times the difference, <= 1.21 if k >= 3
+    head_factor = 2.0 if k == 1 else 1.25
+    out = {}
+    for x, n_cut in n_cuts.items():
+        acc = cells.pop(x)
+        value = block_compensated_sum(acc)
+        tail = 4.0 ** (k + 1) * _exp_poly_tail(k, x, float(n_cut))
+        diff = np.abs(fine[x] - acc[sample[: sample_sizes[x]]])
+        quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
+        rounding = 1e-14 * float(np.sum(np.abs(acc, out=acc)))
+        out[x] = MomentSample(k, x, Statistic.LAPLACE_SECOND, value, tail + quad_bound + rounding)
+    return out
+
+
+def laplace_second_moment(
+    series: DiscrepancySeries, X: float, subdivide: int = 1, grid: list[float] | None = None
+) -> MomentSample:
     """int_0^infty P_k(t)^2 e^{-t/X} dt, truncated at n_cut unit intervals.
 
     The bound is the certified exponential tail plus a quadrature error
     estimated by interval halving (the first 100 intervals and a 1% sample).
     `subdivide` refines every unit interval and exists for that audit.
+
+    With `grid`, the scales of the other cells of a run: the first call takes
+    X and every grid scale the series reaches in one pass and keeps their
+    samples on the series; a later call for a kept (X, subdivide) reads its
+    sample back.  Without `grid` the kernel neither reads nor fills that cache.
     """
     X = float(X)
     if subdivide < 1:
         raise ValueError("subdivide must be >= 1")
     n_cut = _require_cutoff(series, X)
-    pf = series.prefix_float()
-    idx = np.arange(n_cut, dtype=np.int64)
-    cells = _laplace_cells(pf[:n_cut], series.v_k, series.k, X, idx, subdivide)
-    value = block_compensated_sum(cells)
-
-    tail = 4.0 ** (series.k + 1) * _exp_poly_tail(series.k, X, float(n_cut))
-    head = min(100, n_cut)
-    sample = np.concatenate([np.arange(head), np.arange(head, n_cut, 100)])
-    fine = _laplace_cells(pf[sample], series.v_k, series.k, X, sample, 2 * subdivide)
-    diff = np.abs(fine - cells[sample])
-    head_part = float(np.sum(diff[:head]))
-    tail_part = float(np.sum(diff[head:]))
-    # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
-    # its coarse error is 1/(1 - 2^{-(k/2+1)}) times the difference, <= 1.21 if k >= 3
-    head_factor = 2.0 if series.k == 1 else 1.25
-    quad_bound = head_factor * head_part + 100.0 * tail_part * 8.0
-    rounding = 1e-14 * float(np.sum(np.abs(cells)))
-    return MomentSample(
-        series.k, X, Statistic.LAPLACE_SECOND, value, tail + quad_bound + rounding
-    )
+    if grid is None:
+        return _laplace_samples(series, {X: n_cut}, subdivide)[X]
+    kept = series._laplace_cache
+    if (X, subdivide) not in kept:
+        n_cuts = {X: n_cut}
+        for x in map(float, grid):
+            # a scale the series cannot take raises again at its own call
+            with contextlib.suppress(ValueError):
+                n_cuts[x] = _require_cutoff(series, x)
+        for x, sample in _laplace_samples(series, n_cuts, subdivide).items():
+            kept[x, subdivide] = sample
+    return kept[X, subdivide]
 
 
 def sharp_integral_second_moment(series: DiscrepancySeries, X) -> MomentSample:

@@ -24,8 +24,10 @@ above ~6.7e7 it cannot run at all.
 
 Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead
-of wrapping.  r_8 first passes 2^64 at n = R8_FIRST_OVERFLOW, so a k = 8
-request that reaches it raises before any step.
+of wrapping.  r_8 first passes 2^64 at n = R8_FIRST_OVERFLOW (987,840) and
+r_7 at n = R7_FIRST_OVERFLOW (15,321,071), so a k = 8 or k = 7 request that
+reaches its limit raises before any step; no smaller k passes 2^64 below
+MAX_N.
 
 Cache file format v2 (little-endian; a v1 file raises CacheFormatError):
   magic "RKTB" (4 bytes) | format version u32 = 2 | k u32 | n_max u64 |
@@ -62,6 +64,7 @@ __all__ = [
     "CacheChecksumError",
     "MAX_K",
     "MAX_N",
+    "R7_FIRST_OVERFLOW",
     "R8_FIRST_OVERFLOW",
 ]
 
@@ -76,6 +79,10 @@ _BLOCK = 1 << 16
 
 # r_8(n) = 16 sum_{d | n} (-1)^(n+d) d^3 first reaches 2^64 at this n
 R8_FIRST_OVERFLOW = 987_840
+# r_7(n) first reaches 2^64 at this n (r_7(15,321,071) = 18,446,915,276,634,761,280);
+# r_k for k <= 6 stays below 2^64 up to MAX_N
+R7_FIRST_OVERFLOW = 15_321_071
+_FIRST_OVERFLOW = {7: R7_FIRST_OVERFLOW, 8: R8_FIRST_OVERFLOW}
 
 BRUTEFORCE_MAX_K = 6
 BRUTEFORCE_MAX_N = 10**4
@@ -194,9 +201,10 @@ def _square_step(base: np.ndarray) -> np.ndarray:
 def build_rk_table(k: int, n_max: int) -> RkTable:
     """Exact r_k(0..n_max); see the module docstring for the routes."""
     k, n_max = _check_range(k, n_max)
-    if k == 8 and n_max >= R8_FIRST_OVERFLOW:
+    first_overflow = _FIRST_OVERFLOW.get(k)
+    if first_overflow is not None and n_max >= first_overflow:
         raise ConvolutionOverflowError(
-            f"r_8(n) exceeds 64 bits from n = {R8_FIRST_OVERFLOW}; n_max = {n_max} cannot be built"
+            f"r_{k}(n) exceeds 64 bits from n = {first_overflow}; n_max = {n_max} cannot be built"
         )
     if k == 1:
         counts = _r1_u32(n_max).astype(np.uint64)

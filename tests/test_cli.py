@@ -219,6 +219,50 @@ class TestMoments:
         assert b"\r\n" in raw
 
 
+class TestLaplaceGrid:
+    GRID = [100.0, 215.44346900318845, 464.15888336127773, 1000.0]
+
+    @staticmethod
+    def _count_main_passes(monkeypatch):
+        passes = []
+        real = moments._laplace_cells
+
+        def counting(step_values, v_k, k, sizes, subdivide, idx=None):
+            if idx is None:
+                passes.append(sorted(sizes))
+            return real(step_values, v_k, k, sizes, subdivide, idx)
+
+        monkeypatch.setattr(moments, "_laplace_cells", counting)
+        return passes
+
+    def test_one_main_pass_per_grid(self, monkeypatch):
+        passes = self._count_main_passes(monkeypatch)
+        rows, status = cli.run_moments(3, self.GRID, [Statistic.LAPLACE_SECOND])
+        assert status == 0 and len(rows) == 4
+        assert passes == [self.GRID]
+
+    def test_plain_calls_pass_each_time(self, monkeypatch):
+        series = prefix_counts(build_rk_table(3, moments.exp_cutoff(3, 300.0)))
+        passes = self._count_main_passes(monkeypatch)
+        a = moments.laplace_second_moment(series, 300.0)
+        b = moments.laplace_second_moment(series, 300.0)
+        assert a == b and passes == [[300.0], [300.0]]
+        assert series._laplace_cache == {}
+
+    def test_short_table_errors_only_the_largest_x(self):
+        n_max = moments.exp_cutoff(3, self.GRID[-1]) - 1
+        rows, status = cli.run_moments(3, self.GRID, [Statistic.LAPLACE_SECOND], n_max=n_max)
+        assert status == 2
+        want = f"ERROR: series n_max = {n_max} too small for X = 1000; need n_cut = {n_max + 1}"
+        assert rows[-1][:-1] == ["3", "1000", "LaplaceSecond", want, "", ""]
+        series = prefix_counts(build_rk_table(3, n_max))
+        # without --c3 LaplaceSecond has no predicted value
+        for row, x in zip(rows[:-1], self.GRID):
+            plain = moments.laplace_second_moment(series, x)
+            want = ["3", cli._fmt(x), "LaplaceSecond", cli._fmt(plain.value), cli._fmt(plain.truncation_bound), ""]
+            assert row[:-1] == want
+
+
 class TestPrefixOverflow:
     """S_8 passes 2^64 at n = 46,172.  A request whose lattice-cube lower
     bound on S_k(n_max) already passes 2^64 is rejected before any table is

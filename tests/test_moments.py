@@ -154,8 +154,36 @@ class TestLaplaceSecond:
         sample = np.concatenate([np.arange(100), np.arange(100, series.n_max, 100)])
         for idx in (contiguous, sample):
             args = (pf[idx], series.v_k, k, 2e4, idx, subdivide)
-            got = moments._laplace_cells(*args)
+            given = None if idx is contiguous else idx
+            got = moments._laplace_cells(pf[idx], series.v_k, k, {2e4: idx.shape[0]}, subdivide, given)[2e4]
             assert np.array_equal(got, self._unchunked_cells(*args))
+
+    @staticmethod
+    def _scale_with_cutoff(k, n_cut):
+        """The smallest float X with exp_cutoff(k, X) = n_cut, by bisection."""
+        lo, hi = 1.0, float(n_cut)
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if exp_cutoff(k, mid) < n_cut else (lo, mid)
+        assert exp_cutoff(k, hi) == n_cut
+        return hi
+
+    @pytest.mark.parametrize("subdivide", [1, 2])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_shared_pass_changes_no_bit(self, series3_big, series4_small, k, subdivide):
+        # three cutoffs: mid-chunk, exactly on a chunk boundary, past it
+        series = series3_big if k == 3 else series4_small
+        scales = [self._scale_with_cutoff(k, n) for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)]
+        n_cuts = {x: exp_cutoff(k, x) for x in scales}
+        pf = series.prefix_float()
+        shared = moments._laplace_cells(pf, series.v_k, k, n_cuts, subdivide)
+        fresh = DiscrepancySeries(k, series.n_max, series.prefix, series.v_k)
+        for x, n_cut in n_cuts.items():
+            idx = np.arange(n_cut, dtype=np.int64)
+            assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
+            alone = laplace_second_moment(series, x, subdivide)
+            assert laplace_second_moment(fresh, x, subdivide, grid=scales) == alone
+        assert set(fresh._laplace_cache) == {(x, subdivide) for x in scales}
 
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):

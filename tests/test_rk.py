@@ -246,6 +246,54 @@ class TestR8Limit:
                 build_rk_table(8, n_max)
 
 
+def _chi4(x: np.ndarray) -> np.ndarray:
+    """The nontrivial character mod 4."""
+    return np.where(x % 2 == 0, 0, np.where(x % 4 == 1, 1, -1))
+
+
+def _r6_closed(m: np.ndarray) -> np.ndarray:
+    """r_6(m) = sum_{d | m} (16 chi(m/d) - 4 chi(d)) d^2, chi the character
+    mod 4, and r_6(0) = 1; exact in int64, since r_6(m) < 3.3e17 below 1e8."""
+    acc = np.zeros(m.shape, dtype=np.int64)
+    for d in range(1, math.isqrt(int(m.max())) + 1):
+        q = m // d
+        hit = (m % d == 0) & (d <= q)
+        acc += np.where(hit, (16 * _chi4(q) - 4 * _chi4(d)) * d * d, 0)
+        acc += np.where(hit & (q != d), (16 * _chi4(d) - 4 * _chi4(q)) * q * q, 0)
+    return np.where(m == 0, 1, acc)
+
+
+def _r7_from_r6(ns: list[int]) -> list[int]:
+    """r_7(n) = sum_j r_6(n - j^2) over all integers j, in Python ints, for
+    each n in ns (one r_6 evaluation over all of them)."""
+    parts = [n - np.arange(math.isqrt(n) + 1, dtype=np.int64) ** 2 for n in ns]
+    r6 = np.split(_r6_closed(np.concatenate(parts)), np.cumsum([p.shape[0] for p in parts])[:-1])
+    return [int(v[0]) + 2 * sum(int(x) for x in v[1:]) for v in r6]
+
+
+class TestR7Limit:
+    def test_closed_form_matches_build(self):
+        n_max = 3000
+        assert _r6_closed(np.arange(n_max + 1, dtype=np.int64)).tolist() == build_rk_table(6, n_max).counts.tolist()
+        ns = [0, 1, 2, 7, 1000, 2999, 3000]
+        r7 = build_rk_table(7, n_max).counts
+        assert _r7_from_r6(ns) == [int(r7[n]) for n in ns]
+
+    def test_first_overflow_index(self):
+        below, at = _r7_from_r6([rk.R7_FIRST_OVERFLOW - 1, rk.R7_FIRST_OVERFLOW])
+        assert below == 12_768_538_204_747_100_720 < 2**64
+        assert at == 18_446_915_276_634_761_280 >= 2**64
+
+    def test_doomed_request_refused_before_any_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_square_step called")
+
+        monkeypatch.setattr(rk, "_square_step", refuse)
+        for n_max in (rk.R7_FIRST_OVERFLOW, rk.MAX_N):
+            with pytest.raises(ConvolutionOverflowError, match=f"r_7\\(n\\) exceeds 64 bits from n = {rk.R7_FIRST_OVERFLOW};"):
+                build_rk_table(7, n_max)
+
+
 class TestBruteforce:
     def test_examples(self):
         assert rk_bruteforce(2, 5) == 8
