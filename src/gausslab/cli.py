@@ -6,10 +6,9 @@ the runtime_ms column sits last so everything before it is byte-identical
 across reruns.  A moments row's predicted_value is theory.predicted's main
 term, blank where it has none.  A cell's runtime_ms can include one-time
 work shared with later cells: the first LaplaceSecond cell evaluates every
-LaplaceSecond X of the grid in one pass (filling prefix_float), so it carries
-the grid's whole Laplace time and the later LaplaceSecond cells read about 0;
-the first other cell fills p_values (at n = 1.5e6, about 0.04-0.10 s on a
-2-core box).
+LaplaceSecond X of the grid in one pass, so it carries the grid's whole
+Laplace time and the later LaplaceSecond cells read about 0; the first other
+cell fills p_values (at n = 1.5e6, about 0.04-0.10 s on a 2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
@@ -129,14 +128,14 @@ def run_moments(
     series = prefix_counts(_obtain_table(k, n_max, cache_dir)[0])
 
     cells = [(stat, stat.scale(x)) for stat in statistics for x in x_grid]
-    laplace_grid = [x for stat, x in cells if stat is Statistic.LAPLACE_SECOND]
+    laplace = dict.fromkeys(x for stat, x in cells if stat is Statistic.LAPLACE_SECOND)
     rows = []
     status = EXIT_OK
     for stat, x in cells:
         start = time.perf_counter()
         try:
             # the first LaplaceSecond cell evaluates the whole grid in one pass
-            grid = {"grid": laplace_grid} if stat is Statistic.LAPLACE_SECOND else {}
+            grid = {"grid": laplace} if stat is Statistic.LAPLACE_SECOND else {}
             outcome = moments.KERNELS[stat](series, x, **grid)
         except ValueError as exc:
             outcome = exc

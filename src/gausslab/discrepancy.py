@@ -63,21 +63,20 @@ def _minus_volume(counts, vol):
 
 @dataclass(eq=False)
 class DiscrepancySeries:
-    """Running lattice counts prefix[n] = S_k(n) with the cached ball volume.
+    """Running lattice counts prefix[n] = S_k(n) with the cached ball volume,
+    and the discrepancy P_k derived from them.
 
-    Immutable after construction (the prefix array is read-only); the
-    float-conversion caches and the LaplaceSecond samples a grid pass keeps
-    are filled lazily and do not affect results.
+    Immutable after construction (the prefix array is read-only); P_k is
+    filled lazily, once, and does not affect results.  What a statistic
+    derives for its own pass (the float counts, a grid's samples) belongs to
+    that pass, not to the series.
     """
 
     k: int
     n_max: int
     prefix: np.ndarray
     v_k: float
-    _prefix_float: np.ndarray | None = field(default=None, repr=False)
     _p_cache: np.ndarray | None = field(default=None, repr=False)
-    # (X, subdivide) -> LaplaceSecond MomentSample, filled by laplace_second_moment's grid pass
-    _laplace_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.prefix.dtype != np.uint64 or self.prefix.shape != (self.n_max + 1,):
@@ -85,12 +84,9 @@ class DiscrepancySeries:
         self.prefix.flags.writeable = False
 
     def prefix_float(self) -> np.ndarray:
-        """The prefix counts as float64, each rounded to nearest (read-only)."""
-        if self._prefix_float is None:
-            pf = self.prefix.astype(np.float64)
-            pf.flags.writeable = False
-            self._prefix_float = pf
-        return self._prefix_float
+        """The prefix counts as float64, each rounded to nearest: a new array
+        on each call, for the caller's pass alone."""
+        return self.prefix.astype(np.float64)
 
     def p_values(self) -> np.ndarray:
         """P_k(n) for all n <= n_max as float64 (read-only, cached)."""

@@ -233,13 +233,17 @@ def _laplace_samples(
         tail = 4.0 ** (k + 1) * _exp_poly_tail(k, x, float(n_cut))
         diff = np.abs(fine[x] - acc[sample[: sample_sizes[x]]])
         quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
-        rounding = 1e-14 * float(np.sum(np.abs(acc, out=acc)))
+        # each cell integrates a square against positive weights: never negative, never -0.0
+        rounding = 1e-14 * float(np.sum(acc))
         out[x] = MomentSample(k, x, Statistic.LAPLACE_SECOND, value, tail + quad_bound + rounding)
     return out
 
 
 def laplace_second_moment(
-    series: DiscrepancySeries, X: float, subdivide: int = 1, grid: list[float] | None = None
+    series: DiscrepancySeries,
+    X: float,
+    subdivide: int = 1,
+    grid: dict[float, MomentSample | None] | None = None,
 ) -> MomentSample:
     """int_0^infty P_k(t)^2 e^{-t/X} dt, truncated at n_cut unit intervals.
 
@@ -247,10 +251,11 @@ def laplace_second_moment(
     estimated by interval halving (the first 100 intervals and a 1% sample).
     `subdivide` refines every unit interval and exists for that audit.
 
-    With `grid`, the scales of the other cells of a run: the first call takes
-    X and every grid scale the series reaches in one pass and keeps their
-    samples on the series; a later call for a kept (X, subdivide) reads its
-    sample back.  Without `grid` the kernel neither reads nor fills that cache.
+    `grid` is a memo the caller owns for one run at one `subdivide`: it maps
+    each LaplaceSecond scale of the run to its sample, or to None until the
+    sample is filled.  A call whose X has no sample yet takes X and every grid
+    scale the series reaches in one pass and fills their entries; a later
+    call reads its own.  Without `grid` every call runs its own pass.
     """
     X = float(X)
     if subdivide < 1:
@@ -258,16 +263,14 @@ def laplace_second_moment(
     n_cut = _require_cutoff(series, X)
     if grid is None:
         return _laplace_samples(series, {X: n_cut}, subdivide)[X]
-    kept = series._laplace_cache
-    if (X, subdivide) not in kept:
+    if grid.get(X) is None:
         n_cuts = {X: n_cut}
         for x in map(float, grid):
             # a scale the series cannot take raises again at its own call
             with contextlib.suppress(ValueError):
                 n_cuts[x] = _require_cutoff(series, x)
-        for x, sample in _laplace_samples(series, n_cuts, subdivide).items():
-            kept[x, subdivide] = sample
-    return kept[X, subdivide]
+        grid.update(_laplace_samples(series, n_cuts, subdivide))
+    return grid[X]
 
 
 def sharp_integral_second_moment(series: DiscrepancySeries, X) -> MomentSample:

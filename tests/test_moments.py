@@ -177,13 +177,15 @@ class TestLaplaceSecond:
         n_cuts = {x: exp_cutoff(k, x) for x in scales}
         pf = series.prefix_float()
         shared = moments._laplace_cells(pf, series.v_k, k, n_cuts, subdivide)
-        fresh = DiscrepancySeries(k, series.n_max, series.prefix, series.v_k)
+        grid = dict.fromkeys(scales)
+        laplace_second_moment(series, scales[0], subdivide, grid=grid)
+        # one call filled every entry
+        assert list(grid) == scales and None not in grid.values()
         for x, n_cut in n_cuts.items():
             idx = np.arange(n_cut, dtype=np.int64)
             assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
-            alone = laplace_second_moment(series, x, subdivide)
-            assert laplace_second_moment(fresh, x, subdivide, grid=scales) == alone
-        assert set(fresh._laplace_cache) == {(x, subdivide) for x in scales}
+            assert laplace_second_moment(series, x, subdivide, grid=grid) is grid[x]
+            assert grid[x] == laplace_second_moment(series, x, subdivide)
 
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):

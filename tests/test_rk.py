@@ -355,6 +355,35 @@ class TestIdentities:
             convolve_tables(build_rk_table(5, 10), build_rk_table(4, 10))
 
 
+class TestR3AtFullSize:
+    """Two O(n) identities check r_3 at 4e6, the size the README pipeline reads,
+    where the other oracles stop at 1e5 or below."""
+
+    @pytest.fixture(scope="class")
+    def r3(self, series3_big):
+        return np.diff(series3_big.prefix, prepend=np.uint64(0))
+
+    def test_legendre_zeros(self, r3):
+        # Legendre: for n not divisible by 4, r_3(n) = 0 exactly when n = 7 (mod 8)
+        bad = []
+        for residue in (1, 2, 3, 5, 6, 7):
+            wrong = (r3[residue::8] == 0) != (residue == 7)
+            if wrong.any():
+                bad.append(residue + 8 * int(np.argmax(wrong)))
+        if bad:
+            n = min(bad)
+            pytest.fail(f"r_3({n}) = {int(r3[n])} breaks Legendre's theorem (n = {n % 8} mod 8)")
+
+    def test_four_n(self, r3):
+        quarter = r3[::4]
+        wrong = quarter != r3[: quarter.shape[0]]
+        if wrong.any():
+            n = int(np.argmax(wrong))
+            pytest.fail(
+                f"r_3(4n) != r_3(n) first at n = {n}: r_3({4 * n}) = {int(quarter[n])}, r_3({n}) = {int(r3[n])}"
+            )
+
+
 class TestDivisorSums:
     def test_sigma_examples(self):
         assert sigma(1.0, 6) == 12.0
