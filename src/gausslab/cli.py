@@ -5,10 +5,11 @@ Output is RFC-4180 CSV (header row, '.' decimal, 17 significant digits);
 the runtime_ms column sits last so everything before it is byte-identical
 across reruns.  A moments row's predicted_value is theory.predicted's main
 term, blank where it has none.  A cell's runtime_ms can include one-time
-work shared with later cells: the first LaplaceSecond cell evaluates every
-LaplaceSecond X of the grid in one pass, so it carries the grid's whole
-Laplace time and the later LaplaceSecond cells read about 0; the first other
-cell fills p_values (at n = 1.5e6, about 0.04-0.10 s on a 2-core box).
+work shared with later cells: the first cell of each statistic evaluates
+every X of that statistic's grid in one pass, so it carries its grid's whole
+time and the statistic's later cells read about 0; the first cell of a
+statistic other than LaplaceSecond also fills p_values (at n = 1.5e6, about
+0.04-0.10 s on a 2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
@@ -128,15 +129,14 @@ def run_moments(
     series = prefix_counts(_obtain_table(k, n_max, cache_dir)[0])
 
     cells = [(stat, stat.scale(x)) for stat in statistics for x in x_grid]
-    laplace = dict.fromkeys(x for stat, x in cells if stat is Statistic.LAPLACE_SECOND)
+    grids = {stat: dict.fromkeys(x for s, x in cells if s is stat) for stat in statistics}
     rows = []
     status = EXIT_OK
     for stat, x in cells:
         start = time.perf_counter()
         try:
-            # the first LaplaceSecond cell evaluates the whole grid in one pass
-            grid = {"grid": laplace} if stat is Statistic.LAPLACE_SECOND else {}
-            outcome = moments.KERNELS[stat](series, x, **grid)
+            # the first cell of each statistic evaluates its whole grid in one pass
+            outcome = moments.KERNELS[stat](series, x, grid=grids[stat])
         except ValueError as exc:
             outcome = exc
         ms = (time.perf_counter() - start) * 1e3

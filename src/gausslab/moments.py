@@ -19,12 +19,22 @@ where the omitted tail, bounded through P_k(n)^2 <= 4^{k+1} n^k, stays below
 fall past n = kX, below n_cut.  Sums accumulate in ascending order with
 pairwise block-compensated summation (block 1024).
 
+Every kernel takes one X and, optionally, `grid`: a dict the caller owns for
+one statistic's run (and one `subdivide`), mapping each scale of the run to
+its sample, or to None until filled.  A call whose X has no sample takes X
+and every grid scale the series can take in one pass and fills their
+entries; a later call reads its own, and a scale the series cannot take
+raises at its own call.  Without `grid` a call is a grid of one.  The pass
+forms the X-independent arrays once, to the grid's largest scale, and gives
+each X the bits a pass of its own would: the exponentially cut sums walk
+n = 1, 2, ... in CHUNK pieces, forming the weight (P_k^2 or P_k n^{k/2-1})
+and -n once per piece and keeping per X only its block partial sums; the
+sharp statistics form their cells once and sum a prefix per X; the Laplace
+pass forms the node values (S_n - V t^{k/2})^2 once per interval and node.
+
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
-halving the first hundred intervals and a 1% sample of the rest.  Given the
-grid of a run, it evaluates every X of the grid in one pass: the
-X-independent node values (S_n - V t^{k/2})^2 are formed once per interval
-and node and shared by every X, bit for bit as a pass per X would give them.
+halving the first hundred intervals and a 1% sample of the rest.
 
 The sharp integral evaluates the per-interval antiderivative in the centered
 form
@@ -50,7 +60,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .discrepancy import DiscrepancySeries, half_power
-from .summation import block_compensated_sum
+from .summation import block_compensated_sum, block_partials, neumaier_sum
 
 __all__ = [
     "Statistic",
@@ -67,8 +77,10 @@ __all__ = [
 
 MIN_EXP_CUTOFF = 100
 
-# intervals per pass of the Laplace kernel: 2^14 doubles (128 KB) per
-# temporary measured faster than 2^12 and 2^16
+# intervals (or terms) per step of the Laplace and exp-cut passes: 2^14
+# doubles (128 KB) per temporary measured faster than 2^12 and 2^16 for the
+# Laplace pass.  A whole number of summation blocks, so that the exp-cut
+# sums' per-chunk block partials line up with those of the whole sum.
 CHUNK = 2**14
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
@@ -154,24 +166,75 @@ def _check_int_x(series: DiscrepancySeries, X) -> int:
     return X
 
 
-def smooth_second_moment(series: DiscrepancySeries, X: float) -> MomentSample:
+Grid = dict[float, MomentSample | None]
+
+
+def _grid_sample(series: DiscrepancySeries, X, grid: Grid | None, size, evaluate) -> MomentSample:
+    """The sample at scale X through the grid memo (see the module
+    docstring), shared by every kernel.  `size(series, x)` checks a scale,
+    raising ValueError with the text a caller reports, and gives the terms
+    or intervals it needs; `evaluate(series, sizes)` takes {scale: size} in
+    one pass and returns {scale: MomentSample}."""
+    grid = {} if grid is None else grid
+    if grid.get(X) is None:
+        sizes = {X: size(series, X)}
+        for x in map(float, grid):
+            with contextlib.suppress(ValueError):
+                sizes[x] = size(series, x)
+        grid.update(evaluate(series, sizes))
+    return grid[X]
+
+
+def _exp_cut_sums(series: DiscrepancySeries, n_cuts: dict[float, int], weight) -> dict[float, float]:
+    """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} for each X of n_cuts (X ->
+    its cutoff), in one pass of CHUNK terms at a time from n = 1: the
+    X-independent weight and -n are formed once per chunk, and each X keeps
+    only the block partials of its terms.  CHUNK is a whole number of blocks,
+    so every sum is bit for bit block_compensated_sum of its own terms."""
+    p = series.p_values()
+    partials = {x: [] for x in n_cuts}
+    total = max(n_cuts.values())
+    buf = np.empty(min(CHUNK, total), dtype=np.float64)
+    for lo in range(0, total, CHUNK):
+        hi = min(lo + CHUNK, total)
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        w = weight(p[lo + 1 : hi + 1], n)
+        neg = -n
+        for x, n_cut in n_cuts.items():
+            if n_cut > lo:
+                m = min(n_cut, hi) - lo
+                terms = np.divide(neg[:m], x, out=buf[:m])
+                np.exp(terms, out=terms)
+                terms *= w[:m]
+                partials[x].append(block_partials(terms))
+    return {x: neumaier_sum(np.concatenate(rows)) for x, rows in partials.items()}
+
+
+def _smooth_second_pass(series: DiscrepancySeries, n_cuts: dict[float, int]) -> dict[float, MomentSample]:
+    k = series.k
+    sums = _exp_cut_sums(series, n_cuts, lambda p, n: p**2)
+    return {
+        x: MomentSample(k, x, Statistic.SMOOTH_SECOND, sums[x], 4.0 ** (k + 1) * _exp_poly_tail(k, x, float(n_cut)))
+        for x, n_cut in n_cuts.items()
+    }
+
+
+def smooth_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
     """sum_{n=1}^{n_cut} P_k(n)^2 e^{-n/X} with a certified tail bound."""
-    X = float(X)
-    n_cut = _require_cutoff(series, X)
-    p = series.p_values()
-    n = np.arange(1, n_cut + 1, dtype=np.float64)
-    terms = p[1 : n_cut + 1] ** 2 * np.exp(-n / X)
-    value = block_compensated_sum(terms)
-    tail = 4.0 ** (series.k + 1) * _exp_poly_tail(series.k, X, float(n_cut))
-    return MomentSample(series.k, X, Statistic.SMOOTH_SECOND, value, tail)
+    return _grid_sample(series, float(X), grid, _require_cutoff, _smooth_second_pass)
 
 
-def sharp_second_moment(series: DiscrepancySeries, X) -> MomentSample:
+def _sharp_second_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
+    cells = series.p_values()[1 : max(sizes.values()) + 1] ** 2
+    return {
+        x: MomentSample(series.k, float(m), Statistic.SHARP_SECOND, block_compensated_sum(cells[:m]), 0.0)
+        for x, m in sizes.items()
+    }
+
+
+def sharp_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
     """sum_{1 <= n <= X} P_k(n)^2; exact up to float rounding (bound 0)."""
-    X = _check_int_x(series, X)
-    p = series.p_values()
-    value = block_compensated_sum(p[1 : X + 1] ** 2)
-    return MomentSample(series.k, float(X), Statistic.SHARP_SECOND, value, 0.0)
+    return _grid_sample(series, X, grid, _check_int_x, _sharp_second_pass)
 
 
 def _laplace_cells(
@@ -185,44 +248,54 @@ def _laplace_cells(
     """Per-interval int_n^{n+1} (S_n - v_k t^{k/2})^2 e^{-t/X} dt by 8-point
     Gauss-Legendre on `subdivide` equal pieces, for each X in `sizes` on its
     first sizes[X] intervals: n = 0, 1, 2, ... or, given idx, n = idx[0],
-    idx[1], ...; step_values[i] is S at the i-th of them.
+    idx[1], ...; step_values[i] is S at the i-th of them, as counts or as
+    floats (counts are rounded to float a chunk at a time).
 
     One pass, CHUNK intervals at a time so the temporaries stay in cache: the
-    X-independent (S_n - v_k t^{k/2})^2 is formed once per chunk and node and
-    shared by every X whose intervals reach the chunk.  Every operation is
-    elementwise, so neither the chunking nor the sharing changes a bit."""
+    X-independent (S_n - v_k t^{k/2})^2 and -t are formed once per chunk and
+    node and shared by every X whose intervals reach the chunk.  Every
+    operation is elementwise, so neither the chunking nor the sharing changes
+    a bit."""
     cells = {x: np.zeros(m, dtype=np.float64) for x, m in sizes.items()}
     total = max(sizes.values())
+    buf = np.empty(min(CHUNK, total), dtype=np.float64)
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
         live = [(x, acc[lo:hi]) for x, acc in cells.items() if acc.shape[0] > lo]
-        step = step_values[lo:hi]
+        step = np.asarray(step_values[lo:hi], dtype=np.float64)
         base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
         for piece in range(subdivide):
             for xi, wi in zip(_GL_X01, _GL_W01):
                 t = base + (piece + xi) / subdivide
                 g = (step - v_k * half_power(t, k)) ** 2
+                neg = np.negative(t, out=t)
                 for x, acc in live:
                     m = acc.shape[0]
-                    acc += (wi / subdivide) * (g[:m] * np.exp(-t[:m] / x))
+                    f = np.divide(neg[:m], x, out=buf[:m])
+                    np.exp(f, out=f)
+                    f *= g[:m]
+                    f *= wi / subdivide
+                    acc += f
     return cells
 
 
-def _laplace_samples(
+def _laplace_pass(
     series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int
 ) -> dict[float, MomentSample]:
     """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
     over the intervals and one over the audit sample."""
     k = series.k
-    pf = series.prefix_float()
-    cells = _laplace_cells(pf, series.v_k, k, n_cuts, subdivide)
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
     # (the first 100 intervals, then every 100th below its cutoff) is a
     # prefix of the largest one
     head = 100
     sample = np.concatenate([np.arange(head), np.arange(head, max(n_cuts.values()), 100)])
     sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
-    fine = _laplace_cells(pf[sample], series.v_k, k, sample_sizes, 2 * subdivide, sample)
+    # gathered before the main pass, so that no float copy of every count is
+    # alive during it
+    sample_steps = series.prefix_float()[sample]
+    cells = _laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
+    fine = _laplace_cells(sample_steps, series.v_k, k, sample_sizes, 2 * subdivide, sample)
     # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
     # its coarse error is 1/(1 - 2^{-(k/2+1)}) times the difference, <= 1.21 if k >= 3
     head_factor = 2.0 if k == 1 else 1.25
@@ -243,81 +316,87 @@ def laplace_second_moment(
     series: DiscrepancySeries,
     X: float,
     subdivide: int = 1,
-    grid: dict[float, MomentSample | None] | None = None,
+    grid: Grid | None = None,
 ) -> MomentSample:
     """int_0^infty P_k(t)^2 e^{-t/X} dt, truncated at n_cut unit intervals.
 
     The bound is the certified exponential tail plus a quadrature error
     estimated by interval halving (the first 100 intervals and a 1% sample).
     `subdivide` refines every unit interval and exists for that audit.
-
-    `grid` is a memo the caller owns for one run at one `subdivide`: it maps
-    each LaplaceSecond scale of the run to its sample, or to None until the
-    sample is filled.  A call whose X has no sample yet takes X and every grid
-    scale the series reaches in one pass and fills their entries; a later
-    call reads its own.  Without `grid` every call runs its own pass.
     """
-    X = float(X)
     if subdivide < 1:
         raise ValueError("subdivide must be >= 1")
-    n_cut = _require_cutoff(series, X)
-    if grid is None:
-        return _laplace_samples(series, {X: n_cut}, subdivide)[X]
-    if grid.get(X) is None:
-        n_cuts = {X: n_cut}
-        for x in map(float, grid):
-            # a scale the series cannot take raises again at its own call
-            with contextlib.suppress(ValueError):
-                n_cuts[x] = _require_cutoff(series, x)
-        grid.update(_laplace_samples(series, n_cuts, subdivide))
-    return grid[X]
+    return _grid_sample(
+        series, float(X), grid, _require_cutoff, lambda s, n_cuts: _laplace_pass(s, n_cuts, subdivide)
+    )
 
 
-def sharp_integral_second_moment(series: DiscrepancySeries, X) -> MomentSample:
-    """int_0^X P_k(t)^2 dt by per-interval antiderivatives (centered form)."""
-    X = _check_int_x(series, X)
+def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
+    """Centered per-interval cells formed once, to the largest X; each X sums
+    its own prefix."""
     k, vk = series.k, series.v_k
-    if X == 0:
-        return MomentSample(k, 0.0, Statistic.SHARP_INTEGRAL_SECOND, 0.0, 0.0)
+    top = max(sizes.values())
     # cell n = 0 exactly: S = 1, int_0^1 (1 - vk t^{k/2})^2 dt
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
-    n = np.arange(1, X, dtype=np.float64)
-    pvals = series.p_values()[1:X]
+    n = np.arange(1, top, dtype=np.float64)
+    pvals = series.p_values()[1:top]
     nk2 = half_power(n, k)
-    i1 = np.zeros(X - 1, dtype=np.float64)
-    i2 = np.zeros(X - 1, dtype=np.float64)
+    i1 = np.zeros_like(n)
+    i2 = np.zeros_like(n)
     for xi, wi in zip(_GL_X01, _GL_W01):
         delta = nk2 * np.expm1((k / 2.0) * np.log1p(xi / n))
         i1 += wi * delta
         i2 += wi * delta * delta
     cells = pvals * pvals - 2.0 * vk * pvals * i1 + vk * vk * i2
-    value = cell0 + block_compensated_sum(cells)
-    bound = 1e-13 * (abs(cell0) + float(np.sum(np.abs(cells))))
-    return MomentSample(k, float(X), Statistic.SHARP_INTEGRAL_SECOND, value, bound)
+    magnitudes = np.abs(cells)
+    out = {}
+    for x, m in sizes.items():
+        if m == 0:
+            value = bound = 0.0
+        else:
+            value = cell0 + block_compensated_sum(cells[: m - 1])
+            # np.sum's pairwise tree depends on the length: sum each X's own prefix
+            bound = 1e-13 * (abs(cell0) + float(np.sum(magnitudes[: m - 1])))
+        out[x] = MomentSample(k, float(m), Statistic.SHARP_INTEGRAL_SECOND, value, bound)
+    return out
 
 
-def smooth_weighted_first_moment(series: DiscrepancySeries, X: float) -> MomentSample:
-    """sum_{n=1}^{n_cut} P_k(n) n^{k/2-1} e^{-n/X} with a certified tail."""
-    X = float(X)
-    n_cut = _require_cutoff(series, X)
-    p = series.p_values()
-    n = np.arange(1, n_cut + 1, dtype=np.float64)
-    terms = p[1 : n_cut + 1] * _weight_power(n, series.k - 2) * np.exp(-n / X)
-    value = block_compensated_sum(terms)
+def sharp_integral_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
+    """int_0^X P_k(t)^2 dt by per-interval antiderivatives (centered form)."""
+    return _grid_sample(series, X, grid, _check_int_x, _sharp_integral_pass)
+
+
+def _smooth_weighted_first_pass(series: DiscrepancySeries, n_cuts: dict[float, int]) -> dict[float, MomentSample]:
+    k = series.k
+    sums = _exp_cut_sums(series, n_cuts, lambda p, n: p * _weight_power(n, k - 2))
     # |P_k(n)| n^{k/2-1} <= 2^{k+1} n^{k-1} on the omitted range
-    tail = 2.0 ** (series.k + 1) * _exp_poly_tail(series.k - 1, X, float(n_cut))
-    return MomentSample(series.k, X, Statistic.SMOOTH_WEIGHTED_FIRST, value, tail)
+    return {
+        x: MomentSample(
+            k, x, Statistic.SMOOTH_WEIGHTED_FIRST, sums[x], 2.0 ** (k + 1) * _exp_poly_tail(k - 1, x, float(n_cut))
+        )
+        for x, n_cut in n_cuts.items()
+    }
 
 
-def sharp_weighted_first_moment_p3(series: DiscrepancySeries, X) -> MomentSample:
+def smooth_weighted_first_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
+    """sum_{n=1}^{n_cut} P_k(n) n^{k/2-1} e^{-n/X} with a certified tail."""
+    return _grid_sample(series, float(X), grid, _require_cutoff, _smooth_weighted_first_pass)
+
+
+def _sharp_weighted_first_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
+    top = max(sizes.values())
+    cells = series.p_values()[1 : top + 1] * np.sqrt(np.arange(1, top + 1, dtype=np.float64))
+    return {
+        x: MomentSample(3, float(m), Statistic.SHARP_WEIGHTED_FIRST, block_compensated_sum(cells[:m]), 0.0)
+        for x, m in sizes.items()
+    }
+
+
+def sharp_weighted_first_moment_p3(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
     """sum_{1 <= n <= X} P_3(n) sqrt(n); the series must have k = 3."""
     if series.k != 3:
         raise ValueError(f"sharp_weighted_first_moment_p3 needs k = 3, got k = {series.k}")
-    X = _check_int_x(series, X)
-    p = series.p_values()
-    n = np.arange(1, X + 1, dtype=np.float64)
-    value = block_compensated_sum(p[1 : X + 1] * np.sqrt(n))
-    return MomentSample(3, float(X), Statistic.SHARP_WEIGHTED_FIRST, value, 0.0)
+    return _grid_sample(series, X, grid, _check_int_x, _sharp_weighted_first_pass)
 
 
 def _weight_power(n: np.ndarray, j: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["block_compensated_sum", "neumaier_sum"]
+__all__ = ["block_compensated_sum", "block_partials", "neumaier_sum"]
 
 BLOCK = 1024
 
@@ -30,19 +30,22 @@ def neumaier_sum(values) -> float:
     return total + comp
 
 
+def block_partials(values: np.ndarray) -> np.ndarray:
+    """The per-block sums that block_compensated_sum adds: numpy's pairwise
+    sum of each full block of BLOCK elements from index 0, then of the
+    remainder.  The partials of consecutive pieces, all but the last a whole
+    number of blocks long, concatenate to the partials of the whole."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    nfull = arr.shape[0] // BLOCK
+    rows = np.add.reduce(arr[: nfull * BLOCK].reshape(nfull, BLOCK), axis=1)
+    if arr.shape[0] % BLOCK:
+        rows = np.append(rows, np.add.reduce(arr[nfull * BLOCK :]))
+    return rows
+
+
 def block_compensated_sum(values: np.ndarray) -> float:
     """Sum a float64 array: numpy pairwise within blocks, Neumaier across.
 
     Empty input sums to 0.0.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    n = arr.shape[0]
-    if n == 0:
-        return 0.0
-    nfull = n // BLOCK
-    partials = []
-    if nfull:
-        partials.append(np.add.reduce(arr[: nfull * BLOCK].reshape(nfull, BLOCK), axis=1))
-    if n % BLOCK:
-        partials.append(np.add.reduce(arr[nfull * BLOCK :], keepdims=True))
-    return neumaier_sum(np.concatenate(partials) if len(partials) > 1 else partials[0])
+    return neumaier_sum(block_partials(values))

@@ -39,6 +39,25 @@ def _geometric(x0, x1, n):
     return [x0 * ratio**j for j in range(n)]
 
 
+def _window(stat, x0):
+    """24 log-spaced scales of stat in [X0/sqrt(10), X0 sqrt(10)]."""
+    return [stat.scale(x) for x in _geometric(x0 / math.sqrt(10.0), x0 * math.sqrt(10.0), 24)]
+
+
+def _windowed_rms_error(series, stat, x0s):
+    """At each X0, the RMS of (value - main term)/X^2 over its window, c3
+    pinned; each window's values come from one grid memo."""
+    kernel = KERNELS[stat]
+    rms = []
+    for x0 in x0s:
+        xs = _window(stat, x0)
+        grid = dict.fromkeys(xs)
+        values = [kernel(series, x, grid=grid).value for x in xs]
+        errors = [(v - theory.predicted(stat, 3, x, C3_PIN)) / float(x) ** 2 for v, x in zip(values, xs)]
+        rms.append(math.sqrt(sum(e**2 for e in errors) / len(xs)))
+    return rms
+
+
 def _report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -125,20 +144,22 @@ class TestAcceptance:
         # at least 1.5x per decade (a power saving; X^{-1/2} gives 3.16x).
         # The single-point values and their first-moment predictions are
         # printed alongside, reported, not gated.
+        # Each window's 24 sums come from one grid memo per statistic.
         target = -math.pi**2 / 3.0
 
-        def deviation(x):
+        def deviation(x, integrals=None, sums=None):
             gap = (
-                sharp_integral_second_moment(series3_big, x).value
-                - sharp_second_moment(series3_big, x).value
+                sharp_integral_second_moment(series3_big, x, grid=integrals).value
+                - sharp_second_moment(series3_big, x, grid=sums).value
             ) / float(x) ** 2
             return abs(gap - target)
 
         scales = (10**4, 10**5, 10**6)
         rms = []
         for x0 in scales:
-            xs = [round(x) for x in _geometric(x0 / math.sqrt(10.0), x0 * math.sqrt(10.0), 24)]
-            rms.append(math.sqrt(sum(deviation(x) ** 2 for x in xs) / len(xs)))
+            xs = _window(Statistic.SHARP_SECOND, x0)
+            integrals, sums = dict.fromkeys(xs), dict.fromkeys(xs)
+            rms.append(math.sqrt(sum(deviation(x, integrals, sums) ** 2 for x in xs) / len(xs)))
         steps = [a / b for a, b in zip(rms, rms[1:])]
         points = []
         for x in scales:
@@ -172,16 +193,7 @@ class TestAcceptance:
         # integers in [X0/sqrt(10), X0 sqrt(10)], with c3 pinned.  Asserted:
         # the windowed RMS decreases strictly, by at least 1.5x per decade (an
         # X^{3/2} error gives 3.16x).
-        kernel = KERNELS[stat]
-
-        def error(x):
-            return (kernel(series3_big, x).value - theory.predicted(stat, 3, x, C3_PIN)) / float(x) ** 2
-
-        scales = (10**3, 10**4, 10**5)
-        rms = []
-        for x0 in scales:
-            xs = [round(x) for x in _geometric(x0 / math.sqrt(10.0), x0 * math.sqrt(10.0), 24)]
-            rms.append(math.sqrt(sum(error(x) ** 2 for x in xs) / len(xs)))
+        rms = _windowed_rms_error(series3_big, stat, (10**3, 10**4, 10**5))
         steps = [a / b for a, b in zip(rms, rms[1:])]
         ok = rms[0] > rms[1] > rms[2] and all(step >= 1.5 for step in steps)
         _report(
@@ -195,6 +207,26 @@ class TestAcceptance:
             f"{stat.value} error does not decay: windowed RMS "
             f"{rms[0]:.4f} -> {rms[1]:.4f} -> {rms[2]:.4f}, steps "
             f"{steps[0]:.2f}x, {steps[1]:.2f}x (need strict decrease and >= 1.5x)"
+        )
+
+    def test_criterion_4e_laplace_error_decay(self, series3_big):
+        # The paper's own object, the Laplace transform, in the 4c/4d shape:
+        # the RMS of (value - main term)/X^2 over 24 log-spaced X in
+        # [X0/sqrt(10), X0 sqrt(10)], c3 pinned, falls strictly by at least
+        # 1.5x per decade.  X0 stops at 1e4: the window at 1e5 needs the table
+        # past 2.6e7.  The error behaves like X (measured 9.1x per decade).
+        rms = _windowed_rms_error(series3_big, Statistic.LAPLACE_SECOND, (1e3, 1e4))
+        step = rms[0] / rms[1]
+        ok = rms[0] > rms[1] and step >= 1.5
+        _report(
+            "4e",
+            ok,
+            f"LaplaceSecond windowed RMS error/X^2 at (1e3, 1e4) = {rms[0]:.4g}, {rms[1]:.4g} "
+            f"(step {step:.2f}x of >= 1.5x)",
+        )
+        assert ok, (
+            f"LaplaceSecond error does not decay: windowed RMS {rms[0]:.4g} -> {rms[1]:.4g}, "
+            f"step {step:.2f}x (need strict decrease and >= 1.5x)"
         )
 
     def test_criterion_5_first_moments(self, series3_big):

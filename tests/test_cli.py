@@ -220,7 +220,19 @@ class TestMoments:
 
 
 class TestLaplaceGrid:
+    """run_moments hands each statistic its own grid memo: the first cell of a
+    statistic evaluates that statistic's whole grid in one pass."""
+
     GRID = [100.0, 215.44346900318845, 464.15888336127773, 1000.0]
+    # statistic -> the moments function that runs one grid pass
+    PASSES = {
+        Statistic.SMOOTH_SECOND: "_smooth_second_pass",
+        Statistic.SHARP_SECOND: "_sharp_second_pass",
+        Statistic.LAPLACE_SECOND: "_laplace_pass",
+        Statistic.SHARP_INTEGRAL_SECOND: "_sharp_integral_pass",
+        Statistic.SMOOTH_WEIGHTED_FIRST: "_smooth_weighted_first_pass",
+        Statistic.SHARP_WEIGHTED_FIRST: "_sharp_weighted_first_pass",
+    }
 
     @staticmethod
     def _count_main_passes(monkeypatch):
@@ -235,11 +247,35 @@ class TestLaplaceGrid:
         monkeypatch.setattr(moments, "_laplace_cells", counting)
         return passes
 
+    def _count_grid_passes(self, monkeypatch):
+        """stat -> the sorted scales of each of its grid passes."""
+        passes = {stat: [] for stat in self.PASSES}
+        for stat, name in self.PASSES.items():
+            real = getattr(moments, name)
+
+            def counting(series, sizes, *args, _stat=stat, _real=real):
+                passes[_stat].append(sorted(sizes))
+                return _real(series, sizes, *args)
+
+            monkeypatch.setattr(moments, name, counting)
+        return passes
+
+    @staticmethod
+    def _plain_row(series, stat, x):
+        plain = KERNELS[stat](series, x)
+        # run_moments without c3
+        predicted = theory.predicted(stat, series.k, x)
+        shown = "" if predicted is None else cli._fmt(predicted)
+        return [str(series.k), cli._fmt(x), stat.value, cli._fmt(plain.value), cli._fmt(plain.truncation_bound), shown]
+
     def test_one_main_pass_per_grid(self, monkeypatch):
-        passes = self._count_main_passes(monkeypatch)
-        rows, status = cli.run_moments(3, self.GRID, [Statistic.LAPLACE_SECOND])
-        assert status == 0 and len(rows) == 4
-        assert passes == [self.GRID]
+        passes = self._count_grid_passes(monkeypatch)
+        laplace_cells = self._count_main_passes(monkeypatch)
+        rows, status = cli.run_moments(3, self.GRID, list(Statistic))
+        assert status == 0 and len(rows) == 4 * len(Statistic)
+        for stat in Statistic:
+            assert passes[stat] == [[stat.scale(x) for x in self.GRID]], stat
+        assert laplace_cells == [self.GRID]
 
     def test_plain_calls_pass_each_time(self, monkeypatch):
         series = prefix_counts(build_rk_table(3, moments.exp_cutoff(3, 300.0)))
@@ -249,17 +285,37 @@ class TestLaplaceGrid:
         assert a == b and passes == [[300.0], [300.0]]
 
     def test_short_table_errors_only_the_largest_x(self):
-        n_max = moments.exp_cutoff(3, self.GRID[-1]) - 1
-        rows, status = cli.run_moments(3, self.GRID, [Statistic.LAPLACE_SECOND], n_max=n_max)
-        assert status == 2
-        want = f"ERROR: series n_max = {n_max} too small for X = 1000; need n_cut = {n_max + 1}"
-        assert rows[-1][:-1] == ["3", "1000", "LaplaceSecond", want, "", ""]
-        series = prefix_counts(build_rk_table(3, n_max))
-        # without --c3 LaplaceSecond has no predicted value
-        for row, x in zip(rows[:-1], self.GRID):
-            plain = moments.laplace_second_moment(series, x)
-            want = ["3", cli._fmt(x), "LaplaceSecond", cli._fmt(plain.value), cli._fmt(plain.truncation_bound), ""]
-            assert row[:-1] == want
+        for stat in Statistic:
+            n_max = stat.n_needed(3, self.GRID[-1]) - 1
+            rows, status = cli.run_moments(3, self.GRID, [stat], n_max=n_max)
+            assert status == 2
+            if stat.exp_cut:
+                want = f"ERROR: series n_max = {n_max} too small for X = 1000; need n_cut = {n_max + 1}"
+            else:
+                want = f"ERROR: X = 1000 exceeds n_max = {n_max}"
+            assert rows[-1][:-1] == ["3", "1000", stat.value, want, "", ""]
+            series = prefix_counts(build_rk_table(3, n_max))
+            for row, x in zip(rows[:-1], self.GRID):
+                assert row[:-1] == self._plain_row(series, stat, stat.scale(x)), stat
+
+    def test_sharp_weighted_first_errors_every_cell_at_k4(self):
+        rows, status = cli.run_moments(4, self.GRID, [Statistic.SHARP_WEIGHTED_FIRST])
+        assert status == 2 and len(rows) == 4
+        want = "ERROR: sharp_weighted_first_moment_p3 needs k = 3, got k = 4"
+        want_rows = [["4", str(round(x)), "SharpWeightedFirst", want, "", ""] for x in self.GRID]
+        assert [row[:-1] for row in rows] == want_rows
+
+    def test_x_rounding_to_one_sharp_scale_shares_its_entry(self, monkeypatch):
+        passes = self._count_grid_passes(monkeypatch)
+        grid = [99.6, 100.0, 100.4, 215.2]
+        sharp = [stat for stat in Statistic if not stat.exp_cut]
+        rows, status = cli.run_moments(3, grid, sharp)
+        assert status == 0
+        series = prefix_counts(build_rk_table(3, 215))
+        for stat in sharp:
+            assert passes[stat] == [[100, 215]]
+            got = [row[:-1] for row in rows if row[2] == stat.value]
+            assert got == [self._plain_row(series, stat, x) for x in (100, 100, 100, 215)]
 
 
 class TestPrefixOverflow:

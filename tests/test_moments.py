@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from gausslab import moments, theory
 from gausslab.discrepancy import DiscrepancySeries, half_power, prefix_counts
 from gausslab.moments import (
     CHUNK,
+    KERNELS,
+    MIN_EXP_CUTOFF,
     Statistic,
     exp_cutoff,
     laplace_second_moment,
@@ -17,6 +20,7 @@ from gausslab.moments import (
     smooth_weighted_first_moment,
 )
 from gausslab.rk import build_rk_table
+from gausslab.summation import BLOCK, block_compensated_sum
 
 from conftest import assert_close
 
@@ -29,6 +33,11 @@ def series3_small():
 @pytest.fixture(scope="module")
 def series4_small():
     return prefix_counts(build_rk_table(4, exp_cutoff(4, 1000.0)))
+
+
+@pytest.fixture(scope="module")
+def series5_small():
+    return prefix_counts(build_rk_table(5, 4 * CHUNK))
 
 
 def naive_smooth_second(series, X):
@@ -176,7 +185,8 @@ class TestLaplaceSecond:
         scales = [self._scale_with_cutoff(k, n) for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)]
         n_cuts = {x: exp_cutoff(k, x) for x in scales}
         pf = series.prefix_float()
-        shared = moments._laplace_cells(pf, series.v_k, k, n_cuts, subdivide)
+        # the main pass rounds the counts to float a chunk at a time
+        shared = moments._laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
         grid = dict.fromkeys(scales)
         laplace_second_moment(series, scales[0], subdivide, grid=grid)
         # one call filled every entry
@@ -216,6 +226,62 @@ class TestLaplaceSecond:
             - smooth_second_moment(series4_small, x).value
         ) / x**3
         assert_close(gap, -math.pi**4 / 3.0, rel=0.02)
+
+
+def _bits(sample):
+    return (sample.k, sample.x_scale, sample.statistic, float(sample.value).hex(), float(sample.truncation_bound).hex())
+
+
+class TestGridPass:
+    """One call through a grid memo fills every scale of the grid, and each
+    sample has the bits of that scale's own single-X call."""
+
+    # exp-cut cutoffs: the floor, inside the first block, mid-chunk, on a
+    # chunk boundary, one block past it, past the third chunk
+    CUTOFFS = [MIN_EXP_CUTOFF, BLOCK - 1, CHUNK + CHUNK // 2 + 7, 2 * CHUNK, 2 * CHUNK + BLOCK, 3 * CHUNK + 1234]
+    SHARP_SCALES = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK + 7, 3 * CHUNK + 1234]
+    CASES = [
+        (stat, k, subdivide)
+        for stat in Statistic
+        for k in (3, 4, 5)
+        for subdivide in ((1, 2) if stat is Statistic.LAPLACE_SECOND else (1,))
+        if stat is not Statistic.SHARP_WEIGHTED_FIRST or k == 3
+    ]
+
+    @pytest.mark.parametrize(
+        "stat, k, subdivide", CASES, ids=[f"{s.value}-k{k}-sub{d}" for s, k, d in CASES]
+    )
+    def test_grid_matches_single_calls(self, series3_big, series4_small, series5_small, stat, k, subdivide):
+        series = {3: series3_big, 4: series4_small, 5: series5_small}[k]
+        kernel = KERNELS[stat]
+        if stat is Statistic.LAPLACE_SECOND:
+            kernel = functools.partial(kernel, subdivide=subdivide)
+        if stat.exp_cut:
+            scales = [TestLaplaceSecond._scale_with_cutoff(k, n) for n in self.CUTOFFS]
+        else:
+            scales = self.SHARP_SCALES
+        grid = dict.fromkeys(scales)
+        kernel(series, scales[-1], grid=grid)
+        assert None not in grid.values()
+        for x in scales:
+            got = kernel(series, x, grid=grid)
+            assert got is grid[x]
+            assert _bits(got) == _bits(kernel(series, x)), x
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_chunked_sums_match_whole_array_sums(self, series3_big, series4_small, k):
+        # the unchunked formulas: the X-dependent terms over all of 1..n_cut at once
+        series = {1: prefix_counts(build_rk_table(1, 4 * CHUNK)), 3: series3_big, 4: series4_small}[k]
+        scales = [TestLaplaceSecond._scale_with_cutoff(k, n) for n in self.CUTOFFS]
+        square_grid, weighted_grid = dict.fromkeys(scales), dict.fromkeys(scales)
+        p = series.p_values()
+        for x in scales:
+            n_cut = exp_cutoff(k, x)
+            n = np.arange(1, n_cut + 1, dtype=np.float64)
+            square = block_compensated_sum(p[1 : n_cut + 1] ** 2 * np.exp(-n / x))
+            weighted = block_compensated_sum(p[1 : n_cut + 1] * moments._weight_power(n, k - 2) * np.exp(-n / x))
+            assert smooth_second_moment(series, x, grid=square_grid).value == square
+            assert smooth_weighted_first_moment(series, x, grid=weighted_grid).value == weighted
 
 
 class TestSharpIntegral:

@@ -384,6 +384,39 @@ class TestR3AtFullSize:
             )
 
 
+def _sigma_sieve(n_max: int) -> np.ndarray:
+    """sigma(n), the sum of the divisors of n, for n <= n_max in int64: each
+    d <= sqrt(n_max) is added to its multiples by one slice, and each larger
+    d through its cofactor q = n/d < sqrt(n_max)."""
+    sig = np.zeros(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        sig[d::d] += d
+    for q in range(1, n_max // (root + 1) + 1):
+        # n = q d for root < d <= n_max // q
+        sig[q * (root + 1) :: q] += np.arange(root + 1, n_max // q + 1, dtype=np.int64)
+    return sig
+
+
+class TestR4AtFullSize:
+    """Jacobi's four-square theorem checks r_4 at 1e6, the largest r_4 table
+    the tests build, where TestIdentities stops at 2e4."""
+
+    def test_sigma_sieve(self):
+        assert np.array_equal(_sigma_sieve(5000).astype(np.float64), sigma_table(1.0, 5000))
+
+    def test_jacobi(self, series4_1m):
+        n_max = series4_1m.n_max
+        r4 = np.diff(series4_1m.prefix, prepend=np.uint64(0)).astype(np.int64)
+        sig = _sigma_sieve(n_max)
+        want = 8 * sig
+        want[4::4] -= 32 * sig[1 : n_max // 4 + 1]
+        wrong = r4[1:] != want[1:]
+        if wrong.any():
+            n = 1 + int(np.argmax(wrong))
+            pytest.fail(f"r_4({n}) = {int(r4[n])}, but 8 sigma(n) - 32 sigma(n/4) = {int(want[n])}")
+
+
 class TestDivisorSums:
     def test_sigma_examples(self):
         assert sigma(1.0, 6) == 12.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from gausslab.summation import block_compensated_sum, neumaier_sum
+from gausslab.summation import BLOCK, block_compensated_sum, block_partials, neumaier_sum
 
 
 def test_matches_fsum_on_hard_cancellation():
@@ -27,3 +27,12 @@ def test_deterministic():
     rng = np.random.default_rng(3)
     values = rng.normal(size=100_000)
     assert block_compensated_sum(values) == block_compensated_sum(values.copy())
+
+
+def test_partials_of_whole_block_pieces_concatenate():
+    values = np.random.default_rng(5).normal(size=5 * BLOCK + 17)
+    for cuts in ([BLOCK], [2 * BLOCK, 3 * BLOCK], [4 * BLOCK, 5 * BLOCK]):
+        pieces = np.split(values, cuts)
+        got = np.concatenate([block_partials(piece) for piece in pieces])
+        assert np.array_equal(got, block_partials(values))
+    assert block_partials(values[:0]).shape == (0,)
