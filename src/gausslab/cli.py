@@ -38,7 +38,7 @@ import numpy as np
 
 from . import moments, rk, theory, verify
 from .fit import c3_standard_error, recover_c3
-from .discrepancy import check_prefix_fits, prefix_counts
+from .discrepancy import DiscrepancySeries, check_prefix_fits, prefix_counts
 from .moments import MomentSample, Statistic
 
 __all__ = ["CacheLockedError", "main", "run_moments"]
@@ -86,6 +86,14 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable
     return table, outcome
 
 
+def _series(k: int, n_max: int, cache_dir: str | None) -> DiscrepancySeries:
+    """S_k and P_k to n_max from the cache or a build.  An n_max whose S_k is
+    sure to pass 64 bits raises before the build; the table is dropped once
+    counted, so the moments passes have its room."""
+    check_prefix_fits(k, n_max)
+    return prefix_counts(_obtain_table(k, n_max, cache_dir)[0])
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -116,17 +124,15 @@ def run_moments(
 ) -> tuple[list[list[str]], int]:
     """All (statistic, X) cells as CSV rows; returns (rows, exit_code).
 
-    The table is r_k to n_max, by default the smallest one every cell needs;
-    an n_max whose S_k is sure to pass 64 bits raises before the build.
+    The series runs to n_max, by default the smallest one every cell needs;
+    _series refuses an n_max whose S_k is sure to pass 64 bits.
     A kernel's ValueError (an X the table or the statistic cannot take, such
     as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
     other exception propagates.
     """
     if n_max is None:
         n_max = max(stat.n_needed(k, x) for stat in statistics for x in x_grid)
-    check_prefix_fits(k, n_max)
-    # the table is dropped once counted: the LaplaceSecond pass needs the room
-    series = prefix_counts(_obtain_table(k, n_max, cache_dir)[0])
+    series = _series(k, n_max, cache_dir)
 
     cells = [(stat, stat.scale(x)) for stat in statistics for x in x_grid]
     grids = {stat: dict.fromkeys(x for s, x in cells if s is stat) for stat in statistics}
@@ -256,9 +262,7 @@ def cmd_shortinterval(args) -> int:
     if grid[0] < 2:
         raise ValueError(f"X = {grid[0]} too small: the ratio divides by log X, so int(X) >= 2")
     n_max = max(int(x + x**beta) for x in grid)
-    table, _ = _obtain_table(3, n_max, args.cache_dir)
-    series = prefix_counts(table)
-    p = series.p_values()
+    p = _series(3, n_max, args.cache_dir).p_values()
     psq = p * p
     rows = []
     for x in grid:

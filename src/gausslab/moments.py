@@ -20,17 +20,23 @@ fall past n = kX, below n_cut.  Sums accumulate in ascending order with
 pairwise block-compensated summation (block 1024).
 
 Every kernel takes one X and, optionally, `grid`: a dict the caller owns for
-one statistic's run (and one `subdivide`), mapping each scale of the run to
-its sample, or to None until filled.  A call whose X has no sample takes X
-and every grid scale the series can take in one pass and fills their
-entries; a later call reads its own, and a scale the series cannot take
-raises at its own call.  Without `grid` a call is a grid of one.  The pass
+one statistic's run, mapping each scale of the run to its sample, or to None
+until filled.  A call whose X has no sample takes X and every grid scale the
+series can take in one pass and fills their entries; a later call reads its
+own, and a scale the series cannot take raises at its own call.  Without
+`grid` a call is a grid of one.  Four passes serve the six statistics; each
 forms the X-independent arrays once, to the grid's largest scale, and gives
-each X the bits a pass of its own would: the exponentially cut sums walk
-n = 1, 2, ... in CHUNK pieces, forming the weight (P_k^2 or P_k n^{k/2-1})
-and -n once per piece and keeping per X only its block partial sums; the
-sharp statistics form their cells once and sum a prefix per X; the Laplace
-pass forms the node values (S_n - V t^{k/2})^2 once per interval and node.
+each X the bits a pass of its own would:
+
+  exp-cut   SmoothSecond, SmoothWeightedFirst: walks n = 1, 2, ... in CHUNK
+            pieces, forms the weight (P_k^2 or P_k n^{k/2-1}) and -n once
+            per piece, and keeps per X only its block partial sums
+  prefix    SharpSecond, SharpWeightedFirst: forms the cells (P_k^2 or
+            P_3 sqrt(n)) once and sums a prefix per X
+  Laplace   LaplaceSecond: forms the node values (S_n - V t^{k/2})^2 once
+            per interval and node
+  integral  SharpIntegralSecond: forms the centered cells once and sums a
+            prefix per X
 
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
@@ -166,31 +172,42 @@ def _check_int_x(series: DiscrepancySeries, X) -> int:
     return X
 
 
+def _second_moment_tail(k: int, X: float, n_cut: int) -> float:
+    """4^{k+1} int_{n_cut}^inf t^k e^{-t/X} dt: the certified bound on the
+    omitted tail of a second moment, as P_k(t)^2 <= 4^{k+1} t^k there."""
+    return 4.0 ** (k + 1) * _exp_poly_tail(k, X, float(n_cut))
+
+
 Grid = dict[float, MomentSample | None]
 
 
-def _grid_sample(series: DiscrepancySeries, X, grid: Grid | None, size, evaluate) -> MomentSample:
-    """The sample at scale X through the grid memo (see the module
-    docstring), shared by every kernel.  `size(series, x)` checks a scale,
-    raising ValueError with the text a caller reports, and gives the terms
-    or intervals it needs; `evaluate(series, sizes)` takes {scale: size} in
-    one pass and returns {scale: MomentSample}."""
+def _grid_sample(stat: Statistic, series: DiscrepancySeries, X, grid: Grid | None, evaluate, *args) -> MomentSample:
+    """The sample of `stat` at scale X through the grid memo (see the module
+    docstring), shared by every kernel.  The statistic picks the scale check,
+    _require_cutoff (exp-cut) or _check_int_x, which raises ValueError with
+    the text a caller reports and gives the terms or intervals a scale needs;
+    `evaluate(series, sizes, *args)` takes {scale: size} in one pass and
+    returns {scale: (value, bound)}."""
+    size = _require_cutoff if stat.exp_cut else _check_int_x
+    X = float(X) if stat.exp_cut else X
     grid = {} if grid is None else grid
     if grid.get(X) is None:
         sizes = {X: size(series, X)}
         for x in map(float, grid):
             with contextlib.suppress(ValueError):
                 sizes[x] = size(series, x)
-        grid.update(evaluate(series, sizes))
+        for x, (value, bound) in evaluate(series, sizes, *args).items():
+            grid[x] = MomentSample(series.k, x if stat.exp_cut else float(sizes[x]), stat, value, bound)
     return grid[X]
 
 
-def _exp_cut_sums(series: DiscrepancySeries, n_cuts: dict[float, int], weight) -> dict[float, float]:
-    """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} for each X of n_cuts (X ->
-    its cutoff), in one pass of CHUNK terms at a time from n = 1: the
-    X-independent weight and -n are formed once per chunk, and each X keeps
-    only the block partials of its terms.  CHUNK is a whole number of blocks,
-    so every sum is bit for bit block_compensated_sum of its own terms."""
+def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, tail) -> dict[float, tuple]:
+    """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} and tail(k, X, n_cut) for
+    each X of n_cuts (X -> its cutoff), in one pass of CHUNK terms at a time
+    from n = 1: the X-independent weight and -n are formed once per chunk,
+    and each X keeps only the block partials of its terms.  CHUNK is a whole
+    number of blocks, so every sum is bit for bit block_compensated_sum of
+    its own terms."""
     p = series.p_values()
     partials = {x: [] for x in n_cuts}
     total = max(n_cuts.values())
@@ -207,34 +224,27 @@ def _exp_cut_sums(series: DiscrepancySeries, n_cuts: dict[float, int], weight) -
                 np.exp(terms, out=terms)
                 terms *= w[:m]
                 partials[x].append(block_partials(terms))
-    return {x: neumaier_sum(np.concatenate(rows)) for x, rows in partials.items()}
+    return {x: (neumaier_sum(np.concatenate(partials[x])), tail(series.k, x, n_cut)) for x, n_cut in n_cuts.items()}
 
 
-def _smooth_second_pass(series: DiscrepancySeries, n_cuts: dict[float, int]) -> dict[float, MomentSample]:
-    k = series.k
-    sums = _exp_cut_sums(series, n_cuts, lambda p, n: p**2)
-    return {
-        x: MomentSample(k, x, Statistic.SMOOTH_SECOND, sums[x], 4.0 ** (k + 1) * _exp_poly_tail(k, x, float(n_cut)))
-        for x, n_cut in n_cuts.items()
-    }
+def _prefix_pass(series: DiscrepancySeries, sizes: dict[float, int], weight) -> dict[float, tuple]:
+    """Sharp sums: the cells weight(P_k(n), n) formed once, to the largest X;
+    each X sums its own prefix, exact up to float rounding (bound 0)."""
+    top = max(sizes.values())
+    cells = weight(series.p_values()[1 : top + 1], np.arange(1, top + 1, dtype=np.float64))
+    return {x: (block_compensated_sum(cells[:m]), 0.0) for x, m in sizes.items()}
 
 
 def smooth_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
     """sum_{n=1}^{n_cut} P_k(n)^2 e^{-n/X} with a certified tail bound."""
-    return _grid_sample(series, float(X), grid, _require_cutoff, _smooth_second_pass)
-
-
-def _sharp_second_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
-    cells = series.p_values()[1 : max(sizes.values()) + 1] ** 2
-    return {
-        x: MomentSample(series.k, float(m), Statistic.SHARP_SECOND, block_compensated_sum(cells[:m]), 0.0)
-        for x, m in sizes.items()
-    }
+    return _grid_sample(
+        Statistic.SMOOTH_SECOND, series, X, grid, _exp_cut_pass, lambda p, n: p**2, _second_moment_tail
+    )
 
 
 def sharp_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
     """sum_{1 <= n <= X} P_k(n)^2; exact up to float rounding (bound 0)."""
-    return _grid_sample(series, X, grid, _check_int_x, _sharp_second_pass)
+    return _grid_sample(Statistic.SHARP_SECOND, series, X, grid, _prefix_pass, lambda p, n: p**2)
 
 
 def _laplace_cells(
@@ -279,11 +289,10 @@ def _laplace_cells(
     return cells
 
 
-def _laplace_pass(
-    series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int
-) -> dict[float, MomentSample]:
+def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int = 1) -> dict[float, tuple]:
     """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
-    over the intervals and one over the audit sample."""
+    over the intervals and one over the audit sample.  `subdivide` refines
+    every unit interval; only the audit of the quadrature bound sets it."""
     k = series.k
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
     # (the first 100 intervals, then every 100th below its cutoff) is a
@@ -303,35 +312,25 @@ def _laplace_pass(
     for x, n_cut in n_cuts.items():
         acc = cells.pop(x)
         value = block_compensated_sum(acc)
-        tail = 4.0 ** (k + 1) * _exp_poly_tail(k, x, float(n_cut))
+        tail = _second_moment_tail(k, x, n_cut)
         diff = np.abs(fine[x] - acc[sample[: sample_sizes[x]]])
         quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
         # each cell integrates a square against positive weights: never negative, never -0.0
         rounding = 1e-14 * float(np.sum(acc))
-        out[x] = MomentSample(k, x, Statistic.LAPLACE_SECOND, value, tail + quad_bound + rounding)
+        out[x] = (value, tail + quad_bound + rounding)
     return out
 
 
-def laplace_second_moment(
-    series: DiscrepancySeries,
-    X: float,
-    subdivide: int = 1,
-    grid: Grid | None = None,
-) -> MomentSample:
+def laplace_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
     """int_0^infty P_k(t)^2 e^{-t/X} dt, truncated at n_cut unit intervals.
 
     The bound is the certified exponential tail plus a quadrature error
     estimated by interval halving (the first 100 intervals and a 1% sample).
-    `subdivide` refines every unit interval and exists for that audit.
     """
-    if subdivide < 1:
-        raise ValueError("subdivide must be >= 1")
-    return _grid_sample(
-        series, float(X), grid, _require_cutoff, lambda s, n_cuts: _laplace_pass(s, n_cuts, subdivide)
-    )
+    return _grid_sample(Statistic.LAPLACE_SECOND, series, X, grid, _laplace_pass)
 
 
-def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
+def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, tuple]:
     """Centered per-interval cells formed once, to the largest X; each X sums
     its own prefix."""
     k, vk = series.k, series.v_k
@@ -352,51 +351,38 @@ def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> 
     out = {}
     for x, m in sizes.items():
         if m == 0:
-            value = bound = 0.0
+            out[x] = (0.0, 0.0)
         else:
-            value = cell0 + block_compensated_sum(cells[: m - 1])
             # np.sum's pairwise tree depends on the length: sum each X's own prefix
             bound = 1e-13 * (abs(cell0) + float(np.sum(magnitudes[: m - 1])))
-        out[x] = MomentSample(k, float(m), Statistic.SHARP_INTEGRAL_SECOND, value, bound)
+            out[x] = (cell0 + block_compensated_sum(cells[: m - 1]), bound)
     return out
 
 
 def sharp_integral_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
     """int_0^X P_k(t)^2 dt by per-interval antiderivatives (centered form)."""
-    return _grid_sample(series, X, grid, _check_int_x, _sharp_integral_pass)
-
-
-def _smooth_weighted_first_pass(series: DiscrepancySeries, n_cuts: dict[float, int]) -> dict[float, MomentSample]:
-    k = series.k
-    sums = _exp_cut_sums(series, n_cuts, lambda p, n: p * _weight_power(n, k - 2))
-    # |P_k(n)| n^{k/2-1} <= 2^{k+1} n^{k-1} on the omitted range
-    return {
-        x: MomentSample(
-            k, x, Statistic.SMOOTH_WEIGHTED_FIRST, sums[x], 2.0 ** (k + 1) * _exp_poly_tail(k - 1, x, float(n_cut))
-        )
-        for x, n_cut in n_cuts.items()
-    }
+    return _grid_sample(Statistic.SHARP_INTEGRAL_SECOND, series, X, grid, _sharp_integral_pass)
 
 
 def smooth_weighted_first_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
     """sum_{n=1}^{n_cut} P_k(n) n^{k/2-1} e^{-n/X} with a certified tail."""
-    return _grid_sample(series, float(X), grid, _require_cutoff, _smooth_weighted_first_pass)
-
-
-def _sharp_weighted_first_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, MomentSample]:
-    top = max(sizes.values())
-    cells = series.p_values()[1 : top + 1] * np.sqrt(np.arange(1, top + 1, dtype=np.float64))
-    return {
-        x: MomentSample(3, float(m), Statistic.SHARP_WEIGHTED_FIRST, block_compensated_sum(cells[:m]), 0.0)
-        for x, m in sizes.items()
-    }
+    return _grid_sample(
+        Statistic.SMOOTH_WEIGHTED_FIRST,
+        series,
+        X,
+        grid,
+        _exp_cut_pass,
+        lambda p, n: p * _weight_power(n, series.k - 2),
+        # |P_k(n)| n^{k/2-1} <= 2^{k+1} n^{k-1} on the omitted range
+        lambda k, x, n_cut: 2.0 ** (k + 1) * _exp_poly_tail(k - 1, x, float(n_cut)),
+    )
 
 
 def sharp_weighted_first_moment_p3(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:
     """sum_{1 <= n <= X} P_3(n) sqrt(n); the series must have k = 3."""
     if series.k != 3:
         raise ValueError(f"sharp_weighted_first_moment_p3 needs k = 3, got k = {series.k}")
-    return _grid_sample(series, X, grid, _check_int_x, _sharp_weighted_first_pass)
+    return _grid_sample(Statistic.SHARP_WEIGHTED_FIRST, series, X, grid, _prefix_pass, lambda p, n: p * np.sqrt(n))
 
 
 def _weight_power(n: np.ndarray, j: int) -> np.ndarray:

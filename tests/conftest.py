@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gausslab import moments
 from gausslab.discrepancy import prefix_counts
 from gausslab.rk import build_rk_table
 
@@ -22,6 +23,15 @@ def series4_1m():
 def tables_small():
     """k = 1..6 tables to n = 512 for cheap cross-checks."""
     return {k: build_rk_table(k, 512) for k in range(1, 7)}
+
+
+def laplace_refined(series, x, subdivide, grid=None):
+    """LaplaceSecond at X with each unit interval cut into `subdivide` equal
+    Gauss-Legendre pieces, through the kernels' grid engine: the refinement
+    that audits the quadrature bound (the public kernel takes one piece)."""
+    return moments._grid_sample(
+        moments.Statistic.LAPLACE_SECOND, series, x, grid, moments._laplace_pass, subdivide
+    )
 
 
 def zeta_eta_oracle(s: float, nterms: int = 100, passes: int = 60) -> float:

@@ -58,6 +58,24 @@ def _windowed_rms_error(series, stat, x0s):
     return rms
 
 
+def _assert_decade_decay(series, stat, label):
+    """Criterion `label`: stat's windowed RMS error at X0 = 1e3 and 1e4 falls
+    strictly, by at least 1.5x."""
+    rms = _windowed_rms_error(series, stat, (1e3, 1e4))
+    step = rms[0] / rms[1]
+    ok = rms[0] > rms[1] and step >= 1.5
+    _report(
+        label,
+        ok,
+        f"{stat.value} windowed RMS error/X^2 at (1e3, 1e4) = {rms[0]:.4g}, {rms[1]:.4g} "
+        f"(step {step:.2f}x of >= 1.5x)",
+    )
+    assert ok, (
+        f"{stat.value} error does not decay: windowed RMS {rms[0]:.4g} -> {rms[1]:.4g}, "
+        f"step {step:.2f}x (need strict decrease and >= 1.5x)"
+    )
+
+
 def _report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -215,19 +233,14 @@ class TestAcceptance:
         # [X0/sqrt(10), X0 sqrt(10)], c3 pinned, falls strictly by at least
         # 1.5x per decade.  X0 stops at 1e4: the window at 1e5 needs the table
         # past 2.6e7.  The error behaves like X (measured 9.1x per decade).
-        rms = _windowed_rms_error(series3_big, Statistic.LAPLACE_SECOND, (1e3, 1e4))
-        step = rms[0] / rms[1]
-        ok = rms[0] > rms[1] and step >= 1.5
-        _report(
-            "4e",
-            ok,
-            f"LaplaceSecond windowed RMS error/X^2 at (1e3, 1e4) = {rms[0]:.4g}, {rms[1]:.4g} "
-            f"(step {step:.2f}x of >= 1.5x)",
-        )
-        assert ok, (
-            f"LaplaceSecond error does not decay: windowed RMS {rms[0]:.4g} -> {rms[1]:.4g}, "
-            f"step {step:.2f}x (need strict decrease and >= 1.5x)"
-        )
+        _assert_decade_decay(series3_big, Statistic.LAPLACE_SECOND, "4e")
+
+    def test_criterion_4f_smooth_error_decay(self, series3_big):
+        # The smoothed sum in the 4e shape.  The X0 = 1e4 window reaches
+        # X = 31,623, whose cutoff is 2,437,645, inside the 4e6 table.  The
+        # smooth main term has no X ln X term, so the error falls a little
+        # slower than Laplace's (measured 7.8x per decade).
+        _assert_decade_decay(series3_big, Statistic.SMOOTH_SECOND, "4f")
 
     def test_criterion_5_first_moments(self, series3_big):
         x_smooth = 1e4

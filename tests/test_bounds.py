@@ -20,6 +20,8 @@ from gausslab.moments import (
 )
 from gausslab.rk import build_rk_table
 
+from conftest import laplace_refined
+
 # S_7 and S_8 pass 2^64 near n = 2e5 and 5e4, below 3 exp_cutoff(k, 1e3)
 X_MAX = {k: 1e3 if k <= 6 else 1e2 for k in range(1, 9)}
 
@@ -49,7 +51,7 @@ def omitted_tail(series, x, weight):
 def test_laplace_bound_covers_refinement(k, u):
     series, x = series_for(k), X_MAX[k] ** u
     coarse = laplace_second_moment(series, x)
-    fine = laplace_second_moment(series, x, subdivide=4)
+    fine = laplace_refined(series, x, 4)
     assert abs(fine.value - coarse.value) <= coarse.truncation_bound
 
 

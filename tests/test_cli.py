@@ -14,7 +14,7 @@ from gausslab import cli, dirichlet, moments, rk, theory, verify
 from gausslab.cli import main
 from gausslab.convolve import ConvolutionOverflowError
 from gausslab.dirichlet import Cusp
-from gausslab.discrepancy import prefix_counts
+from gausslab.discrepancy import PrefixOverflowError, prefix_counts
 from gausslab.moments import KERNELS, Statistic, sharp_second_moment
 from gausslab.rk import build_rk_table, load_table, save_table
 
@@ -224,14 +224,15 @@ class TestLaplaceGrid:
     statistic evaluates that statistic's whole grid in one pass."""
 
     GRID = [100.0, 215.44346900318845, 464.15888336127773, 1000.0]
-    # statistic -> the moments function that runs one grid pass
+    # statistic -> the moments function that runs its grid pass; two
+    # statistics share each of the exp-cut and prefix passes
     PASSES = {
-        Statistic.SMOOTH_SECOND: "_smooth_second_pass",
-        Statistic.SHARP_SECOND: "_sharp_second_pass",
+        Statistic.SMOOTH_SECOND: "_exp_cut_pass",
+        Statistic.SHARP_SECOND: "_prefix_pass",
         Statistic.LAPLACE_SECOND: "_laplace_pass",
         Statistic.SHARP_INTEGRAL_SECOND: "_sharp_integral_pass",
-        Statistic.SMOOTH_WEIGHTED_FIRST: "_smooth_weighted_first_pass",
-        Statistic.SHARP_WEIGHTED_FIRST: "_sharp_weighted_first_pass",
+        Statistic.SMOOTH_WEIGHTED_FIRST: "_exp_cut_pass",
+        Statistic.SHARP_WEIGHTED_FIRST: "_prefix_pass",
     }
 
     @staticmethod
@@ -248,17 +249,25 @@ class TestLaplaceGrid:
         return passes
 
     def _count_grid_passes(self, monkeypatch):
-        """stat -> the sorted scales of each of its grid passes."""
-        passes = {stat: [] for stat in self.PASSES}
-        for stat, name in self.PASSES.items():
+        """pass name -> the sorted scales of each of its calls, in order."""
+        passes = {name: [] for name in self.PASSES.values()}
+        for name in passes:
             real = getattr(moments, name)
 
-            def counting(series, sizes, *args, _stat=stat, _real=real):
-                passes[_stat].append(sorted(sizes))
+            def counting(series, sizes, *args, _name=name, _real=real):
+                passes[_name].append(sorted(sizes))
                 return _real(series, sizes, *args)
 
             monkeypatch.setattr(moments, name, counting)
         return passes
+
+    def _one_pass_each(self, stats, scales):
+        """pass name -> one call per statistic of `stats` it serves, in that
+        order, each over the statistic's own scales of `scales`."""
+        want = {name: [] for name in self.PASSES.values()}
+        for stat in stats:
+            want[self.PASSES[stat]].append(sorted({stat.scale(x) for x in scales}))
+        return want
 
     @staticmethod
     def _plain_row(series, stat, x):
@@ -273,8 +282,7 @@ class TestLaplaceGrid:
         laplace_cells = self._count_main_passes(monkeypatch)
         rows, status = cli.run_moments(3, self.GRID, list(Statistic))
         assert status == 0 and len(rows) == 4 * len(Statistic)
-        for stat in Statistic:
-            assert passes[stat] == [[stat.scale(x) for x in self.GRID]], stat
+        assert passes == self._one_pass_each(Statistic, self.GRID)
         assert laplace_cells == [self.GRID]
 
     def test_plain_calls_pass_each_time(self, monkeypatch):
@@ -312,8 +320,9 @@ class TestLaplaceGrid:
         rows, status = cli.run_moments(3, grid, sharp)
         assert status == 0
         series = prefix_counts(build_rk_table(3, 215))
+        assert passes == self._one_pass_each(sharp, grid)
+        assert passes["_prefix_pass"] == [[100, 215], [100, 215]]
         for stat in sharp:
-            assert passes[stat] == [[100, 215]]
             got = [row[:-1] for row in rows if row[2] == stat.value]
             assert got == [self._plain_row(series, stat, x) for x in (100, 100, 100, 215)]
 
@@ -620,6 +629,21 @@ class TestShortInterval:
             ["shortinterval", "--x-min", "10", "--x-max", "20", "--beta", "1.5"]
         )
         assert code == 2
+
+    def test_prefix_bound_checked_before_any_build(self, monkeypatch, capsys):
+        # shortinterval gets its series the way moments does
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+
+        def refuse(k, n_max):
+            raise AssertionError(f"built r_{k} to {n_max}")
+
+        def doomed(k, n_max):
+            raise PrefixOverflowError(f"S_{k} exceeds 64 bits by n = {n_max}")
+
+        monkeypatch.setattr(rk, "build_rk_table", refuse)
+        monkeypatch.setattr(cli, "check_prefix_fits", doomed)
+        assert run_cli("shortinterval --x-min 100 --x-max 100 --points 1 --beta 0.5".split()) == 2
+        assert capsys.readouterr().err == "error: S_3 exceeds 64 bits by n = 110\n"
 
 
 class TestConstantsCommand:

@@ -22,7 +22,7 @@ from gausslab.moments import (
 from gausslab.rk import build_rk_table
 from gausslab.summation import BLOCK, block_compensated_sum
 
-from conftest import assert_close
+from conftest import assert_close, laplace_refined
 
 
 @pytest.fixture(scope="module")
@@ -188,19 +188,19 @@ class TestLaplaceSecond:
         # the main pass rounds the counts to float a chunk at a time
         shared = moments._laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
         grid = dict.fromkeys(scales)
-        laplace_second_moment(series, scales[0], subdivide, grid=grid)
+        laplace_refined(series, scales[0], subdivide, grid=grid)
         # one call filled every entry
         assert list(grid) == scales and None not in grid.values()
         for x, n_cut in n_cuts.items():
             idx = np.arange(n_cut, dtype=np.int64)
             assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
-            assert laplace_second_moment(series, x, subdivide, grid=grid) is grid[x]
-            assert grid[x] == laplace_second_moment(series, x, subdivide)
+            assert laplace_refined(series, x, subdivide, grid=grid) is grid[x]
+            assert grid[x] == laplace_refined(series, x, subdivide)
 
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):
         coarse = laplace_second_moment(series3_small, x)
-        fine = laplace_second_moment(series3_small, x, subdivide=2)
+        fine = laplace_refined(series3_small, x, 2)
         assert abs(fine.value - coarse.value) < coarse.truncation_bound
 
     @pytest.mark.parametrize("x", [10.0, 1000.0])
@@ -208,7 +208,7 @@ class TestLaplaceSecond:
         # at k = 1 halving cuts interval 0's error only by 2^{-1.5}
         series = prefix_counts(build_rk_table(1, exp_cutoff(1, x)))
         coarse = laplace_second_moment(series, x)
-        fine = laplace_second_moment(series, x, subdivide=16)
+        fine = laplace_refined(series, x, 16)
         assert abs(fine.value - coarse.value) <= coarse.truncation_bound
 
     def test_gap_to_smooth_k3(self, series3_big):
@@ -254,8 +254,8 @@ class TestGridPass:
     def test_grid_matches_single_calls(self, series3_big, series4_small, series5_small, stat, k, subdivide):
         series = {3: series3_big, 4: series4_small, 5: series5_small}[k]
         kernel = KERNELS[stat]
-        if stat is Statistic.LAPLACE_SECOND:
-            kernel = functools.partial(kernel, subdivide=subdivide)
+        if subdivide != 1:
+            kernel = functools.partial(laplace_refined, subdivide=subdivide)
         if stat.exp_cut:
             scales = [TestLaplaceSecond._scale_with_cutoff(k, n) for n in self.CUTOFFS]
         else:

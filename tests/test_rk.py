@@ -417,6 +417,78 @@ class TestR4AtFullSize:
             pytest.fail(f"r_4({n}) = {int(r4[n])}, but 8 sigma(n) - 32 sigma(n/4) = {int(want[n])}")
 
 
+def _r6_sieve(n_max: int) -> np.ndarray:
+    """_r6_closed over 0..n_max in sieve form, in int64: each d <= sqrt(n_max)
+    adds (16 chi(q) - 4 chi(d)) d^2 to every n = d q by one slice, and each
+    larger d is reached through its cofactor q = n/d < sqrt(n_max)."""
+    chi = _chi4(np.arange(n_max + 1, dtype=np.int64))
+    acc = np.zeros(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        acc[d::d] += (16 * chi[1 : n_max // d + 1] - 4 * int(chi[d])) * (d * d)
+    for q in range(1, n_max // (root + 1) + 1):
+        d = np.arange(root + 1, n_max // q + 1, dtype=np.int64)
+        acc[q * (root + 1) :: q] += (16 * int(chi[q]) - 4 * chi[root + 1 : n_max // q + 1]) * d * d
+    acc[0] = 1
+    return acc
+
+
+def _r8_sieve(n_max: int) -> np.ndarray:
+    """_r8_jacobi over 0..n_max in sieve form, as uint64.  The signed sum
+    sum_{d | n} (-1)^(n+d) d^3 fits int64 below 2^20 and is positive for n >= 1;
+    16 times it passes int64 from n = 784,080, so the product is taken in uint64.
+    With n = d q the sign is -1 exactly when d is odd and q even."""
+    acc = np.zeros(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        if d % 2:
+            acc[d :: 2 * d] += d**3
+            acc[2 * d :: 2 * d] -= d**3
+        else:
+            acc[d::d] += d**3
+    for q in range(1, n_max // (root + 1) + 1):
+        d = np.arange(root + 1, n_max // q + 1, dtype=np.int64)
+        cube = d**3
+        if q % 2 == 0:
+            cube[d % 2 == 1] *= -1
+        acc[q * (root + 1) :: q] += cube
+    out = acc.astype(np.uint64) * np.uint64(16)
+    out[0] = 1
+    return out
+
+
+def _fail_at_first_difference(name: str, got: np.ndarray, want: np.ndarray, formula: str) -> None:
+    wrong = got != want
+    if wrong.any():
+        n = int(np.argmax(wrong))
+        pytest.fail(f"{name}({n}) = {int(got[n])}, but {formula} = {int(want[n])}")
+
+
+class TestR6R8AtFullSize:
+    """r_6 to 1e6 and r_8 to R8_FIRST_OVERFLOW - 1, stepped from the 1e6 r_4
+    table by rk._square_step, against their closed forms; TestR7Limit and
+    TestR8Limit check the builds only to 3000."""
+
+    @pytest.fixture(scope="class")
+    def r6(self, series4_1m):
+        r4 = np.diff(series4_1m.prefix, prepend=np.uint64(0))
+        return rk._square_step(rk._square_step(r4))
+
+    def test_sieves_match_closed_forms(self):
+        n = np.arange(3001, dtype=np.int64)
+        assert np.array_equal(_r6_sieve(3000), _r6_closed(n))
+        assert _r8_sieve(3000)[1:].tolist() == _r8_jacobi(n[1:])
+
+    def test_r6(self, r6):
+        formula = "sum_{d | n} (16 chi(n/d) - 4 chi(d)) d^2"
+        _fail_at_first_difference("r_6", r6, _r6_sieve(r6.shape[0] - 1).astype(np.uint64), formula)
+
+    def test_r8(self, r6):
+        r8 = rk._square_step(rk._square_step(r6[: rk.R8_FIRST_OVERFLOW]))
+        assert r8.shape[0] - 1 == 987_839
+        _fail_at_first_difference("r_8", r8, _r8_sieve(r8.shape[0] - 1), "16 sum_{d | n} (-1)^(n+d) d^3")
+
+
 class TestDivisorSums:
     def test_sigma_examples(self):
         assert sigma(1.0, 6) == 12.0
