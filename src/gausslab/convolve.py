@@ -62,10 +62,12 @@ def _root_powers(w: int, count: int, p: int) -> np.ndarray:
     return ws[:count]
 
 
-def _ntt(values: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
+def _ntt(values: np.ndarray, p: int, g: int, bitrev: np.ndarray, invert: bool) -> np.ndarray:
+    """Transform of values (length a power of two); bitrev is
+    _bitrev_indices(len(values)), built once per convolution."""
     n = values.shape[0]
     pn = np.uint64(p)
-    a = values[_bitrev_indices(n)]
+    a = values[bitrev]
     half = 1
     while half < n:
         wlen = pow(g, (p - 1) // (2 * half), p)
@@ -104,15 +106,16 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
             f"convolution needs {need} points; transform capacity is {MAX_RESULT_LEN}"
         )
     size = 1 << max(1, (need - 1).bit_length())
+    bitrev = _bitrev_indices(size)
     residues = []
     for p, g in zip(_PRIMES, _GENERATORS):
         pa = np.zeros(size, dtype=np.uint64)
         pa[: a.shape[0]] = a % np.uint64(p)
         pb = np.zeros(size, dtype=np.uint64)
         pb[: b.shape[0]] = b % np.uint64(p)
-        fa = _ntt(pa, p, g, invert=False)
-        fb = _ntt(pb, p, g, invert=False)
-        residues.append(_ntt(fa * fb % np.uint64(p), p, g, invert=True)[:n_out])
+        fa = _ntt(pa, p, g, bitrev, invert=False)
+        fb = _ntt(pb, p, g, bitrev, invert=False)
+        residues.append(_ntt(fa * fb % np.uint64(p), p, g, bitrev, invert=True)[:n_out])
     return _crt3(residues)
 
 

@@ -221,7 +221,7 @@ def phi_di_sum(
         raise ValueError(f"phi_di_sum: needs s > 1 (got {s})")
     if gamma_max < 4 or h_max < 1:
         raise ValueError("phi_di_sum: needs gamma_max >= 4 and h_max >= 1")
-    h_arr = np.arange(1, h_max + 1, dtype=np.float64)
+    h_arr = np.arange(1, h_max + 1, dtype=np.int64)
     u, v = cusp.u, cusp.v
     prefactor = (math.gcd(v, 4 // v) / (4.0 * v)) ** s
     totals = np.zeros(h_max, dtype=np.complex128)
@@ -230,7 +230,9 @@ def phi_di_sum(
         if deltas.shape[0] == 0:
             continue
         gv = gamma * v
-        phases = np.exp((2j * math.pi / gv) * np.outer(h_arr, deltas.astype(np.float64)))
+        # e(h delta / gv) depends on h delta mod gv only: gather it from the gv roots of unity
+        roots = np.exp((2j * math.pi / gv) * np.arange(gv, dtype=np.float64))
+        phases = roots[np.outer(h_arr, deltas) % gv]
         totals += float(gamma) ** (-2.0 * s) * phases.sum(axis=1)
     tail = v * float(gamma_max) ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)
     values = prefactor * totals

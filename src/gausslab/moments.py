@@ -342,12 +342,29 @@ def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> 
     nk2 = half_power(n, k)
     i1 = np.zeros_like(n)
     i2 = np.zeros_like(n)
+    # two scratch buffers serve every node; each product keeps the association
+    # of delta = nk2 * expm1((k/2) log1p(xi/n)), wi * delta and (wi * delta) * delta
+    delta = np.empty_like(n)
+    term = np.empty_like(n)
     for xi, wi in zip(_GL_X01, _GL_W01):
-        delta = nk2 * np.expm1((k / 2.0) * np.log1p(xi / n))
-        i1 += wi * delta
-        i2 += wi * delta * delta
-    cells = pvals * pvals - 2.0 * vk * pvals * i1 + vk * vk * i2
-    magnitudes = np.abs(cells)
+        np.divide(xi, n, out=delta)
+        np.log1p(delta, out=delta)
+        delta *= k / 2.0
+        np.expm1(delta, out=delta)
+        delta *= nk2
+        np.multiply(wi, delta, out=term)
+        i1 += term
+        term *= delta
+        i2 += term
+    # cells = p^2 - ((2 vk) p) i1 + (vk vk) i2, formed in i1
+    np.multiply(2.0 * vk, pvals, out=term)
+    term *= i1
+    np.multiply(pvals, pvals, out=i1)
+    i1 -= term
+    i2 *= vk * vk
+    i1 += i2
+    cells = i1
+    magnitudes = np.abs(cells, out=delta)
     out = {}
     for x, m in sizes.items():
         if m == 0:

@@ -9,15 +9,19 @@ Construction routes:
   k = 2   direct enumeration of pairs a^2 + b^2 <= n_max, cost O(n_max)
   k >= 3  k - 2 sparse-square steps from the k=2 table,
           r_{j+1}(n) = r_j(n) + 2 sum_{i>=1} r_j(n - i^2), O(n_max^{3/2}) each,
-          walked in cache-sized output blocks; the step to r_3 runs in u32,
-          every later step in u64
+          walked in cache-sized output blocks; a step runs in u32 while
+          max(r_j) * (2 isqrt(n_max) + 1) < 2^32 proves that no sum can wrap,
+          and in u64 from the first step where it does not.  So the step to
+          r_3 runs in u32 up to MAX_N (r_2 <= 4 d(n) <= 3072 there), the step
+          to r_4 at 1e6 and 4e6, and the steps to r_3..r_6 at n_max = 2000
 
 Exact NTT convolution (convolve) builds no table; it is the independent
 oracle behind convolve_tables.  Measured on a 2-core box, the steps beat
 binary powering under the NTT at every size measured, with bit-identical
-output: r_4 at 1e6 / 4e6 / 1.6e7 took 0.4 / 3.1 / 28 s against
-9.6 / 55 / 136 s, and r_6 at 1.6e7 took 70 s against 297 s (the NTT figures at
-1.6e7, runs of 2.9 GB, are from an earlier measurement).  The steps
+output: r_4 at 1e6 / 4e6 / 1.6e7 took 0.3 / 2.2 / 23 s against
+8.1 / 55 / 136 s, and r_6 at 1.6e7 took 70 s against 297 s (the NTT figures
+from 4e6 up, runs of up to 2.9 GB, and the r_6 figures are from earlier
+measurements).  The steps
 peak at about 25 B per n, the transform at 180 B per n (2.9 GB at 1.6e7):
 above n ~ 3.4e7, where it needs 2^27 points, it does not fit in 7 GB, and
 above ~6.7e7 it cannot run at all.
@@ -166,14 +170,24 @@ def _r2_u32(n_max: int) -> np.ndarray:
     return counts
 
 
+def _widened(base: np.ndarray) -> np.ndarray:
+    """base, widened to u64 unless the next step is proved to fit in u32:
+    every output of the step is at most max(base) * (2 isqrt(n_max) + 1)."""
+    n_max = base.shape[0] - 1
+    if base.dtype == np.uint32 and int(base.max(initial=0)) * (2 * math.isqrt(n_max) + 1) < 1 << 32:
+        return base
+    return base.astype(np.uint64, copy=False)
+
+
 def _square_step(base: np.ndarray) -> np.ndarray:
     """One more squared coordinate: out[n] = base[n] + 2 sum_{j>=1} base[n - j^2].
 
     Exact in base's dtype.  The output is walked in blocks of _BLOCK entries
     with j innermost, so a block and the doubled window added to it stay in
-    cache; every out[n] still receives its adds in increasing j.  After j
-    adds every output is at most max(base) * (2j + 1); while that bound fits,
-    the adds run unchecked.  Past it each add is checked: all terms are
+    cache; every out[n] still receives its adds in increasing j.  Every add
+    into a block [lo, hi) reads base below hi, so after j adds each of its
+    outputs is at most max(base[:hi]) * (2j + 1); while that per-block bound
+    fits, the adds run unchecked.  Past it each add is checked: all terms are
     nonnegative, so an add wrapped exactly when the sum is smaller than the
     addend.  A doubled value or a sum that does not fit raises
     ConvolutionOverflowError, never wraps.
@@ -181,13 +195,14 @@ def _square_step(base: np.ndarray) -> np.ndarray:
     n_max = base.shape[0] - 1
     bits = 8 * base.dtype.itemsize
     limit = 1 << bits
-    top = int(base.max(initial=0))
-    if top >= limit // 2 and np.any(base[:n_max] >= base.dtype.type(limit // 2)):
+    if int(base.max(initial=0)) >= limit // 2 and np.any(base[:n_max] >= base.dtype.type(limit // 2)):
         raise ConvolutionOverflowError(f"r_k coefficient beyond {bits} bits in the doubling")
     out = base.copy()
     doubled = base * base.dtype.type(2)
+    top = 0  # max(base[:hi]) for the current block
     for lo in range(0, n_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, n_max + 1)
+        top = max(top, int(base[lo:hi].max()))
         for j in range(1, math.isqrt(hi - 1) + 1):
             start = max(lo, j * j)
             seg = out[start:hi]
@@ -206,16 +221,11 @@ def build_rk_table(k: int, n_max: int) -> RkTable:
         raise ConvolutionOverflowError(
             f"r_{k}(n) exceeds 64 bits from n = {first_overflow}; n_max = {n_max} cannot be built"
         )
-    if k == 1:
-        counts = _r1_u32(n_max).astype(np.uint64)
-    else:
-        counts = _r2_u32(n_max)
-        if k >= 3:
-            counts = _square_step(counts)  # r_3 stays in u32; the step checks that
-        counts = counts.astype(np.uint64)
-        for _ in range(k - 3):
-            counts = _square_step(counts)
-    return RkTable(k=k, n_max=n_max, counts=counts)
+    counts = _r1_u32(n_max) if k == 1 else _r2_u32(n_max)
+    for _ in range(k - 2):
+        counts = _widened(counts)  # rebinds first, so a narrow base is freed before the step
+        counts = _square_step(counts)
+    return RkTable(k=k, n_max=n_max, counts=counts.astype(np.uint64, copy=False))
 
 
 def convolve_tables(a: RkTable, b: RkTable) -> RkTable:

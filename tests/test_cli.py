@@ -543,6 +543,27 @@ class TestVerifyCommand:
         assert not passed
         assert "n=1500" in detail
 
+    @pytest.mark.parametrize("k, n, name", [(4, 77_777, "r4 Jacobi"), (2, 65, "r2 two-squares")])
+    def test_fault_injection_caught_by_divisor_oracles(self, k, n, name):
+        # one count off in a table the full-level check reads must be named with its n
+        table = build_rk_table(k, 10**5)
+        counts = table.counts.copy()
+        counts[n] += 8
+        passed, detail = verify.check_divisor_oracles(False, verify._Tables({k: rk.RkTable(k, 10**5, counts)}))
+        assert not passed
+        assert detail == f"{name} mismatch at n={n}"
+
+    def test_divisor_sieve(self):
+        n_max = 5000
+        sig, chi_sum = verify._divisor_sums(n_max)
+        assert np.array_equal(sig[1:].astype(np.float64), rk.sigma_table(1.0, n_max)[1:])
+        chi = (0, 1, 0, -1)
+        want = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for n in range(d, n_max + 1, d):
+                want[n] += chi[d % 4]
+        assert chi_sum[1:].tolist() == want[1:]
+
     def test_fault_injection_caught_by_phi_checks(self, monkeypatch):
         # a cusp-1/2 closed form that lost its (-1)^h sign fails both checks that use it
         real = dirichlet.phi_closed

@@ -211,6 +211,102 @@ class TestBlockedStep:
         with pytest.raises(ConvolutionOverflowError, match=f"step j = {math.isqrt(n_max)}$"):
             rk._square_step(base)
 
+    def test_big_value_in_first_block_bounds_later_blocks(self):
+        # base[3] = 2^63 - 1 doubles to 2^64 - 2, which wraps out[3 + 300^2] = 2
+        # in block 1 at j = 300; that block's own entries bound its sums far
+        # below 2^64, so only a bound that reaches back to block 0 checks the add
+        base = np.zeros(2 * rk._BLOCK + 3, dtype=np.uint64)
+        base[3] = 2**63 - 1
+        base[3 + 300**2] = 2
+        assert _first_wrap_global_bound(base) == 300
+        with pytest.raises(ConvolutionOverflowError, match="step j = 300$"):
+            rk._square_step(base)
+
+
+def _first_wrap_global_bound(base: np.ndarray) -> int | None:
+    """The j at which the blocked square step first wraps, checking every add
+    once max(base) * (2j + 1) passes the width, in every block alike: the
+    reference for rk._square_step's per-block bound."""
+    n_max = base.shape[0] - 1
+    limit = 1 << (8 * base.dtype.itemsize)
+    top = int(base.max())
+    out = base.copy()
+    doubled = base * base.dtype.type(2)
+    for lo in range(0, n_max + 1, rk._BLOCK):
+        hi = min(lo + rk._BLOCK, n_max + 1)
+        for j in range(1, math.isqrt(hi - 1) + 1):
+            start = max(lo, j * j)
+            seg = out[start:hi]
+            add = doubled[start - j * j : hi - j * j]
+            seg += add
+            if top * (2 * j + 1) >= limit and np.any(seg < add):
+                return j
+    return None
+
+
+def _recorded_steps(monkeypatch) -> list:
+    """Wrap rk._square_step; the returned list receives (input dtype name,
+    output) for every step taken."""
+    steps = []
+    real = rk._square_step
+
+    def record(base):
+        out = real(base)
+        steps.append((base.dtype.name, out))
+        return out
+
+    monkeypatch.setattr(rk, "_square_step", record)
+    return steps
+
+
+def _sha256(counts: np.ndarray) -> str:
+    return hashlib.sha256(counts.astype(np.uint64).tobytes()).hexdigest()
+
+
+# sha256 of the uint64 counts, from the build that ran every step past r_3 in u64
+_TABLE_DIGESTS = {
+    "r3@1e6": "519e81b342b3b199497e27b690a7e2ddba35c6f8146bcf05884006f40b9d3986",
+    "r4@1e6": "c8026e039b6a77623fc28ba394ca669b56b0e3e7151b67372b831062bb6ec3b8",
+    "r5@1e6": "e486bdecd75c5b81c39b1904c9b508065b984012ead43503e7dc01d64f7b7399",
+    "r6@1e6": "01084998efe11fba87857519828d8d1b968bee84ea3380d618243a05d7da5d53",
+    "r7@1e6": "1b7b6321c89767b97479bdaacea34a08cd841d2d12c01011a9f4f7a03411f7d8",
+    "r8@987839": "19183298c6a93a56634de5ad9a4bf8dd7eac7778d1bf5255be3ae4e91d288460",
+    "r3@4e6": "1a554c975f488854ed8caee5878df6ab5016e4dfb23b51f9142b69e11e3084bd",
+    "r4@4e6": "22166fd80d6e2ea49feab3331605a4d4c9ec4ae80cd78e89c1cae9695522319d",
+}
+
+
+class TestStepDtype:
+    """A step runs in u32 while max(base) * (2 isqrt(n_max) + 1) < 2^32 proves
+    that no sum wraps, and in u64 from the first step where it does not."""
+
+    def test_bound_picks_the_width(self):
+        # n_max = 3: every output is at most 3 max(base)
+        fits = np.array([0, 0, 0, (2**32 - 1) // 3], dtype=np.uint32)
+        assert rk._widened(fits) is fits
+        assert rk._widened(fits + np.uint32(1)).dtype == np.uint64
+        wide = fits.astype(np.uint64)
+        assert rk._widened(wide) is wide
+
+    def test_widths_at_2000(self, monkeypatch):
+        steps = _recorded_steps(monkeypatch)
+        build_rk_table(7, 2000)
+        assert [dtype for dtype, _ in steps] == ["uint32"] * 4 + ["uint64"]
+
+    def test_tables_unchanged(self, monkeypatch, series3_big):
+        steps = _recorded_steps(monkeypatch)
+        build_rk_table(7, 10**6)
+        got = {f"r{k}@1e6": _sha256(out) for k, (_, out) in zip(range(3, 8), steps)}
+        # the last step of build_rk_table(8, 987_839)
+        got["r8@987839"] = _sha256(rk._square_step(steps[-1][1][: rk.R8_FIRST_OVERFLOW]))
+        r3 = np.diff(series3_big.prefix, prepend=np.uint64(0))
+        got["r3@4e6"] = _sha256(r3)
+        # the last step of build_rk_table(4, 4 * 10**6), from its u32 r_3
+        got["r4@4e6"] = _sha256(rk._square_step(rk._widened(r3.astype(np.uint32))))
+        # build_rk_table(4, 10**6) takes the first two steps, both in u32
+        assert [dtype for dtype, _ in steps] == ["uint32"] * 2 + ["uint64"] * 4 + ["uint32"]
+        assert got == _TABLE_DIGESTS
+
 
 def _r8_jacobi(n: np.ndarray) -> list[int]:
     """r_8(n) = 16 sum_{d | n} (-1)^(n+d) d^3 (Jacobi), exact in Python ints;
