@@ -9,7 +9,7 @@ work shared with later cells: the first cell of each statistic evaluates
 every X of that statistic's grid in one pass, so it carries its grid's whole
 time and the statistic's later cells read about 0; the first cell of a
 statistic other than LaplaceSecond also fills p_values (at n = 1.5e6, about
-0.04-0.10 s on a 2-core box).
+0.02-0.03 s on a 2-core box).
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:

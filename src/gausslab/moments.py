@@ -33,14 +33,23 @@ each X the bits a pass of its own would:
             per piece, and keeps per X only its block partial sums
   prefix    SharpSecond, SharpWeightedFirst: forms the cells (P_k^2 or
             P_3 sqrt(n)) once and sums a prefix per X
-  Laplace   LaplaceSecond: forms the node values (S_n - V t^{k/2})^2 once
-            per interval and node
+  Laplace   LaplaceSecond: walks the intervals in CHUNK pieces, forms the
+            node values (S_n - V t^{k/2})^2 once per interval and node, and
+            keeps per X only its block partials, its cells at the audit
+            sample, and the pairwise-tree pieces of its rounding term
   integral  SharpIntegralSecond: forms the centered cells once and sums a
             prefix per X
 
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
-halving the first hundred intervals and a 1% sample of the rest.
+halving the first hundred intervals and a 1% sample of the rest, and a
+rounding term 1e-14 np.sum(cells).  No cell array outlives its chunk: that
+np.sum is rebuilt from chunk-local pieces of numpy's pairwise summation tree
+(halves split at n//2 rounded down to a multiple of 8, leaves of at most 128;
+Higham, SIAM J. Sci. Comput. 14, 1993).  Each node inside one chunk is summed
+by numpy as the chunk passes, a leaf across a chunk boundary is carried into
+the next chunk, and the node sums are added in tree order at the end, bit for
+bit np.sum of the whole array (TestStreamedSum checks it against numpy).
 
 The sharp integral evaluates the per-interval antiderivative in the centered
 form
@@ -60,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,24 +264,29 @@ def _laplace_cells(
     sizes: dict[float, int],
     subdivide: int,
     idx: np.ndarray | None = None,
-) -> dict[float, np.ndarray]:
+) -> Iterator[tuple[int, dict[float, np.ndarray]]]:
     """Per-interval int_n^{n+1} (S_n - v_k t^{k/2})^2 e^{-t/X} dt by 8-point
     Gauss-Legendre on `subdivide` equal pieces, for each X in `sizes` on its
     first sizes[X] intervals: n = 0, 1, 2, ... or, given idx, n = idx[0],
     idx[1], ...; step_values[i] is S at the i-th of them, as counts or as
     floats (counts are rounded to float a chunk at a time).
 
-    One pass, CHUNK intervals at a time so the temporaries stay in cache: the
-    X-independent (S_n - v_k t^{k/2})^2 and -t are formed once per chunk and
-    node and shared by every X whose intervals reach the chunk.  Every
-    operation is elementwise, so neither the chunking nor the sharing changes
-    a bit."""
-    cells = {x: np.zeros(m, dtype=np.float64) for x, m in sizes.items()}
+    Yields (lo, {X: cells of intervals lo .. min(lo + CHUNK, sizes[X]) - 1})
+    for each CHUNK of intervals from lo, over the X whose intervals reach it.
+    Each X's cells live in one CHUNK buffer that the next step overwrites:
+    the caller keeps what it needs of a step before asking for the next.
+    The X-independent (S_n - v_k t^{k/2})^2 and -t are formed once per chunk
+    and node and shared by every X.  Every operation is elementwise, so
+    neither the chunking nor the sharing changes a bit."""
     total = max(sizes.values())
-    buf = np.empty(min(CHUNK, total), dtype=np.float64)
+    width = min(CHUNK, total)
+    bufs = {x: np.empty(width, dtype=np.float64) for x in sizes}
+    scratch = np.empty(width, dtype=np.float64)
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
-        live = [(x, acc[lo:hi]) for x, acc in cells.items() if acc.shape[0] > lo]
+        live = {x: bufs[x][: min(m, hi) - lo] for x, m in sizes.items() if m > lo}
+        for acc in live.values():
+            acc.fill(0.0)
         step = np.asarray(step_values[lo:hi], dtype=np.float64)
         base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
         for piece in range(subdivide):
@@ -279,44 +294,117 @@ def _laplace_cells(
                 t = base + (piece + xi) / subdivide
                 g = (step - v_k * half_power(t, k)) ** 2
                 neg = np.negative(t, out=t)
-                for x, acc in live:
+                for x, acc in live.items():
                     m = acc.shape[0]
-                    f = np.divide(neg[:m], x, out=buf[:m])
+                    f = np.divide(neg[:m], x, out=scratch[:m])
                     np.exp(f, out=f)
                     f *= g[:m]
                     f *= wi / subdivide
                     acc += f
-    return cells
+        yield lo, live
+
+
+# numpy's pairwise summation (np.add.reduce of contiguous float64) sums runs
+# of at most this many elements directly, eight lanes at a time
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_fold(n: int, piece) -> float:
+    """numpy's pairwise summation tree over n elements, each node split at
+    n//2 rounded down to a multiple of 8, with each leaf and each node inside
+    one CHUNK (counted from element 0) taken as piece(lo, hi) instead of
+    being split further."""
+
+    def node(lo: int, m: int) -> float:
+        if m <= _PAIRWISE_LEAF or lo // CHUNK == (lo + m - 1) // CHUNK:
+            return piece(lo, lo + m)
+        half = m // 2
+        half -= half % 8
+        return node(lo, half) + node(lo + half, m - half)
+
+    return node(0, n)
+
+
+class _StreamedSum:
+    """np.sum of an n-element float64 array fed CHUNK elements at a time from
+    element 0, bit for bit, keeping only one number per piece of
+    _pairwise_fold: each piece inside a chunk is summed by np.add.reduce as
+    its chunk arrives (the same tree numpy builds under that node), a leaf
+    that straddles a chunk boundary is carried into the next chunk (at most
+    _PAIRWISE_LEAF elements), and total() folds the piece sums in tree order.
+    Exact for data without -0.0 (np.sum adds its 0.0 identity once)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.spans = []
+        _pairwise_fold(n, lambda lo, hi: self.spans.append((lo, hi)) or 0.0)
+        self.sums = []
+        self.carry = None
+
+    def feed(self, lo: int, values: np.ndarray) -> None:
+        """Elements lo .. lo + len(values) - 1; lo is a multiple of CHUNK and
+        values a full chunk unless it ends the array."""
+        spans, hi = self.spans, lo + values.shape[0]
+        i = len(self.sums)
+        while i < len(spans) and spans[i][0] < hi:
+            a, b = spans[i]
+            if b > hi:
+                self.carry = values[a - lo :].copy()
+                break
+            seg = values[a - lo : b - lo] if a >= lo else np.concatenate((self.carry, values[: b - lo]))
+            self.sums.append(np.add.reduce(seg))
+            i += 1
+
+    def total(self) -> float:
+        sums = iter(self.sums)
+        return float(_pairwise_fold(self.n, lambda lo, hi: next(sums)))
 
 
 def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int = 1) -> dict[float, tuple]:
     """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
     over the intervals and one over the audit sample.  `subdivide` refines
-    every unit interval; only the audit of the quadrature bound sets it."""
+    every unit interval; only the audit of the quadrature bound sets it.
+
+    No cell array outlives its chunk.  Per X the main pass keeps the block
+    partials of its cells (CHUNK is a whole number of blocks, so their
+    compensated sum is block_compensated_sum of all the cells), the cells at
+    the audit sample, and a _StreamedSum of the cells for the rounding term."""
     k = series.k
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
     # (the first 100 intervals, then every 100th below its cutoff) is a
     # prefix of the largest one
     head = 100
-    sample = np.concatenate([np.arange(head), np.arange(head, max(n_cuts.values()), 100)])
+    total = max(n_cuts.values())
+    sample = np.concatenate([np.arange(head), np.arange(head, total, 100)])
     sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
-    # gathered before the main pass, so that no float copy of every count is
-    # alive during it
-    sample_steps = series.prefix_float()[sample]
-    cells = _laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
-    fine = _laplace_cells(sample_steps, series.v_k, k, sample_sizes, 2 * subdivide, sample)
+    # the sample positions that start each chunk
+    chunk_starts = np.searchsorted(sample, np.arange(0, total + CHUNK, CHUNK)).tolist()
+    partials = {x: [] for x in n_cuts}
+    coarse = {x: [] for x in n_cuts}
+    sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
+    for lo, cells in _laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide):
+        c = lo // CHUNK
+        for x, acc in cells.items():
+            partials[x].append(block_partials(acc))
+            coarse[x].append(acc[sample[chunk_starts[c] : min(chunk_starts[c + 1], sample_sizes[x])] - lo])
+            sums[x].feed(lo, acc)
+    fine = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
+    steps = series.prefix_float(sample)
+    for lo, cells in _laplace_cells(steps, series.v_k, k, sample_sizes, 2 * subdivide, sample):
+        for x, acc in cells.items():
+            fine[x][lo : lo + acc.shape[0]] = acc
     # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
     # its coarse error is 1/(1 - 2^{-(k/2+1)}) times the difference, <= 1.21 if k >= 3
     head_factor = 2.0 if k == 1 else 1.25
     out = {}
     for x, n_cut in n_cuts.items():
-        acc = cells.pop(x)
-        value = block_compensated_sum(acc)
+        value = neumaier_sum(np.concatenate(partials[x]))
         tail = _second_moment_tail(k, x, n_cut)
-        diff = np.abs(fine[x] - acc[sample[: sample_sizes[x]]])
+        diff = np.abs(fine[x] - np.concatenate(coarse[x]))
         quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
-        # each cell integrates a square against positive weights: never negative, never -0.0
-        rounding = 1e-14 * float(np.sum(acc))
+        # each cell integrates a square against positive weights: never
+        # negative, never -0.0, so the streamed sum is np.sum of all the cells
+        rounding = 1e-14 * sums[x].total()
         out[x] = (value, tail + quad_bound + rounding)
     return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,19 @@ def laplace_refined(series, x, subdivide, grid=None):
     return moments._grid_sample(
         moments.Statistic.LAPLACE_SECOND, series, x, grid, moments._laplace_pass, subdivide
     )
+
+
+def allocated_peak(func, *args):
+    """func(*args) and the most its allocations (numpy's buffers included)
+    reached above the level at the call, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
 
 
 def zeta_eta_oracle(s: float, nterms: int = 100, passes: int = 60) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gausslab.discrepancy import (
+    P_SLICE,
     DiscrepancySeries,
     PrefixOverflowError,
     check_prefix_fits,
@@ -14,10 +15,11 @@ from gausslab.discrepancy import (
     p_at_real,
     prefix_counts,
     prefix_lower_bound,
+    _minus_volume,
 )
 from gausslab.rk import RkTable, build_rk_table, rk_bruteforce
 
-from conftest import assert_close
+from conftest import allocated_peak, assert_close
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +150,26 @@ class TestPAt:
         p = series3.p_values()
         for n in (0, 1, 2, 17, 5000, 10**4):
             assert p[n] == p_at_real(series3, float(n))
+
+
+class TestSlicedSeries:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_slices_change_no_bit(self, k):
+        # three full slices and a partial one
+        series = prefix_counts(build_rk_table(k, 3 * P_SLICE + 7))
+        whole = _minus_volume(series.prefix, series.v_k * half_power(np.arange(series.n_max + 1.0), k))
+        assert np.array_equal(series.p_values(), whole)
+
+    def test_p_values_temporaries_stay_small(self, series3_big):
+        # the c3 study's table size; unsliced, the temporaries reached 36 MB
+        series = DiscrepancySeries(k=3, n_max=1_514_216, prefix=series3_big.prefix[: 1_514_217], v_k=series3_big.v_k)
+        p, grown = allocated_peak(series.p_values)
+        assert grown <= p.nbytes + 4e6, grown
+
+    def test_prefix_float_gathers_before_converting(self, series3):
+        idx = np.array([0, 5, 100, 10**4])
+        got = series3.prefix_float(idx)
+        assert got.shape == idx.shape and np.array_equal(got, series3.prefix_float()[idx])
 
 
 class TestGaussBoundScan:

@@ -22,7 +22,7 @@ from gausslab.moments import (
 from gausslab.rk import build_rk_table
 from gausslab.summation import BLOCK, block_compensated_sum
 
-from conftest import assert_close, laplace_refined
+from conftest import allocated_peak, assert_close, laplace_refined
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,15 @@ class TestLaplaceSecond:
                 acc += (wi / subdivide) * f
         return acc
 
+    @staticmethod
+    def _joined_cells(*args):
+        """moments._laplace_cells(*args) with each X's chunks joined into one array."""
+        joined = {x: np.empty(m, dtype=np.float64) for x, m in args[3].items()}
+        for lo, cells in moments._laplace_cells(*args):
+            for x, acc in cells.items():
+                joined[x][lo : lo + acc.shape[0]] = acc
+        return joined
+
     @pytest.mark.parametrize("subdivide", [1, 2])
     @pytest.mark.parametrize("k", [3, 4])
     def test_chunks_change_no_bit(self, series3_big, series4_small, k, subdivide):
@@ -164,7 +173,7 @@ class TestLaplaceSecond:
         for idx in (contiguous, sample):
             args = (pf[idx], series.v_k, k, 2e4, idx, subdivide)
             given = None if idx is contiguous else idx
-            got = moments._laplace_cells(pf[idx], series.v_k, k, {2e4: idx.shape[0]}, subdivide, given)[2e4]
+            got = self._joined_cells(pf[idx], series.v_k, k, {2e4: idx.shape[0]}, subdivide, given)[2e4]
             assert np.array_equal(got, self._unchunked_cells(*args))
 
     @staticmethod
@@ -186,7 +195,7 @@ class TestLaplaceSecond:
         n_cuts = {x: exp_cutoff(k, x) for x in scales}
         pf = series.prefix_float()
         # the main pass rounds the counts to float a chunk at a time
-        shared = moments._laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
+        shared = self._joined_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
         grid = dict.fromkeys(scales)
         laplace_refined(series, scales[0], subdivide, grid=grid)
         # one call filled every entry
@@ -196,6 +205,12 @@ class TestLaplaceSecond:
             assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
             assert laplace_refined(series, x, subdivide, grid=grid) is grid[x]
             assert grid[x] == laplace_refined(series, x, subdivide)
+
+    def test_grid_pass_allocates_no_cell_array(self, series3_big):
+        # the README smooth grid: its 7.2e6 cells would take 57 MB at once
+        n_cuts = {x: exp_cutoff(3, x) for x in np.geomspace(2e3, 2e4, 12).tolist()}
+        _, grown = allocated_peak(moments._laplace_pass, series3_big, n_cuts)
+        assert grown <= 8e6, grown
 
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):
@@ -226,6 +241,39 @@ class TestLaplaceSecond:
             - smooth_second_moment(series4_small, x).value
         ) / x**3
         assert_close(gap, -math.pi**4 / 3.0, rel=0.02)
+
+
+class TestStreamedSum:
+    """_StreamedSum rebuilds numpy's pairwise summation tree from chunk-local
+    pieces: should a numpy release change its reduction tree, this fails."""
+
+    @staticmethod
+    def _streamed(values):
+        total = moments._StreamedSum(values.shape[0])
+        for lo in range(0, values.shape[0], CHUNK):
+            total.feed(lo, values[lo : lo + CHUNK])
+        return total.total()
+
+    def test_equals_np_sum(self):
+        rng = np.random.default_rng(20)
+        # positive values with exponents spread over +-5 decades
+        values = 10.0 ** rng.uniform(-5.0, 5.0, 1_514_216)
+        lengths = list(range(1, 301))
+        lengths += [j * CHUNK + d for j in (1, 2, 3) for d in range(-130, 131) if d]
+        lengths.append(values.shape[0])
+        for n in lengths:
+            assert self._streamed(values[:n]) == float(np.sum(values[:n])), n
+
+    def test_carried_leaf_is_a_copy(self):
+        # the caller reuses its chunk buffer, as the Laplace pass does
+        values = np.arange(1.0, 2 * CHUNK + 100)
+        total = moments._StreamedSum(values.shape[0])
+        buf = np.empty(CHUNK)
+        for lo in range(0, values.shape[0], CHUNK):
+            chunk = buf[: min(CHUNK, values.shape[0] - lo)]
+            chunk[:] = values[lo : lo + CHUNK]
+            total.feed(lo, chunk)
+        assert total.total() == float(np.sum(values))
 
 
 def _bits(sample):
