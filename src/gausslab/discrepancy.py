@@ -14,6 +14,8 @@ DiscrepancySeries.p_values fills P_k one slice of P_SLICE values at a time,
 so its temporaries stay about 1 MB beside the output; both steps are
 elementwise, so the slicing changes no bit.  prefix_float(idx) converts only
 the counts at idx, for a pass that needs a sample of them.
+diagonal_partial_mean forms r_k(m)^2 from the counts CHUNK values at a time
+and keeps only the block partials of its sum.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .rk import RkTable
 from .specfun import ball_volume
-from .summation import block_compensated_sum
+from .summation import CHUNK, _BlockSum
 
 __all__ = [
     "DiscrepancySeries",
@@ -167,8 +169,10 @@ def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:
     if X < 1:
         raise ValueError("diagonal_partial_mean: X must be a positive integer")
     _check_n(series, X)
-    rvals = np.empty(X + 1, dtype=np.float64)
-    rvals[0] = float(series.prefix[0])
-    rvals[1:] = (series.prefix[1 : X + 1] - series.prefix[:X]).astype(np.float64)
-    total = block_compensated_sum(rvals * rvals)
-    return (series.k - 1) * float(X) ** (1 - series.k) * total
+    total = _BlockSum(X + 1)
+    for lo in range(0, X + 1, CHUNK):
+        # r_k(m) = S_k(m) - S_k(m - 1), with S_k(-1) = 0
+        before = series.prefix[lo - 1] if lo else np.uint64(0)
+        rvals = np.diff(series.prefix[lo : min(lo + CHUNK, X + 1)], prepend=before).astype(np.float64)
+        total.feed(lo, rvals * rvals)
+    return (series.k - 1) * float(X) ** (1 - series.k) * total.total()

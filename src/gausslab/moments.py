@@ -24,32 +24,24 @@ one statistic's run, mapping each scale of the run to its sample, or to None
 until filled.  A call whose X has no sample takes X and every grid scale the
 series can take in one pass and fills their entries; a later call reads its
 own, and a scale the series cannot take raises at its own call.  Without
-`grid` a call is a grid of one.  Four passes serve the six statistics; each
-forms the X-independent arrays once, to the grid's largest scale, and gives
-each X the bits a pass of its own would:
+`grid` a call is a grid of one.  Four passes serve the six statistics.  Each
+walks its range to the grid's largest scale in CHUNK pieces, forms the
+X-independent values of a piece once, and keeps per X only its block partials
+(summation._BlockSum) and what its bound needs: no cell array outlives its
+chunk in any pass, and each X gets the bits a pass of its own would.
 
-  exp-cut   SmoothSecond, SmoothWeightedFirst: walks n = 1, 2, ... in CHUNK
-            pieces, forms the weight (P_k^2 or P_k n^{k/2-1}) and -n once
-            per piece, and keeps per X only its block partial sums
-  prefix    SharpSecond, SharpWeightedFirst: forms the cells (P_k^2 or
-            P_3 sqrt(n)) once and sums a prefix per X
-  Laplace   LaplaceSecond: walks the intervals in CHUNK pieces, forms the
-            node values (S_n - V t^{k/2})^2 once per interval and node, and
-            keeps per X only its block partials, its cells at the audit
-            sample, and the pairwise-tree pieces of its rounding term
-  integral  SharpIntegralSecond: forms the centered cells once and sums a
-            prefix per X
+  exp-cut   SmoothSecond, SmoothWeightedFirst: the weight P_k^2 or
+            P_k n^{k/2-1}, and -n
+  prefix    SharpSecond, SharpWeightedFirst: the cells P_k^2 or P_3 sqrt(n)
+  Laplace   LaplaceSecond: the node values (S_n - V t^{k/2})^2; per X also
+            its cells at the audit sample
+  integral  SharpIntegralSecond: the centered cells
 
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
 halving the first hundred intervals and a 1% sample of the rest, and a
-rounding term 1e-14 np.sum(cells).  No cell array outlives its chunk: that
-np.sum is rebuilt from chunk-local pieces of numpy's pairwise summation tree
-(halves split at n//2 rounded down to a multiple of 8, leaves of at most 128;
-Higham, SIAM J. Sci. Comput. 14, 1993).  Each node inside one chunk is summed
-by numpy as the chunk passes, a leaf across a chunk boundary is carried into
-the next chunk, and the node sums are added in tree order at the end, bit for
-bit np.sum of the whole array (TestStreamedSum checks it against numpy).
+rounding term 1e-14 np.sum(cells).  That np.sum, and the one in the sharp
+integral's bound, is rebuilt bit for bit from the chunks by _StreamedSum.
 
 The sharp integral evaluates the per-interval antiderivative in the centered
 form
@@ -76,7 +68,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .discrepancy import DiscrepancySeries, half_power
-from .summation import block_compensated_sum, block_partials, neumaier_sum
+from .summation import CHUNK, _BlockSum, _StreamedSum
 
 __all__ = [
     "Statistic",
@@ -92,12 +84,6 @@ __all__ = [
 ]
 
 MIN_EXP_CUTOFF = 100
-
-# intervals (or terms) per step of the Laplace and exp-cut passes: 2^14
-# doubles (128 KB) per temporary measured faster than 2^12 and 2^16 for the
-# Laplace pass.  A whole number of summation blocks, so that the exp-cut
-# sums' per-chunk block partials line up with those of the whole sum.
-CHUNK = 2**14
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _GL_X01 = (_GL_NODES + 1.0) / 2.0
@@ -215,11 +201,9 @@ def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, t
     """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} and tail(k, X, n_cut) for
     each X of n_cuts (X -> its cutoff), in one pass of CHUNK terms at a time
     from n = 1: the X-independent weight and -n are formed once per chunk,
-    and each X keeps only the block partials of its terms.  CHUNK is a whole
-    number of blocks, so every sum is bit for bit block_compensated_sum of
-    its own terms."""
+    and each X keeps only the block partials of its terms."""
     p = series.p_values()
-    partials = {x: [] for x in n_cuts}
+    sums = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
     total = max(n_cuts.values())
     buf = np.empty(min(CHUNK, total), dtype=np.float64)
     for lo in range(0, total, CHUNK):
@@ -233,16 +217,23 @@ def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, t
                 terms = np.divide(neg[:m], x, out=buf[:m])
                 np.exp(terms, out=terms)
                 terms *= w[:m]
-                partials[x].append(block_partials(terms))
-    return {x: (neumaier_sum(np.concatenate(partials[x])), tail(series.k, x, n_cut)) for x, n_cut in n_cuts.items()}
+                sums[x].feed(lo, terms)
+    return {x: (sums[x].total(), tail(series.k, x, n_cut)) for x, n_cut in n_cuts.items()}
 
 
 def _prefix_pass(series: DiscrepancySeries, sizes: dict[float, int], weight) -> dict[float, tuple]:
-    """Sharp sums: the cells weight(P_k(n), n) formed once, to the largest X;
-    each X sums its own prefix, exact up to float rounding (bound 0)."""
+    """Sharp sums: the cells weight(P_k(n), n) formed once per CHUNK of
+    n = 1, 2, ... to the largest X; each X keeps the block partials of its
+    own prefix, exact up to float rounding (bound 0)."""
+    p = series.p_values()
+    sums = {x: _BlockSum(m) for x, m in sizes.items()}
     top = max(sizes.values())
-    cells = weight(series.p_values()[1 : top + 1], np.arange(1, top + 1, dtype=np.float64))
-    return {x: (block_compensated_sum(cells[:m]), 0.0) for x, m in sizes.items()}
+    for lo in range(0, top, CHUNK):
+        hi = min(lo + CHUNK, top)
+        cells = weight(p[lo + 1 : hi + 1], np.arange(lo + 1, hi + 1, dtype=np.float64))
+        for acc in sums.values():
+            acc.feed(lo, cells)
+    return {x: (acc.total(), 0.0) for x, acc in sums.items()}
 
 
 def smooth_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None = None) -> MomentSample:
@@ -304,71 +295,14 @@ def _laplace_cells(
         yield lo, live
 
 
-# numpy's pairwise summation (np.add.reduce of contiguous float64) sums runs
-# of at most this many elements directly, eight lanes at a time
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_fold(n: int, piece) -> float:
-    """numpy's pairwise summation tree over n elements, each node split at
-    n//2 rounded down to a multiple of 8, with each leaf and each node inside
-    one CHUNK (counted from element 0) taken as piece(lo, hi) instead of
-    being split further."""
-
-    def node(lo: int, m: int) -> float:
-        if m <= _PAIRWISE_LEAF or lo // CHUNK == (lo + m - 1) // CHUNK:
-            return piece(lo, lo + m)
-        half = m // 2
-        half -= half % 8
-        return node(lo, half) + node(lo + half, m - half)
-
-    return node(0, n)
-
-
-class _StreamedSum:
-    """np.sum of an n-element float64 array fed CHUNK elements at a time from
-    element 0, bit for bit, keeping only one number per piece of
-    _pairwise_fold: each piece inside a chunk is summed by np.add.reduce as
-    its chunk arrives (the same tree numpy builds under that node), a leaf
-    that straddles a chunk boundary is carried into the next chunk (at most
-    _PAIRWISE_LEAF elements), and total() folds the piece sums in tree order.
-    Exact for data without -0.0 (np.sum adds its 0.0 identity once)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.spans = []
-        _pairwise_fold(n, lambda lo, hi: self.spans.append((lo, hi)) or 0.0)
-        self.sums = []
-        self.carry = None
-
-    def feed(self, lo: int, values: np.ndarray) -> None:
-        """Elements lo .. lo + len(values) - 1; lo is a multiple of CHUNK and
-        values a full chunk unless it ends the array."""
-        spans, hi = self.spans, lo + values.shape[0]
-        i = len(self.sums)
-        while i < len(spans) and spans[i][0] < hi:
-            a, b = spans[i]
-            if b > hi:
-                self.carry = values[a - lo :].copy()
-                break
-            seg = values[a - lo : b - lo] if a >= lo else np.concatenate((self.carry, values[: b - lo]))
-            self.sums.append(np.add.reduce(seg))
-            i += 1
-
-    def total(self) -> float:
-        sums = iter(self.sums)
-        return float(_pairwise_fold(self.n, lambda lo, hi: next(sums)))
-
-
 def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int = 1) -> dict[float, tuple]:
     """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
     over the intervals and one over the audit sample.  `subdivide` refines
     every unit interval; only the audit of the quadrature bound sets it.
 
     No cell array outlives its chunk.  Per X the main pass keeps the block
-    partials of its cells (CHUNK is a whole number of blocks, so their
-    compensated sum is block_compensated_sum of all the cells), the cells at
-    the audit sample, and a _StreamedSum of the cells for the rounding term."""
+    partials of its cells, the cells at the audit sample, and a _StreamedSum
+    of the cells for the rounding term."""
     k = series.k
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
     # (the first 100 intervals, then every 100th below its cutoff) is a
@@ -379,13 +313,13 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
     sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
     # the sample positions that start each chunk
     chunk_starts = np.searchsorted(sample, np.arange(0, total + CHUNK, CHUNK)).tolist()
-    partials = {x: [] for x in n_cuts}
+    values = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
     coarse = {x: [] for x in n_cuts}
     sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
     for lo, cells in _laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide):
         c = lo // CHUNK
         for x, acc in cells.items():
-            partials[x].append(block_partials(acc))
+            values[x].feed(lo, acc)
             coarse[x].append(acc[sample[chunk_starts[c] : min(chunk_starts[c + 1], sample_sizes[x])] - lo])
             sums[x].feed(lo, acc)
     fine = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
@@ -398,7 +332,7 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
     head_factor = 2.0 if k == 1 else 1.25
     out = {}
     for x, n_cut in n_cuts.items():
-        value = neumaier_sum(np.concatenate(partials[x]))
+        value = values[x].total()
         tail = _second_moment_tail(k, x, n_cut)
         diff = np.abs(fine[x] - np.concatenate(coarse[x]))
         quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
@@ -419,49 +353,51 @@ def laplace_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None
 
 
 def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, tuple]:
-    """Centered per-interval cells formed once, to the largest X; each X sums
-    its own prefix."""
+    """Centered per-interval cells formed once per CHUNK of n = 1, 2, ... to
+    the largest X; each X keeps the block partials of its own prefix and the
+    _StreamedSum of its magnitudes, for the bound."""
     k, vk = series.k, series.v_k
-    top = max(sizes.values())
+    p = series.p_values()
     # cell n = 0 exactly: S = 1, int_0^1 (1 - vk t^{k/2})^2 dt
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
-    n = np.arange(1, top, dtype=np.float64)
-    pvals = series.p_values()[1:top]
-    nk2 = half_power(n, k)
-    i1 = np.zeros_like(n)
-    i2 = np.zeros_like(n)
-    # two scratch buffers serve every node; each product keeps the association
-    # of delta = nk2 * expm1((k/2) log1p(xi/n)), wi * delta and (wi * delta) * delta
-    delta = np.empty_like(n)
-    term = np.empty_like(n)
-    for xi, wi in zip(_GL_X01, _GL_W01):
-        np.divide(xi, n, out=delta)
-        np.log1p(delta, out=delta)
-        delta *= k / 2.0
-        np.expm1(delta, out=delta)
-        delta *= nk2
-        np.multiply(wi, delta, out=term)
-        i1 += term
-        term *= delta
-        i2 += term
-    # cells = p^2 - ((2 vk) p) i1 + (vk vk) i2, formed in i1
-    np.multiply(2.0 * vk, pvals, out=term)
-    term *= i1
-    np.multiply(pvals, pvals, out=i1)
-    i1 -= term
-    i2 *= vk * vk
-    i1 += i2
-    cells = i1
-    magnitudes = np.abs(cells, out=delta)
-    out = {}
-    for x, m in sizes.items():
-        if m == 0:
-            out[x] = (0.0, 0.0)
-        else:
-            # np.sum's pairwise tree depends on the length: sum each X's own prefix
-            bound = 1e-13 * (abs(cell0) + float(np.sum(magnitudes[: m - 1])))
-            out[x] = (cell0 + block_compensated_sum(cells[: m - 1]), bound)
-    return out
+    sums = {x: _BlockSum(max(m - 1, 0)) for x, m in sizes.items()}
+    magnitudes = {x: _StreamedSum(max(m - 1, 0)) for x, m in sizes.items()}
+    top = max(sizes.values())
+    for lo in range(0, top - 1, CHUNK):
+        hi = min(lo + CHUNK, top - 1)
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        pvals = p[lo + 1 : hi + 1]
+        nk2 = half_power(n, k)
+        i1, i2 = np.zeros_like(n), np.zeros_like(n)
+        # two scratch buffers serve every node; each product keeps the association
+        # of delta = nk2 * expm1((k/2) log1p(xi/n)), wi * delta and (wi * delta) * delta
+        delta, term = np.empty_like(n), np.empty_like(n)
+        for xi, wi in zip(_GL_X01, _GL_W01):
+            np.divide(xi, n, out=delta)
+            np.log1p(delta, out=delta)
+            delta *= k / 2.0
+            np.expm1(delta, out=delta)
+            delta *= nk2
+            np.multiply(wi, delta, out=term)
+            i1 += term
+            term *= delta
+            i2 += term
+        # cells = p^2 - ((2 vk) p) i1 + (vk vk) i2, formed in i1
+        np.multiply(2.0 * vk, pvals, out=term)
+        term *= i1
+        np.multiply(pvals, pvals, out=i1)
+        i1 -= term
+        i2 *= vk * vk
+        i1 += i2
+        for acc in sums.values():
+            acc.feed(lo, i1)
+        np.abs(i1, out=delta)
+        for acc in magnitudes.values():
+            acc.feed(lo, delta)
+    return {
+        x: (cell0 + sums[x].total(), 1e-13 * (abs(cell0) + magnitudes[x].total())) if m else (0.0, 0.0)
+        for x, m in sizes.items()
+    }
 
 
 def sharp_integral_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) -> MomentSample:

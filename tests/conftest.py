@@ -15,9 +15,15 @@ def series3_big():
 
 
 @pytest.fixture(scope="session")
-def series4_1m():
+def table4_1m():
+    """r_4 table to 1e6."""
+    return build_rk_table(4, 1_000_000)
+
+
+@pytest.fixture(scope="session")
+def series4_1m(table4_1m):
     """k = 4 series to 1e6."""
-    return prefix_counts(build_rk_table(4, 1_000_000))
+    return prefix_counts(table4_1m)
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,9 @@ from gausslab.dirichlet import (
     ramanujan_sum,
 )
 from gausslab.rk import build_rk_table, sigma
+from gausslab.summation import BLOCK, CHUNK, block_compensated_sum
 
-from conftest import assert_close, zeta_eta_oracle
+from conftest import allocated_peak, assert_close, zeta_eta_oracle
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,41 @@ class TestR4Euler:
     def test_needs_k4(self, r1_table):
         with pytest.raises(ValueError):
             r4_identity_check(r1_table, 4.0, 100)
+
+    @pytest.mark.parametrize("s", [4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("m_max", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + BLOCK + 7])
+    def test_chunks_change_no_bit(self, r4_table, s, m_max):
+        # one term, one short of a chunk, a whole chunk, one past it, and a
+        # prefix ending mid-block in the third chunk
+        got = r4_identity_check(r4_table, s, m_max)
+        assert (got.lhs, got.discrepancy, got.tail_bound) == _r4_identity_whole_arrays(r4_table, s, m_max)
+
+    def test_pass_allocates_no_term_array(self, table4_1m):
+        # the whole-array formulas took 53 MB at 1e6 terms
+        _, grown = allocated_peak(r4_identity_check, table4_1m, 4.0, 10**6)
+        assert grown <= 4e6, grown
+
+
+def _r4_identity_whole_arrays(table, s, m_max):
+    """(lhs, discrepancy, tail_bound) of r4_identity_check from every term
+    at once: the reference for its chunked pass."""
+    m = np.arange(1, m_max + 1, dtype=np.float64)
+    r4 = table.counts[1 : m_max + 1].astype(np.float64)
+    terms = (r4 / 8.0) ** 2 / m**s
+    lhs = block_compensated_sum(terms)
+    rhs = r4_euler_rhs(s)
+    log_term = np.log(m) + 1.0
+    c = float(np.max(r4**2 / (m**2 * log_term**2)))
+    a = s - 3.0
+    big_l = math.log(float(m_max))
+    trunc = (
+        c
+        / 64.0
+        * float(m_max) ** -a
+        * ((big_l + 1.0) ** 2 / a + 2.0 * (big_l + 1.0) / a**2 + 2.0 / a**3)
+    )
+    rounding = 8.0 * 2.22e-16 * float(np.sum(np.abs(terms)))
+    return lhs, abs(lhs - rhs), trunc + rounding + 4e-12 * abs(rhs)
 
 
 def _scalar_phi_closed(cusp, h, s):

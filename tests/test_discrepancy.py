@@ -18,6 +18,7 @@ from gausslab.discrepancy import (
     _minus_volume,
 )
 from gausslab.rk import RkTable, build_rk_table, rk_bruteforce
+from gausslab.summation import BLOCK, CHUNK, block_compensated_sum
 
 from conftest import allocated_peak, assert_close
 
@@ -213,6 +214,20 @@ class TestDiagonal:
     def test_needs_positive_x(self, series4):
         with pytest.raises(ValueError):
             diagonal_partial_mean(series4, 0)
+
+    @pytest.mark.parametrize("x", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + BLOCK + 7])
+    def test_chunks_change_no_bit(self, series4_1m, x):
+        # the whole-array formula: r_k(0..X) at once
+        rvals = np.empty(x + 1, dtype=np.float64)
+        rvals[0] = float(series4_1m.prefix[0])
+        rvals[1:] = (series4_1m.prefix[1 : x + 1] - series4_1m.prefix[:x]).astype(np.float64)
+        want = 3 * float(x) ** -3 * block_compensated_sum(rvals * rvals)
+        assert diagonal_partial_mean(series4_1m, x) == want
+
+    def test_allocates_no_table_length_array(self, series4_1m):
+        # the whole-array formula took 23 MB at X = 1e6
+        _, grown = allocated_peak(diagonal_partial_mean, series4_1m, 10**6)
+        assert grown <= 4e6, grown
 
 
 class TestHalfPower:

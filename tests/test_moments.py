@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import moments, theory
+from gausslab import moments, summation, theory
 from gausslab.discrepancy import DiscrepancySeries, half_power, prefix_counts
 from gausslab.moments import (
     CHUNK,
@@ -249,7 +249,7 @@ class TestStreamedSum:
 
     @staticmethod
     def _streamed(values):
-        total = moments._StreamedSum(values.shape[0])
+        total = summation._StreamedSum(values.shape[0])
         for lo in range(0, values.shape[0], CHUNK):
             total.feed(lo, values[lo : lo + CHUNK])
         return total.total()
@@ -267,7 +267,7 @@ class TestStreamedSum:
     def test_carried_leaf_is_a_copy(self):
         # the caller reuses its chunk buffer, as the Laplace pass does
         values = np.arange(1.0, 2 * CHUNK + 100)
-        total = moments._StreamedSum(values.shape[0])
+        total = summation._StreamedSum(values.shape[0])
         buf = np.empty(CHUNK)
         for lo in range(0, values.shape[0], CHUNK):
             chunk = buf[: min(CHUNK, values.shape[0] - lo)]
@@ -330,6 +330,91 @@ class TestGridPass:
             weighted = block_compensated_sum(p[1 : n_cut + 1] * moments._weight_power(n, k - 2) * np.exp(-n / x))
             assert smooth_second_moment(series, x, grid=square_grid).value == square
             assert smooth_weighted_first_moment(series, x, grid=weighted_grid).value == weighted
+
+
+def _prefix_whole_arrays(series, sizes, weight):
+    """_prefix_pass from the cells to the largest X at once: the reference
+    for its chunked pass."""
+    top = max(sizes.values())
+    cells = weight(series.p_values()[1 : top + 1], np.arange(1, top + 1, dtype=np.float64))
+    return {x: (block_compensated_sum(cells[:m]), 0.0) for x, m in sizes.items()}
+
+
+def _sharp_integral_whole_arrays(series, sizes):
+    """_sharp_integral_pass from the cells to the largest X at once: the
+    reference for its chunked pass."""
+    k, vk = series.k, series.v_k
+    top = max(sizes.values())
+    cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
+    n = np.arange(1, top, dtype=np.float64)
+    pvals = series.p_values()[1:top]
+    nk2 = half_power(n, k)
+    i1 = np.zeros_like(n)
+    i2 = np.zeros_like(n)
+    delta = np.empty_like(n)
+    term = np.empty_like(n)
+    for xi, wi in zip(moments._GL_X01, moments._GL_W01):
+        np.divide(xi, n, out=delta)
+        np.log1p(delta, out=delta)
+        delta *= k / 2.0
+        np.expm1(delta, out=delta)
+        delta *= nk2
+        np.multiply(wi, delta, out=term)
+        i1 += term
+        term *= delta
+        i2 += term
+    np.multiply(2.0 * vk, pvals, out=term)
+    term *= i1
+    np.multiply(pvals, pvals, out=i1)
+    i1 -= term
+    i2 *= vk * vk
+    i1 += i2
+    cells = i1
+    magnitudes = np.abs(cells, out=delta)
+    out = {}
+    for x, m in sizes.items():
+        if m == 0:
+            out[x] = (0.0, 0.0)
+        else:
+            bound = 1e-13 * (abs(cell0) + float(np.sum(magnitudes[: m - 1])))
+            out[x] = (cell0 + block_compensated_sum(cells[: m - 1]), bound)
+    return out
+
+
+_SHARP_WEIGHTS = {Statistic.SHARP_SECOND: lambda p, n: p**2, Statistic.SHARP_WEIGHTED_FIRST: lambda p, n: p * np.sqrt(n)}
+
+
+class TestStreamedSharpPasses:
+    """The prefix and sharp-integral passes form their cells a chunk at a
+    time and give every X the bits of the whole-array formulas."""
+
+    # X = 0, 1, 2 (at most two cells), then prefixes ending one short of the
+    # first chunk's end and mid-block in each of the first three chunks
+    SIZES = [0, 1, 2, BLOCK + 3, CHUNK - 1, CHUNK + 7, 2 * CHUNK + BLOCK + 7]
+    STATS = [Statistic.SHARP_SECOND, Statistic.SHARP_WEIGHTED_FIRST, Statistic.SHARP_INTEGRAL_SECOND]
+
+    @pytest.mark.parametrize("stat", STATS, ids=[s.value for s in STATS])
+    def test_chunks_change_no_bit(self, series3_big, stat):
+        grid = dict.fromkeys(self.SIZES)
+        KERNELS[stat](series3_big, self.SIZES[-1], grid=grid)
+        sizes = {x: x for x in self.SIZES}
+        if stat is Statistic.SHARP_INTEGRAL_SECOND:
+            want = _sharp_integral_whole_arrays(series3_big, sizes)
+        else:
+            want = _prefix_whole_arrays(series3_big, sizes, _SHARP_WEIGHTS[stat])
+        for x in self.SIZES:
+            assert (grid[x].value, grid[x].truncation_bound) == want[x], x
+
+    @pytest.mark.parametrize("stat", STATS, ids=[s.value for s in STATS])
+    def test_pass_allocates_no_cell_array(self, series3_big, stat):
+        # at top 1e6 the whole-array passes took 15 MB (prefix) and 46 MB
+        # (integral) beside the cached P_k
+        series3_big.p_values()
+        if stat is Statistic.SHARP_INTEGRAL_SECOND:
+            _, grown = allocated_peak(moments._sharp_integral_pass, series3_big, {1e6: 10**6})
+        else:
+            _, grown = allocated_peak(moments._prefix_pass, series3_big, {1e6: 10**6}, _SHARP_WEIGHTS[stat])
+        assert grown <= 4e6, grown
 
 
 class TestSharpIntegral:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from gausslab.summation import BLOCK, block_compensated_sum, block_partials, neumaier_sum
+from gausslab.summation import BLOCK, CHUNK, _BlockSum, _StreamedSum, block_compensated_sum, block_partials, neumaier_sum
 
 
 def test_matches_fsum_on_hard_cancellation():
@@ -36,3 +36,18 @@ def test_partials_of_whole_block_pieces_concatenate():
         got = np.concatenate([block_partials(piece) for piece in pieces])
         assert np.array_equal(got, block_partials(values))
     assert block_partials(values[:0]).shape == (0,)
+
+
+def test_streamed_sums_of_prefixes():
+    # a pass feeds every prefix the same chunks, also past the prefix's end
+    rng = np.random.default_rng(21)
+    values = 10.0 ** rng.uniform(-5.0, 5.0, 3 * CHUNK + 100)
+    sizes = [0, 1, BLOCK + 1, CHUNK, CHUNK + 129, 3 * CHUNK + 100]
+    blocks = {n: _BlockSum(n) for n in sizes}
+    pairwise = {n: _StreamedSum(n) for n in sizes}
+    for lo in range(0, values.shape[0], CHUNK):
+        for acc in (*blocks.values(), *pairwise.values()):
+            acc.feed(lo, values[lo : lo + CHUNK])
+    for n in sizes:
+        assert blocks[n].total() == block_compensated_sum(values[:n]), n
+        assert pairwise[n].total() == float(np.sum(values[:n])), n
