@@ -10,9 +10,9 @@ identical across platforms that agree on exp/log.  Prefix values above 2^53
 are converted to float through a 32/32 bit split so that the subtraction
 keeps the low-order bits.
 
-DiscrepancySeries.p_values fills P_k one slice of P_SLICE values at a time,
-so its temporaries stay about 1 MB beside the output; both steps are
-elementwise, so the slicing changes no bit.  prefix_float(idx) converts only
+DiscrepancySeries.p_values fills P_k CHUNK values at a time, so its
+temporaries stay about 0.5 MB beside the output; both steps are elementwise,
+so the slicing changes no bit.  prefix_float(idx) converts only
 the counts at idx, for a pass that needs a sample of them.
 diagonal_partial_mean forms r_k(m)^2 from the counts CHUNK values at a time
 and keeps only the block partials of its sum.
@@ -39,13 +39,6 @@ __all__ = [
     "diagonal_partial_mean",
     "half_power",
 ]
-
-
-# values of P_k per slice of DiscrepancySeries.p_values: at n = 1.5e6, k = 3,
-# 2^15 measured fastest of 2^12 .. 2^18 (all about 20 ms), with about 1 MB of
-# temporaries beside the 12 MB output; the whole array at once took about
-# 40 ms and 36 MB of temporaries
-P_SLICE = 2**15
 
 
 class PrefixOverflowError(OverflowError):
@@ -107,13 +100,13 @@ class DiscrepancySeries:
 
     def p_values(self) -> np.ndarray:
         """P_k(n) for all n <= n_max as float64 (read-only, cached), filled
-        P_SLICE values at a time: the volume and the split counts are
+        CHUNK values at a time: the volume and the split counts are
         elementwise, so the slices change no bit and their temporaries stay
         small next to the output."""
         if self._p_cache is None:
             p = np.empty(self.n_max + 1, dtype=np.float64)
-            for lo in range(0, self.n_max + 1, P_SLICE):
-                hi = min(lo + P_SLICE, self.n_max + 1)
+            for lo in range(0, self.n_max + 1, CHUNK):
+                hi = min(lo + CHUNK, self.n_max + 1)
                 vol = self.v_k * half_power(np.arange(lo, hi, dtype=np.float64), self.k)
                 p[lo:hi] = _minus_volume(self.prefix[lo:hi], vol)
             p.flags.writeable = False

@@ -24,24 +24,25 @@ one statistic's run, mapping each scale of the run to its sample, or to None
 until filled.  A call whose X has no sample takes X and every grid scale the
 series can take in one pass and fills their entries; a later call reads its
 own, and a scale the series cannot take raises at its own call.  Without
-`grid` a call is a grid of one.  Four passes serve the six statistics.  Each
-walks its range to the grid's largest scale in CHUNK pieces, forms the
+`grid` a call is a grid of one.  Three passes serve the six statistics.
+Each walks its range to the grid's largest scale in CHUNK pieces, forms the
 X-independent values of a piece once, and keeps per X only its block partials
 (summation._BlockSum) and what its bound needs: no cell array outlives its
 chunk in any pass, and each X gets the bits a pass of its own would.
 
-  exp-cut   SmoothSecond, SmoothWeightedFirst: the weight P_k^2 or
-            P_k n^{k/2-1}, and -n
-  prefix    SharpSecond, SharpWeightedFirst: the cells P_k^2 or P_3 sqrt(n)
-  Laplace   LaplaceSecond: the node values (S_n - V t^{k/2})^2; per X also
-            its cells at the audit sample
-  integral  SharpIntegralSecond: the centered cells
+  exp-weighted  SmoothSecond, SmoothWeightedFirst, LaplaceSecond: g and -t
+                at each node t = n + u of the cells sum_nodes w g e^{-t/X},
+                g the weight P_k^2 or P_k n^{k/2-1} at one node per n, or
+                (S_n - V t^{k/2})^2 at the Gauss-Legendre nodes
+  prefix        SharpSecond, SharpWeightedFirst: the cells P_k^2 or P_3 sqrt(n)
+  integral      SharpIntegralSecond: the centered cells
 
 The Laplace transform integrates each unit interval with an 8-point
 Gauss-Legendre rule; its reported bound adds a quadrature error estimated by
-halving the first hundred intervals and a 1% sample of the rest, and a
-rounding term 1e-14 np.sum(cells).  That np.sum, and the one in the sharp
-integral's bound, is rebuilt bit for bit from the chunks by _StreamedSum.
+halving the first hundred intervals and a 1% sample of the rest (the audit
+evaluates both rules on that sample alone), and a rounding term
+1e-14 np.sum(cells).  That np.sum, and the one in the sharp integral's bound,
+is rebuilt bit for bit from the chunks by _StreamedSum.
 
 The sharp integral evaluates the per-interval antiderivative in the centered
 form
@@ -197,27 +198,55 @@ def _grid_sample(stat: Statistic, series: DiscrepancySeries, X, grid: Grid | Non
     return grid[X]
 
 
-def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, tail) -> dict[float, tuple]:
-    """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} and tail(k, X, n_cut) for
-    each X of n_cuts (X -> its cutoff), in one pass of CHUNK terms at a time
-    from n = 1: the X-independent weight and -n are formed once per chunk,
-    and each X keeps only the block partials of its terms."""
-    p = series.p_values()
-    sums = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
-    total = max(n_cuts.values())
-    buf = np.empty(min(CHUNK, total), dtype=np.float64)
+def _exp_cells(
+    steps: np.ndarray, g, sizes: dict[float, int], nodes, idx: np.ndarray | None = None
+) -> Iterator[tuple[int, float, np.ndarray]]:
+    """Cells sum_{(u, w) in nodes} w g(s, t) e^{-t/X} at t = n + u for each
+    X of `sizes` on its first sizes[X] cells, n = 0, 1, 2, ... or, given idx,
+    idx[0], idx[1], ...; steps[i] is s at the i-th n, as counts or as floats
+    (counts are rounded to float a chunk at a time).
+
+    Yields (lo, X, cells lo .. min(lo + CHUNK, sizes[X]) - 1) for each CHUNK
+    of cells and each X whose cells reach it, in X's one buffer, which its
+    next chunk overwrites.  g(s, t) and -t are formed once per chunk and
+    node for every X.  The first node's terms are written into the cells,
+    not added to 0 (every Laplace term is >= +0, so no bit differs), and a
+    weight of 1.0 skips its multiply: with one node (1, 1) the cells are the
+    terms g e^{-n/X} of an exp-cut sum.  All of it is elementwise, so
+    neither the chunking nor the sharing changes a bit."""
+    total = max(sizes.values())
+    width = min(CHUNK, total)
+    bufs = {x: np.empty(width, dtype=np.float64) for x in sizes}
+    scratch = np.empty(width, dtype=np.float64)
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        w = weight(p[lo + 1 : hi + 1], n)
-        neg = -n
-        for x, n_cut in n_cuts.items():
-            if n_cut > lo:
-                m = min(n_cut, hi) - lo
-                terms = np.divide(neg[:m], x, out=buf[:m])
-                np.exp(terms, out=terms)
-                terms *= w[:m]
-                sums[x].feed(lo, terms)
+        live = {x: bufs[x][: min(m, hi) - lo] for x, m in sizes.items() if m > lo}
+        s = np.asarray(steps[lo:hi], dtype=np.float64)
+        base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
+        for j, (u, w) in enumerate(nodes):
+            t = base + u
+            gt = g(s, t)
+            neg = np.negative(t, out=t)
+            for x, acc in live.items():
+                m = acc.shape[0]
+                f = np.divide(neg[:m], x, out=scratch[:m] if j else acc)
+                np.exp(f, out=f)
+                f *= gt[:m]
+                if w != 1.0:
+                    f *= w
+                if j:
+                    acc += f
+        for x, acc in live.items():
+            yield lo, x, acc
+
+
+def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, tail) -> dict[float, tuple]:
+    """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} and tail(k, X, n_cut) for
+    each X of n_cuts (X -> its cutoff), from one run of _exp_cells with one
+    node, (1, 1), per n: each X keeps only the block partials of its terms."""
+    sums = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
+    for lo, x, terms in _exp_cells(series.p_values()[1:], weight, n_cuts, ((1.0, 1.0),)):
+        sums[x].feed(lo, terms)
     return {x: (sums[x].total(), tail(series.k, x, n_cut)) for x, n_cut in n_cuts.items()}
 
 
@@ -248,85 +277,40 @@ def sharp_second_moment(series: DiscrepancySeries, X, grid: Grid | None = None) 
     return _grid_sample(Statistic.SHARP_SECOND, series, X, grid, _prefix_pass, lambda p, n: p**2)
 
 
-def _laplace_cells(
-    step_values: np.ndarray,
-    v_k: float,
-    k: int,
-    sizes: dict[float, int],
-    subdivide: int,
-    idx: np.ndarray | None = None,
-) -> Iterator[tuple[int, dict[float, np.ndarray]]]:
-    """Per-interval int_n^{n+1} (S_n - v_k t^{k/2})^2 e^{-t/X} dt by 8-point
-    Gauss-Legendre on `subdivide` equal pieces, for each X in `sizes` on its
-    first sizes[X] intervals: n = 0, 1, 2, ... or, given idx, n = idx[0],
-    idx[1], ...; step_values[i] is S at the i-th of them, as counts or as
-    floats (counts are rounded to float a chunk at a time).
-
-    Yields (lo, {X: cells of intervals lo .. min(lo + CHUNK, sizes[X]) - 1})
-    for each CHUNK of intervals from lo, over the X whose intervals reach it.
-    Each X's cells live in one CHUNK buffer that the next step overwrites:
-    the caller keeps what it needs of a step before asking for the next.
-    The X-independent (S_n - v_k t^{k/2})^2 and -t are formed once per chunk
-    and node and shared by every X.  Every operation is elementwise, so
-    neither the chunking nor the sharing changes a bit."""
-    total = max(sizes.values())
-    width = min(CHUNK, total)
-    bufs = {x: np.empty(width, dtype=np.float64) for x in sizes}
-    scratch = np.empty(width, dtype=np.float64)
-    for lo in range(0, total, CHUNK):
-        hi = min(lo + CHUNK, total)
-        live = {x: bufs[x][: min(m, hi) - lo] for x, m in sizes.items() if m > lo}
-        for acc in live.values():
-            acc.fill(0.0)
-        step = np.asarray(step_values[lo:hi], dtype=np.float64)
-        base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
-        for piece in range(subdivide):
-            for xi, wi in zip(_GL_X01, _GL_W01):
-                t = base + (piece + xi) / subdivide
-                g = (step - v_k * half_power(t, k)) ** 2
-                neg = np.negative(t, out=t)
-                for x, acc in live.items():
-                    m = acc.shape[0]
-                    f = np.divide(neg[:m], x, out=scratch[:m])
-                    np.exp(f, out=f)
-                    f *= g[:m]
-                    f *= wi / subdivide
-                    acc += f
-        yield lo, live
+def _gauss_legendre(pieces: int) -> list[tuple[float, float]]:
+    """Nodes (u, w) of the 8-point Gauss-Legendre rule on `pieces` equal
+    pieces of [0, 1]."""
+    return [((piece + xi) / pieces, wi / pieces) for piece in range(pieces) for xi, wi in zip(_GL_X01, _GL_W01)]
 
 
 def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int = 1) -> dict[float, tuple]:
-    """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one pass
-    over the intervals and one over the audit sample.  `subdivide` refines
-    every unit interval; only the audit of the quadrature bound sets it.
+    """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one run of
+    _exp_cells over the intervals with g = (S_n - v_k t^{k/2})^2 and, for
+    the audit, two over its sample: with the pass's rule and with each piece
+    halved.  `subdivide` refines every unit interval; only the audit of the
+    quadrature bound sets it.  Per X the main pass keeps the block partials
+    of its cells and a _StreamedSum of them for the rounding term."""
+    k, v_k = series.k, series.v_k
 
-    No cell array outlives its chunk.  Per X the main pass keeps the block
-    partials of its cells, the cells at the audit sample, and a _StreamedSum
-    of the cells for the rounding term."""
-    k = series.k
+    def g(s, t):
+        return (s - v_k * half_power(t, k)) ** 2
+
+    values = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
+    sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
+    for lo, x, cells in _exp_cells(series.prefix, g, n_cuts, _gauss_legendre(subdivide)):
+        values[x].feed(lo, cells)
+        sums[x].feed(lo, cells)
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
     # (the first 100 intervals, then every 100th below its cutoff) is a
     # prefix of the largest one
     head = 100
-    total = max(n_cuts.values())
-    sample = np.concatenate([np.arange(head), np.arange(head, total, 100)])
+    sample = np.concatenate([np.arange(head), np.arange(head, max(n_cuts.values()), 100)])
     sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
-    # the sample positions that start each chunk
-    chunk_starts = np.searchsorted(sample, np.arange(0, total + CHUNK, CHUNK)).tolist()
-    values = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
-    coarse = {x: [] for x in n_cuts}
-    sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
-    for lo, cells in _laplace_cells(series.prefix, series.v_k, k, n_cuts, subdivide):
-        c = lo // CHUNK
-        for x, acc in cells.items():
-            values[x].feed(lo, acc)
-            coarse[x].append(acc[sample[chunk_starts[c] : min(chunk_starts[c + 1], sample_sizes[x])] - lo])
-            sums[x].feed(lo, acc)
-    fine = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
     steps = series.prefix_float(sample)
-    for lo, cells in _laplace_cells(steps, series.v_k, k, sample_sizes, 2 * subdivide, sample):
-        for x, acc in cells.items():
-            fine[x][lo : lo + acc.shape[0]] = acc
+    diff = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
+    fine, coarse = (_exp_cells(steps, g, sample_sizes, _gauss_legendre(p), sample) for p in (2 * subdivide, subdivide))
+    for (lo, x, halved), (_, _, cells) in zip(fine, coarse):
+        np.subtract(halved, cells, out=diff[x][lo : lo + cells.shape[0]])
     # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
     # its coarse error is 1/(1 - 2^{-(k/2+1)}) times the difference, <= 1.21 if k >= 3
     head_factor = 2.0 if k == 1 else 1.25
@@ -334,8 +318,8 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
     for x, n_cut in n_cuts.items():
         value = values[x].total()
         tail = _second_moment_tail(k, x, n_cut)
-        diff = np.abs(fine[x] - np.concatenate(coarse[x]))
-        quad_bound = head_factor * float(np.sum(diff[:head])) + 100.0 * float(np.sum(diff[head:])) * 8.0
+        d = np.abs(diff[x], out=diff[x])
+        quad_bound = head_factor * float(np.sum(d[:head])) + 100.0 * float(np.sum(d[head:])) * 8.0
         # each cell integrates a square against positive weights: never
         # negative, never -0.0, so the streamed sum is np.sum of all the cells
         rounding = 1e-14 * sums[x].total()

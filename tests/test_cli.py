@@ -237,15 +237,17 @@ class TestLaplaceGrid:
 
     @staticmethod
     def _count_main_passes(monkeypatch):
+        """The sorted scales of each run of the exp-weighted cell generator
+        over a whole range (not over an audit sample), in order."""
         passes = []
-        real = moments._laplace_cells
+        real = moments._exp_cells
 
-        def counting(step_values, v_k, k, sizes, subdivide, idx=None):
+        def counting(steps, g, sizes, nodes, idx=None):
             if idx is None:
                 passes.append(sorted(sizes))
-            return real(step_values, v_k, k, sizes, subdivide, idx)
+            return real(steps, g, sizes, nodes, idx)
 
-        monkeypatch.setattr(moments, "_laplace_cells", counting)
+        monkeypatch.setattr(moments, "_exp_cells", counting)
         return passes
 
     def _count_grid_passes(self, monkeypatch):
@@ -279,11 +281,12 @@ class TestLaplaceGrid:
 
     def test_one_main_pass_per_grid(self, monkeypatch):
         passes = self._count_grid_passes(monkeypatch)
-        laplace_cells = self._count_main_passes(monkeypatch)
+        exp_cells = self._count_main_passes(monkeypatch)
         rows, status = cli.run_moments(3, self.GRID, list(Statistic))
         assert status == 0 and len(rows) == 4 * len(Statistic)
         assert passes == self._one_pass_each(Statistic, self.GRID)
-        assert laplace_cells == [self.GRID]
+        # SmoothSecond, LaplaceSecond and SmoothWeightedFirst: one run each
+        assert exp_cells == [self.GRID] * sum(stat.exp_cut for stat in Statistic)
 
     def test_plain_calls_pass_each_time(self, monkeypatch):
         series = prefix_counts(build_rk_table(3, moments.exp_cutoff(3, 300.0)))

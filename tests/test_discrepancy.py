@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gausslab.discrepancy import (
-    P_SLICE,
     DiscrepancySeries,
     PrefixOverflowError,
     check_prefix_fits,
@@ -157,7 +156,7 @@ class TestSlicedSeries:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_slices_change_no_bit(self, k):
         # three full slices and a partial one
-        series = prefix_counts(build_rk_table(k, 3 * P_SLICE + 7))
+        series = prefix_counts(build_rk_table(k, 3 * CHUNK + 7))
         whole = _minus_volume(series.prefix, series.v_k * half_power(np.arange(series.n_max + 1.0), k))
         assert np.array_equal(series.p_values(), whole)
 

@@ -153,12 +153,17 @@ class TestLaplaceSecond:
         return acc
 
     @staticmethod
-    def _joined_cells(*args):
-        """moments._laplace_cells(*args) with each X's chunks joined into one array."""
-        joined = {x: np.empty(m, dtype=np.float64) for x, m in args[3].items()}
-        for lo, cells in moments._laplace_cells(*args):
-            for x, acc in cells.items():
-                joined[x][lo : lo + acc.shape[0]] = acc
+    def _joined_cells(step_values, v_k, k, sizes, subdivide, idx=None):
+        """The LaplaceSecond cells of moments._exp_cells, with the Laplace
+        integrand and the kernel's rule, each X's chunks joined into one array."""
+
+        def integrand(s, t):
+            return (s - v_k * half_power(t, k)) ** 2
+
+        joined = {x: np.empty(m, dtype=np.float64) for x, m in sizes.items()}
+        nodes = moments._gauss_legendre(subdivide)
+        for lo, x, cells in moments._exp_cells(step_values, integrand, sizes, nodes, idx):
+            joined[x][lo : lo + cells.shape[0]] = cells
         return joined
 
     @pytest.mark.parametrize("subdivide", [1, 2])
@@ -205,6 +210,22 @@ class TestLaplaceSecond:
             assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
             assert laplace_refined(series, x, subdivide, grid=grid) is grid[x]
             assert grid[x] == laplace_refined(series, x, subdivide)
+
+    @pytest.mark.parametrize("subdivide", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_audit_sample_cells_match_main_pass(self, series3_big, series4_small, k, subdivide):
+        # the audit recomputes the pass's cells at its sample rather than
+        # keeping them, so the two runs must agree bit for bit, here on the
+        # audit's sample and on the cells either side of two chunk boundaries
+        series = {3: series3_big, 4: series4_small}.get(k) or prefix_counts(build_rk_table(1, 3 * CHUNK + 1234))
+        n_cuts = {self._scale_with_cutoff(k, n): n for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)}
+        main = self._joined_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
+        audit = np.concatenate([np.arange(100), np.arange(100, 3 * CHUNK + 1234, 100)])
+        sample = np.union1d(audit, [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK])
+        sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
+        got = self._joined_cells(series.prefix_float(sample), series.v_k, k, sizes, subdivide, sample)
+        for x, m in sizes.items():
+            assert np.array_equal(got[x], main[x][sample[:m]])
 
     def test_grid_pass_allocates_no_cell_array(self, series3_big):
         # the README smooth grid: its 7.2e6 cells would take 57 MB at once
