@@ -7,9 +7,7 @@ across reruns.  A moments row's predicted_value is theory.predicted's main
 term, blank where it has none.  A cell's runtime_ms can include one-time
 work shared with later cells: the first cell of each statistic evaluates
 every X of that statistic's grid in one pass, so it carries its grid's whole
-time and the statistic's later cells read about 0; the first cell of a
-statistic other than LaplaceSecond also fills p_values (at n = 1.5e6, about
-0.02-0.03 s on a 2-core box).
+time and the statistic's later cells read about 0.
 
 Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
@@ -262,14 +260,14 @@ def cmd_shortinterval(args) -> int:
     if grid[0] < 2:
         raise ValueError(f"X = {grid[0]} too small: the ratio divides by log X, so int(X) >= 2")
     n_max = max(int(x + x**beta) for x in grid)
-    p = _series(3, n_max, args.cache_dir).p_values()
-    psq = p * p
+    series = _series(3, n_max, args.cache_dir)
     rows = []
     for x in grid:
         width = float(x) ** beta
         lo = max(1, math.ceil(x - width))
         hi = min(n_max, math.floor(x + width))
-        window = float(np.sum(psq[lo : hi + 1]))
+        p = series.p_values(lo, hi + 1)
+        window = float(np.sum(p * p))
         ratio = window / (float(x) ** (1.0 + beta) * math.log(x))
         rows.append(
             [

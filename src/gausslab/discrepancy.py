@@ -10,10 +10,10 @@ identical across platforms that agree on exp/log.  Prefix values above 2^53
 are converted to float through a 32/32 bit split so that the subtraction
 keeps the low-order bits.
 
-DiscrepancySeries.p_values fills P_k CHUNK values at a time, so its
-temporaries stay about 0.5 MB beside the output; both steps are elementwise,
-so the slicing changes no bit.  prefix_float(idx) converts only
-the counts at idx, for a pass that needs a sample of them.
+The series keeps the counts only: p_values(lo, hi) forms P_k on the range a
+pass asks for, CHUNK values at a time, and as both steps are elementwise the
+range and the slicing change no bit.  prefix_float(idx) converts only the
+counts at idx, for a pass that needs a run or a sample of them.
 diagonal_partial_mean forms r_k(m)^2 from the counts CHUNK values at a time
 and keeps only the block partials of its sum.
 """
@@ -21,7 +21,7 @@ and keeps only the block partials of its sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,22 +68,20 @@ def _minus_volume(counts, vol):
     return (hi - vol) + lo
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscrepancySeries:
-    """Running lattice counts prefix[n] = S_k(n) with the cached ball volume,
-    and the discrepancy P_k derived from them.
+    """Running lattice counts prefix[n] = S_k(n) with the ball volume V_k,
+    from which each pass forms the discrepancy P_k it needs.
 
-    Immutable after construction (the prefix array is read-only); P_k is
-    filled lazily, once, and does not affect results.  What a statistic
-    derives for its own pass (the float counts, a grid's samples) belongs to
-    that pass, not to the series.
+    Immutable: the fields are frozen and the prefix array is read-only.
+    What a statistic derives for its own pass (P_k or the float counts on its
+    range, a grid's samples) belongs to that pass, not to the series.
     """
 
     k: int
     n_max: int
     prefix: np.ndarray
     v_k: float
-    _p_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.prefix.dtype != np.uint64 or self.prefix.shape != (self.n_max + 1,):
@@ -98,20 +96,19 @@ class DiscrepancySeries:
         counts = self.prefix if idx is None else self.prefix[idx]
         return counts.astype(np.float64)
 
-    def p_values(self) -> np.ndarray:
-        """P_k(n) for all n <= n_max as float64 (read-only, cached), filled
-        CHUNK values at a time: the volume and the split counts are
-        elementwise, so the slices change no bit and their temporaries stay
-        small next to the output."""
-        if self._p_cache is None:
-            p = np.empty(self.n_max + 1, dtype=np.float64)
-            for lo in range(0, self.n_max + 1, CHUNK):
-                hi = min(lo + CHUNK, self.n_max + 1)
-                vol = self.v_k * half_power(np.arange(lo, hi, dtype=np.float64), self.k)
-                p[lo:hi] = _minus_volume(self.prefix[lo:hi], vol)
-            p.flags.writeable = False
-            self._p_cache = p
-        return self._p_cache
+    def p_values(self, lo: int, hi: int) -> np.ndarray:
+        """P_k(n) for lo <= n < hi as a new float64 array, filled CHUNK
+        values at a time: the volume and the split counts are elementwise, so
+        the slices change no bit and their temporaries stay small next to
+        the output."""
+        if not 0 <= lo <= hi <= self.n_max + 1:
+            raise ValueError(f"p_values: [{lo}, {hi}) outside [0, {self.n_max + 1})")
+        p = np.empty(hi - lo, dtype=np.float64)
+        for a in range(lo, hi, CHUNK):
+            b = min(a + CHUNK, hi)
+            vol = self.v_k * half_power(np.arange(a, b, dtype=np.float64), self.k)
+            p[a - lo : b - lo] = _minus_volume(self.prefix[a:b], vol)
+        return p
 
 
 def prefix_lower_bound(k: int, n):

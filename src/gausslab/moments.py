@@ -198,20 +198,17 @@ def _grid_sample(stat: Statistic, series: DiscrepancySeries, X, grid: Grid | Non
     return grid[X]
 
 
-def _exp_cells(
-    steps: np.ndarray, g, sizes: dict[float, int], nodes, idx: np.ndarray | None = None
-) -> Iterator[tuple[int, float, np.ndarray]]:
+def _exp_cells(source, g, sizes: dict[float, int], nodes) -> Iterator[tuple[int, float, np.ndarray]]:
     """Cells sum_{(u, w) in nodes} w g(s, t) e^{-t/X} at t = n + u for each
-    X of `sizes` on its first sizes[X] cells, n = 0, 1, 2, ... or, given idx,
-    idx[0], idx[1], ...; steps[i] is s at the i-th n, as counts or as floats
-    (counts are rounded to float a chunk at a time).
+    X of `sizes` on its first sizes[X] cells; source(lo, hi) gives s and n
+    for cells lo .. hi - 1 as float64 arrays.
 
     Yields (lo, X, cells lo .. min(lo + CHUNK, sizes[X]) - 1) for each CHUNK
     of cells and each X whose cells reach it, in X's one buffer, which its
     next chunk overwrites.  g(s, t) and -t are formed once per chunk and
     node for every X.  The first node's terms are written into the cells,
     not added to 0 (every Laplace term is >= +0, so no bit differs), and a
-    weight of 1.0 skips its multiply: with one node (1, 1) the cells are the
+    weight of 1.0 skips its multiply: with one node (0, 1) the cells are the
     terms g e^{-n/X} of an exp-cut sum.  All of it is elementwise, so
     neither the chunking nor the sharing changes a bit."""
     total = max(sizes.values())
@@ -221,10 +218,9 @@ def _exp_cells(
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
         live = {x: bufs[x][: min(m, hi) - lo] for x, m in sizes.items() if m > lo}
-        s = np.asarray(steps[lo:hi], dtype=np.float64)
-        base = np.arange(lo, hi, dtype=np.float64) if idx is None else idx[lo:hi].astype(np.float64)
+        s, n = source(lo, hi)
         for j, (u, w) in enumerate(nodes):
-            t = base + u
+            t = n + u
             gt = g(s, t)
             neg = np.negative(t, out=t)
             for x, acc in live.items():
@@ -242,10 +238,14 @@ def _exp_cells(
 
 def _exp_cut_pass(series: DiscrepancySeries, n_cuts: dict[float, int], weight, tail) -> dict[float, tuple]:
     """sum_{n=1}^{n_cut} weight(P_k(n), n) e^{-n/X} and tail(k, X, n_cut) for
-    each X of n_cuts (X -> its cutoff), from one run of _exp_cells with one
-    node, (1, 1), per n: each X keeps only the block partials of its terms."""
+    each X of n_cuts (X -> its cutoff), from one run of _exp_cells over P_k a
+    chunk at a time, one node (0, 1) per n: each X keeps its block partials."""
+
+    def p_k(lo, hi):
+        return series.p_values(lo + 1, hi + 1), np.arange(lo + 1, hi + 1, dtype=np.float64)
+
     sums = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
-    for lo, x, terms in _exp_cells(series.p_values()[1:], weight, n_cuts, ((1.0, 1.0),)):
+    for lo, x, terms in _exp_cells(p_k, weight, n_cuts, ((0.0, 1.0),)):
         sums[x].feed(lo, terms)
     return {x: (sums[x].total(), tail(series.k, x, n_cut)) for x, n_cut in n_cuts.items()}
 
@@ -254,12 +254,11 @@ def _prefix_pass(series: DiscrepancySeries, sizes: dict[float, int], weight) -> 
     """Sharp sums: the cells weight(P_k(n), n) formed once per CHUNK of
     n = 1, 2, ... to the largest X; each X keeps the block partials of its
     own prefix, exact up to float rounding (bound 0)."""
-    p = series.p_values()
     sums = {x: _BlockSum(m) for x, m in sizes.items()}
     top = max(sizes.values())
     for lo in range(0, top, CHUNK):
         hi = min(lo + CHUNK, top)
-        cells = weight(p[lo + 1 : hi + 1], np.arange(lo + 1, hi + 1, dtype=np.float64))
+        cells = weight(series.p_values(lo + 1, hi + 1), np.arange(lo + 1, hi + 1, dtype=np.float64))
         for acc in sums.values():
             acc.feed(lo, cells)
     return {x: (acc.total(), 0.0) for x, acc in sums.items()}
@@ -295,9 +294,12 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
     def g(s, t):
         return (s - v_k * half_power(t, k)) ** 2
 
+    def counts(lo, hi):
+        return series.prefix_float(slice(lo, hi)), np.arange(lo, hi, dtype=np.float64)
+
     values = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
     sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
-    for lo, x, cells in _exp_cells(series.prefix, g, n_cuts, _gauss_legendre(subdivide)):
+    for lo, x, cells in _exp_cells(counts, g, n_cuts, _gauss_legendre(subdivide)):
         values[x].feed(lo, cells)
         sums[x].feed(lo, cells)
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
@@ -306,9 +308,13 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
     head = 100
     sample = np.concatenate([np.arange(head), np.arange(head, max(n_cuts.values()), 100)])
     sample_sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
-    steps = series.prefix_float(sample)
+    steps, at = series.prefix_float(sample), sample.astype(np.float64)
+
+    def sampled(lo, hi):
+        return steps[lo:hi], at[lo:hi]
+
     diff = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
-    fine, coarse = (_exp_cells(steps, g, sample_sizes, _gauss_legendre(p), sample) for p in (2 * subdivide, subdivide))
+    fine, coarse = (_exp_cells(sampled, g, sample_sizes, _gauss_legendre(p)) for p in (2 * subdivide, subdivide))
     for (lo, x, halved), (_, _, cells) in zip(fine, coarse):
         np.subtract(halved, cells, out=diff[x][lo : lo + cells.shape[0]])
     # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:
@@ -341,7 +347,6 @@ def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> 
     the largest X; each X keeps the block partials of its own prefix and the
     _StreamedSum of its magnitudes, for the bound."""
     k, vk = series.k, series.v_k
-    p = series.p_values()
     # cell n = 0 exactly: S = 1, int_0^1 (1 - vk t^{k/2})^2 dt
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
     sums = {x: _BlockSum(max(m - 1, 0)) for x, m in sizes.items()}
@@ -350,7 +355,7 @@ def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> 
     for lo in range(0, top - 1, CHUNK):
         hi = min(lo + CHUNK, top - 1)
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        pvals = p[lo + 1 : hi + 1]
+        pvals = series.p_values(lo + 1, hi + 1)
         nk2 = half_power(n, k)
         i1, i2 = np.zeros_like(n), np.zeros_like(n)
         # two scratch buffers serve every node; each product keeps the association

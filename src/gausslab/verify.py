@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (2.3-2.9 s and a 75 MB peak RSS on one core of a 2-core
+acceptance scale (2.3-2.9 s and a 72 MB peak RSS on one core of a 2-core
 box).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
@@ -289,9 +289,8 @@ def check_diagonal_mean(quick: bool, tables: _Tables) -> tuple[bool, str]:
 def check_sign_changes(quick: bool, tables: _Tables) -> tuple[bool, str]:
     tops = (10**2, 10**3) if quick else (10**2, 10**3, 10**4)
     series = tables.series(3, 2 * max(tops))
-    p = series.p_values()
     for x in tops:
-        window = p[x : 2 * x + 1]
+        window = series.p_values(x, 2 * x + 1)
         if not (np.any(window > 0) and np.any(window < 0)):
             return False, f"no sign change in [{x}, {2 * x}]"
     return True, f"sign changes in every [X, 2X], X in {tops}"

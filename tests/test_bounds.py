@@ -41,7 +41,7 @@ def omitted_tail(series, x, weight):
     """sum over n_cut < n <= 3 n_cut of |weight(P_k(n), n)| e^{-n/X}."""
     n_cut = exp_cutoff(series.k, x)
     n = np.arange(n_cut + 1, 3 * n_cut + 1, dtype=np.float64)
-    p = series.p_values()[n_cut + 1 : 3 * n_cut + 1]
+    p = series.p_values(n_cut + 1, 3 * n_cut + 1)
     return math.fsum(np.abs(weight(p, n)) * np.exp(-n / x))
 
 
@@ -79,7 +79,7 @@ def refined_sharp_integral(series, X, pieces=4):
     k, vk = series.k, series.v_k
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
     n = np.arange(1, X, dtype=np.float64)
-    p = series.p_values()[1:X]
+    p = series.p_values(1, X)
     nk2 = half_power(n, k)
     nodes, weights = leggauss(8)
     i1, i2 = np.zeros_like(n), np.zeros_like(n)

@@ -238,14 +238,15 @@ class TestLaplaceGrid:
     @staticmethod
     def _count_main_passes(monkeypatch):
         """The sorted scales of each run of the exp-weighted cell generator
-        over a whole range (not over an audit sample), in order."""
+        over a whole range, in order: a k = 3 run whose sizes are the
+        cutoffs of its scales (an audit run's sizes are its sample's)."""
         passes = []
         real = moments._exp_cells
 
-        def counting(steps, g, sizes, nodes, idx=None):
-            if idx is None:
+        def counting(source, g, sizes, nodes):
+            if sizes == {x: moments.exp_cutoff(3, x) for x in sizes}:
                 passes.append(sorted(sizes))
-            return real(steps, g, sizes, nodes, idx)
+            return real(source, g, sizes, nodes)
 
         monkeypatch.setattr(moments, "_exp_cells", counting)
         return passes
@@ -647,6 +648,21 @@ class TestShortInterval:
         series = prefix_counts(build_rk_table(3, 6000))
         want = sharp_second_moment(series, 6000).value
         assert abs(window - want) <= 1e-11 * want
+
+    # sha256 of each whole CSV; the beta = 1 windows are longer than CHUNK
+    PINNED = {
+        ("2000", "200000", "5", "1.0"): "950041e35fe019b62826371ac7387344aaedbf0f72fd638f9093a29264ed05bd",
+        ("1000", "100000", "4", "0.5"): "878eb9f6117944f030d4690192f3b1cb537da63816fa76d32e6addb687eedfae",
+    }
+
+    @pytest.mark.parametrize("x_min, x_max, points, beta", sorted(PINNED))
+    def test_csv_bytes_pinned(self, tmp_path, monkeypatch, x_min, x_max, points, beta):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+        out = tmp_path / "s.csv"
+        argv = ["shortinterval", "--x-min", x_min, "--x-max", x_max, "--points", points, "--beta", beta]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED[(x_min, x_max, points, beta)]
 
     def test_bad_beta(self, tmp_path):
         code = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -102,7 +103,7 @@ class TestPAt:
         assert_close(p_at_real(series3, 0.5), 1.0 - v3 * 0.5**1.5, rel=1e-12)
 
     def test_real_matches_integer_on_floor(self, series3):
-        assert p_at_real(series3, 4.0) == series3.p_values()[4]
+        assert p_at_real(series3, 4.0) == series3.p_values(0, series3.n_max + 1)[4]
 
     def test_left_limit_at_one(self, series3):
         t = np.nextafter(1.0, 0.0)
@@ -110,7 +111,7 @@ class TestPAt:
 
     def test_reconstruction_identity(self, series3):
         # P + V n^{k/2} == S to double rounding, on every n <= 1e4
-        p = series3.p_values()
+        p = series3.p_values(0, series3.n_max + 1)
         n = np.arange(series3.n_max + 1, dtype=np.float64)
         s = p + series3.v_k * half_power(n, 3)
         exact = series3.prefix.astype(np.float64)
@@ -132,22 +133,22 @@ class TestPAt:
 
     def test_split_paths_agree_above_2_53(self):
         # prefix_float rounds each count once; the scalar paths agree bit for
-        # bit with the cached array
+        # bit with p_values
         rng = np.random.default_rng(7)
         prefix = np.sort(rng.integers(2**53, 2**64 - 1, 64, dtype=np.uint64))
         series = DiscrepancySeries(k=3, n_max=63, prefix=prefix, v_k=4.1887902047863905)
         assert series.prefix_float().tolist() == [float(int(v)) for v in prefix]
-        p = series.p_values()
+        p = series.p_values(0, series.n_max + 1)
         for n in range(64):
             assert p[n] == p_at_real(series, float(n))
         # the volume cancels the high word exactly, so every low bit survives;
         # converting the count to float first would give 12288
         prefix = np.array([1, 2**60 + 12345], dtype=np.uint64)
         series = DiscrepancySeries(k=2, n_max=1, prefix=prefix, v_k=2.0**60)
-        assert series.p_values()[1] == p_at_real(series, 1.0) == 12345.0
+        assert series.p_values(0, series.n_max + 1)[1] == p_at_real(series, 1.0) == 12345.0
 
     def test_batch_matches_scalar(self, series3):
-        p = series3.p_values()
+        p = series3.p_values(0, series3.n_max + 1)
         for n in (0, 1, 2, 17, 5000, 10**4):
             assert p[n] == p_at_real(series3, float(n))
 
@@ -158,13 +159,25 @@ class TestSlicedSeries:
         # three full slices and a partial one
         series = prefix_counts(build_rk_table(k, 3 * CHUNK + 7))
         whole = _minus_volume(series.prefix, series.v_k * half_power(np.arange(series.n_max + 1.0), k))
-        assert np.array_equal(series.p_values(), whole)
+        assert np.array_equal(series.p_values(0, series.n_max + 1), whole)
+        # a range that starts and ends mid-slice, across a slice boundary
+        assert np.array_equal(series.p_values(CHUNK - 3, 2 * CHUNK + 5), whole[CHUNK - 3 : 2 * CHUNK + 5])
 
     def test_p_values_temporaries_stay_small(self, series3_big):
         # the c3 study's table size; unsliced, the temporaries reached 36 MB
         series = DiscrepancySeries(k=3, n_max=1_514_216, prefix=series3_big.prefix[: 1_514_217], v_k=series3_big.v_k)
-        p, grown = allocated_peak(series.p_values)
+        p, grown = allocated_peak(series.p_values, 0, series.n_max + 1)
         assert grown <= p.nbytes + 4e6, grown
+
+    def test_series_is_frozen_and_keeps_no_p_k(self, series3):
+        assert [f.name for f in dataclasses.fields(series3)] == ["k", "n_max", "prefix", "v_k"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            series3.k = 4
+        assert series3.p_values(10, 20) is not series3.p_values(10, 20)
+        assert series3.p_values(7, 7).shape == (0,)
+        for lo, hi in ((-1, 5), (5, 4), (0, series3.n_max + 2)):
+            with pytest.raises(ValueError):
+                series3.p_values(lo, hi)
 
     def test_prefix_float_gathers_before_converting(self, series3):
         idx = np.array([0, 5, 100, 10**4])
@@ -179,7 +192,7 @@ class TestGaussBoundScan:
         # (measured maxima ~3.6, 4.7, 5.7 at tiny n; a volume-term bug blows
         # this up by orders of magnitude)
         series = prefix_counts(build_rk_table(k, 10**4))
-        p = series.p_values()
+        p = series.p_values(0, series.n_max + 1)
         n = np.arange(1, 10**4 + 1, dtype=np.float64)
         ratio = np.abs(p[1:]) / n ** ((k - 1) / 2.0)
         assert float(ratio.max()) < 8.0
@@ -187,7 +200,7 @@ class TestGaussBoundScan:
 
 class TestSignChanges:
     def test_p3_oscillates(self, series3):
-        p = series3.p_values()
+        p = series3.p_values(0, series3.n_max + 1)
         for x in (100, 1000):
             window = p[x : 2 * x + 1]
             assert np.any(window > 0) and np.any(window < 0), f"no sign change in [{x}, {2 * x}]"

@@ -153,16 +153,29 @@ class TestLaplaceSecond:
         return acc
 
     @staticmethod
-    def _joined_cells(step_values, v_k, k, sizes, subdivide, idx=None):
-        """The LaplaceSecond cells of moments._exp_cells, with the Laplace
-        integrand and the kernel's rule, each X's chunks joined into one array."""
+    def _counts(series):
+        """The main pass's source: the counts rounded to float a range at a
+        time, at n = lo .. hi - 1."""
+        return lambda lo, hi: (series.prefix_float(slice(lo, hi)), np.arange(lo, hi, dtype=np.float64))
+
+    @staticmethod
+    def _sampled(step_values, idx):
+        """An audit-style source: step_values[i] at n = idx[i]."""
+        at = idx.astype(np.float64)
+        return lambda lo, hi: (step_values[lo:hi], at[lo:hi])
+
+    @staticmethod
+    def _joined_cells(source, v_k, k, sizes, subdivide):
+        """The LaplaceSecond cells of moments._exp_cells over `source`, with
+        the Laplace integrand and the kernel's rule, each X's chunks joined
+        into one array."""
 
         def integrand(s, t):
             return (s - v_k * half_power(t, k)) ** 2
 
         joined = {x: np.empty(m, dtype=np.float64) for x, m in sizes.items()}
         nodes = moments._gauss_legendre(subdivide)
-        for lo, x, cells in moments._exp_cells(step_values, integrand, sizes, nodes, idx):
+        for lo, x, cells in moments._exp_cells(source, integrand, sizes, nodes):
             joined[x][lo : lo + cells.shape[0]] = cells
         return joined
 
@@ -177,8 +190,7 @@ class TestLaplaceSecond:
         sample = np.concatenate([np.arange(100), np.arange(100, series.n_max, 100)])
         for idx in (contiguous, sample):
             args = (pf[idx], series.v_k, k, 2e4, idx, subdivide)
-            given = None if idx is contiguous else idx
-            got = self._joined_cells(pf[idx], series.v_k, k, {2e4: idx.shape[0]}, subdivide, given)[2e4]
+            got = self._joined_cells(self._sampled(pf[idx], idx), series.v_k, k, {2e4: idx.shape[0]}, subdivide)[2e4]
             assert np.array_equal(got, self._unchunked_cells(*args))
 
     @staticmethod
@@ -200,7 +212,7 @@ class TestLaplaceSecond:
         n_cuts = {x: exp_cutoff(k, x) for x in scales}
         pf = series.prefix_float()
         # the main pass rounds the counts to float a chunk at a time
-        shared = self._joined_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
+        shared = self._joined_cells(self._counts(series), series.v_k, k, n_cuts, subdivide)
         grid = dict.fromkeys(scales)
         laplace_refined(series, scales[0], subdivide, grid=grid)
         # one call filled every entry
@@ -219,11 +231,11 @@ class TestLaplaceSecond:
         # audit's sample and on the cells either side of two chunk boundaries
         series = {3: series3_big, 4: series4_small}.get(k) or prefix_counts(build_rk_table(1, 3 * CHUNK + 1234))
         n_cuts = {self._scale_with_cutoff(k, n): n for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)}
-        main = self._joined_cells(series.prefix, series.v_k, k, n_cuts, subdivide)
+        main = self._joined_cells(self._counts(series), series.v_k, k, n_cuts, subdivide)
         audit = np.concatenate([np.arange(100), np.arange(100, 3 * CHUNK + 1234, 100)])
         sample = np.union1d(audit, [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK])
         sizes = {x: int(np.searchsorted(sample, n_cut)) for x, n_cut in n_cuts.items()}
-        got = self._joined_cells(series.prefix_float(sample), series.v_k, k, sizes, subdivide, sample)
+        got = self._joined_cells(self._sampled(series.prefix_float(sample), sample), series.v_k, k, sizes, subdivide)
         for x, m in sizes.items():
             assert np.array_equal(got[x], main[x][sample[:m]])
 
@@ -343,7 +355,7 @@ class TestGridPass:
         series = {1: prefix_counts(build_rk_table(1, 4 * CHUNK)), 3: series3_big, 4: series4_small}[k]
         scales = [TestLaplaceSecond._scale_with_cutoff(k, n) for n in self.CUTOFFS]
         square_grid, weighted_grid = dict.fromkeys(scales), dict.fromkeys(scales)
-        p = series.p_values()
+        p = series.p_values(0, series.n_max + 1)
         for x in scales:
             n_cut = exp_cutoff(k, x)
             n = np.arange(1, n_cut + 1, dtype=np.float64)
@@ -352,12 +364,25 @@ class TestGridPass:
             assert smooth_second_moment(series, x, grid=square_grid).value == square
             assert smooth_weighted_first_moment(series, x, grid=weighted_grid).value == weighted
 
+    EXP_CUT = [Statistic.SMOOTH_SECOND, Statistic.SMOOTH_WEIGHTED_FIRST]
+
+    @pytest.mark.parametrize("stat", EXP_CUT, ids=[s.value for s in EXP_CUT])
+    def test_exp_cut_pass_forms_p_k_a_chunk_at_a_time(self, series3_big, stat):
+        # the c3 smooth grid on a fresh series of the c3 study's size: a
+        # whole-range P_k (12.1 MB) took the pass to 14.6 MB
+        n_max = 1_514_216
+        series = DiscrepancySeries(k=3, n_max=n_max, prefix=series3_big.prefix[: n_max + 1], v_k=series3_big.v_k)
+        grid = dict.fromkeys(np.geomspace(2e3, 2e4, 12).tolist())
+        _, grown = allocated_peak(KERNELS[stat], series, 2e3, grid)
+        assert None not in grid.values()
+        assert grown <= 4e6, grown
+
 
 def _prefix_whole_arrays(series, sizes, weight):
     """_prefix_pass from the cells to the largest X at once: the reference
     for its chunked pass."""
     top = max(sizes.values())
-    cells = weight(series.p_values()[1 : top + 1], np.arange(1, top + 1, dtype=np.float64))
+    cells = weight(series.p_values(1, top + 1), np.arange(1, top + 1, dtype=np.float64))
     return {x: (block_compensated_sum(cells[:m]), 0.0) for x, m in sizes.items()}
 
 
@@ -368,7 +393,7 @@ def _sharp_integral_whole_arrays(series, sizes):
     top = max(sizes.values())
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
     n = np.arange(1, top, dtype=np.float64)
-    pvals = series.p_values()[1:top]
+    pvals = series.p_values(1, top)
     nk2 = half_power(n, k)
     i1 = np.zeros_like(n)
     i2 = np.zeros_like(n)
@@ -429,8 +454,7 @@ class TestStreamedSharpPasses:
     @pytest.mark.parametrize("stat", STATS, ids=[s.value for s in STATS])
     def test_pass_allocates_no_cell_array(self, series3_big, stat):
         # at top 1e6 the whole-array passes took 15 MB (prefix) and 46 MB
-        # (integral) beside the cached P_k
-        series3_big.p_values()
+        # (integral)
         if stat is Statistic.SHARP_INTEGRAL_SECOND:
             _, grown = allocated_peak(moments._sharp_integral_pass, series3_big, {1e6: 10**6})
         else:
@@ -487,7 +511,7 @@ class TestWeightedFirst:
         n_cut = exp_cutoff(1, x)
         series = prefix_counts(build_rk_table(1, n_cut))
         n = np.arange(1, n_cut + 1, dtype=np.float64)
-        want = math.fsum(series.p_values()[1 : n_cut + 1] * n**-0.5 * np.exp(-n / x))
+        want = math.fsum(series.p_values(1, n_cut + 1) * n**-0.5 * np.exp(-n / x))
         assert_close(smooth_weighted_first_moment(series, x).value, want, rel=1e-12)
 
     def test_tiny_x(self, series3_small):
