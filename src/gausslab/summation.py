@@ -83,20 +83,18 @@ class _BlockSum:
 _PAIRWISE_LEAF = 128
 
 
-def _pairwise_fold(n: int, piece) -> float:
-    """numpy's pairwise summation tree over n elements, each node split at
-    n//2 rounded down to a multiple of 8, with each leaf and each node inside
-    one CHUNK (counted from element 0) taken as piece(lo, hi) instead of
-    being split further."""
-
-    def node(lo: int, m: int) -> float:
-        if m <= _PAIRWISE_LEAF or lo // CHUNK == (lo + m - 1) // CHUNK:
-            return piece(lo, lo + m)
-        half = m // 2
-        half -= half % 8
-        return node(lo, half) + node(lo + half, m - half)
-
-    return node(0, n)
+def _pairwise_fold(n: int, piece, lo: int = 0) -> float:
+    """numpy's pairwise summation tree over the n elements from lo, each node
+    split at n//2 rounded down to a multiple of 8, with each leaf and each
+    node inside one CHUNK (counted from element 0) taken as piece(lo, hi)
+    instead of being split further.  A module-level recursion: a nested
+    closure that called itself would be a reference cycle, keeping piece (and
+    the _StreamedSum behind it) alive until the cyclic collector runs."""
+    if n <= _PAIRWISE_LEAF or lo // CHUNK == (lo + n - 1) // CHUNK:
+        return piece(lo, lo + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_fold(half, piece, lo) + _pairwise_fold(n - half, piece, lo + half)
 
 
 class _StreamedSum:

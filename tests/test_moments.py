@@ -245,6 +245,16 @@ class TestLaplaceSecond:
         _, grown = allocated_peak(moments._laplace_pass, series3_big, n_cuts)
         assert grown <= 8e6, grown
 
+    def test_grid_pass_at_c3_size_within_4_5_mb(self, series3_big):
+        # the c3 smooth grid on a series of the c3 study's size: with 2^14
+        # cells in each X's audit buffer, whatever its sample, it took 5.8 MB
+        n_max = 1_514_216
+        series = DiscrepancySeries(k=3, n_max=n_max, prefix=series3_big.prefix[: n_max + 1], v_k=series3_big.v_k)
+        grid = dict.fromkeys(np.geomspace(2e3, 2e4, 12).tolist())
+        _, grown = allocated_peak(laplace_second_moment, series, 2e3, grid)
+        assert None not in grid.values()
+        assert grown <= 4.5e6, grown
+
     @pytest.mark.parametrize("x", [50.0, 300.0])
     def test_halving_within_reported_bound(self, series3_small, x):
         coarse = laplace_second_moment(series3_small, x)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 
@@ -51,3 +53,18 @@ def test_streamed_sums_of_prefixes():
     for n in sizes:
         assert blocks[n].total() == block_compensated_sum(values[:n]), n
         assert pairwise[n].total() == float(np.sum(values[:n])), n
+
+
+def test_fed_streamed_sum_freed_without_the_cyclic_collector():
+    values = np.arange(1.0, 2 * CHUNK + 100)
+    total = _StreamedSum(values.shape[0])
+    gc.disable()
+    try:
+        for lo in range(0, values.shape[0], CHUNK):
+            total.feed(lo, values[lo : lo + CHUNK])
+        assert total.total() == float(np.sum(values))
+        ref = weakref.ref(total)
+        del total
+        assert ref() is None
+    finally:
+        gc.enable()
