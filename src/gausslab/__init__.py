@@ -45,11 +45,9 @@ from .rk import (
     CacheFormatError,
     CacheTruncatedError,
     RkTable,
-    TableStream,
     build_rk_table,
     convolve_tables,
     load_table,
-    read_table,
     rk_bruteforce,
     save_table,
     sigma,

@@ -55,13 +55,11 @@ class CacheLockedError(OSError):
     """Another process holds the cache directory's lock."""
 
 
-def _obtain_table(k: int, n_max: int, cache_dir: str | None, fold=rk.TableStream.table) -> tuple:
+def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable, str]:
     """r_k(0..n_max) and how it was obtained: "hit" (a valid cache file),
     "miss" (built, and saved if there is a cache directory) or "rebuild"
-    (the cache file failed its checks; built and saved over it).  On a hit,
-    fold(stream) takes the place of the table: it reads the rk.read_table
-    stream of the file under the lock, so a bad checksum found at the
-    stream's end still rebuilds.  By default it collects the table."""
+    (the cache file failed its checks; built and saved over it).  Every
+    outcome returns a table made by this call, which nothing else holds."""
     if cache_dir is None:
         return rk.build_rk_table(k, n_max), "miss"
     os.makedirs(cache_dir, exist_ok=True)
@@ -75,10 +73,10 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None, fold=rk.TableStream
             raise CacheLockedError(f"cache directory is locked by another process: {exc}") from exc
         if os.path.exists(path):
             try:
-                stream = rk.read_table(path)
-                if (stream.k, stream.n_max) != (k, n_max):
-                    raise rk.CacheFormatError(f"it holds r_{stream.k} to n_max = {stream.n_max}")
-                return fold(stream), "hit"
+                table = rk.load_table(path)
+                if (table.k, table.n_max) != (k, n_max):
+                    raise rk.CacheFormatError(f"it holds r_{table.k} to n_max = {table.n_max}")
+                return table, "hit"
             except rk.CacheError as exc:
                 print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
                 outcome = "rebuild"
@@ -89,17 +87,14 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None, fold=rk.TableStream
 
 def _series(k: int, n_max: int, cache_dir: str | None) -> DiscrepancySeries:
     """S_k and P_k to n_max from the cache or a build.  An n_max whose S_k is
-    sure to pass 64 bits raises before the build.  A hit sums the cache file
-    as it is read, a piece at a time, and a built table is summed in place,
-    so S_k is the one array of its size that the moments passes share room
+    sure to pass 64 bits raises before the build.  The table is _obtain_table's
+    own, loaded or built and saved, so S_k is summed in place over its counts
+    and is the one array of its size that the moments passes share room
     with."""
     check_prefix_fits(k, n_max)
-    source, outcome = _obtain_table(k, n_max, cache_dir, fold=prefix_counts)
-    if outcome == "hit":
-        return source
-    counts = source.counts
-    counts.flags.writeable = True  # built and saved here: nothing else holds it
-    return prefix_counts(source, out=counts)
+    table, _ = _obtain_table(k, n_max, cache_dir)
+    table.counts.flags.writeable = True
+    return prefix_counts(table, out=table.counts)
 
 
 def _fmt(x: float) -> str:

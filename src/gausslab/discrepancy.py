@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rk import PIECE, RkTable, TableStream
+from .rk import RkTable
 from .specfun import ball_volume
 from .summation import CHUNK, _BlockSum
 
@@ -126,36 +126,31 @@ def check_prefix_fits(k: int, n_max: int) -> None:
         raise PrefixOverflowError(f"S_{k} exceeds 64 bits by n = {n_max} (lattice-cube bound {bound:.6g})")
 
 
-def prefix_counts(table: RkTable | TableStream, out: np.ndarray | None = None) -> DiscrepancySeries:
-    """Exact running sums of a representation table, or of a cache file's
-    payload as rk.read_table streams it, so that no counts array is formed;
-    aborts on u64 overflow.  The sums fill a new array, or out: the table's
-    own counts, made writable by a caller that alone holds them, are summed
-    in place.  Either way the sums go PIECE values at a time, so the overflow
-    check's temporaries stay small."""
-    if isinstance(table, TableStream):
-        pieces = table.pieces
+def prefix_counts(table: RkTable, out: np.ndarray | None = None) -> DiscrepancySeries:
+    """Exact running sums of a representation table; aborts on u64 overflow.
+    The sums fill a new array, or out: a writable uint64 array of n_max + 1
+    values, which may be the table's own counts when the caller alone holds
+    them, so that S_k takes their place.  Either way the sums go CHUNK values
+    at a time, so the overflow check's temporaries stay small."""
+    shape = (table.n_max + 1,)
+    if out is None:
+        prefix = np.empty(shape, dtype=np.uint64)
+    elif out.dtype != np.uint64 or out.shape != shape or not out.flags.writeable:
+        raise ValueError(f"prefix_counts: out must be a writable uint64 array of {shape[0]} values")
     else:
-        pieces = (table.counts[lo : lo + PIECE] for lo in range(0, table.n_max + 1, PIECE))
-    prefix = np.empty(table.n_max + 1, dtype=np.uint64) if out is None else out
-    lo, carry, wrapped = 0, np.uint64(0), None
-    for piece in pieces:
-        run = prefix[lo : lo + piece.shape[0]]
-        np.cumsum(piece, dtype=np.uint64, out=run)
+        prefix = out
+    carry = np.uint64(0)
+    for lo in range(0, table.n_max + 1, CHUNK):
+        run = prefix[lo : lo + CHUNK]
+        np.cumsum(table.counts[lo : lo + CHUNK], dtype=np.uint64, out=run)
         run += carry
-        # counts are nonnegative and below 2^64: the first wraparound is the
-        # first decrease; the stream is read to its end, so a bad checksum
-        # still wins over an overflow
-        if wrapped is None:
-            dropped = run[1:] < run[:-1]
-            if run[0] < carry:
-                wrapped = lo
-            elif bool(dropped.any()):
-                wrapped = lo + int(np.argmax(dropped)) + 1
+        # counts are nonnegative and below 2^64: the first wraparound is the first decrease
+        dropped = run[1:] < run[:-1]
+        if run[0] < carry:
+            raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {lo}")
+        if bool(dropped.any()):
+            raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {lo + int(np.argmax(dropped)) + 1}")
         carry = run[-1]
-        lo += piece.shape[0]
-    if wrapped is not None:
-        raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {wrapped}")
     return DiscrepancySeries(k=table.k, n_max=table.n_max, prefix=prefix, v_k=ball_volume(table.k))
 
 

@@ -37,11 +37,10 @@ Cache file format v2 (little-endian; a v1 file raises CacheFormatError):
   magic "RKTB" (4 bytes) | format version u32 = 2 | k u32 | n_max u64 |
   (n_max + 1) u64 count values | 8-byte blake2b digest of all preceding bytes
 
-read_table checks a file's header and size before any payload is read, then
-streams the payload PIECE values at a time through one buffer, hashing each
-piece as it goes, and raises CacheChecksumError after the last piece if the
-digest differs; a reader that folds the pieces (prefix_counts) never holds
-the counts.  load_table collects the same stream into an RkTable.
+load_table checks a file's header and size before any payload is read, then
+reads the payload PIECE values at a time through one buffer into the new
+table, hashing each piece as it goes, and raises CacheChecksumError after
+the last piece if the digest differs.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ import os
 import struct
 import tempfile
 
-# the very object hashlib.blake2b re-exports, without loading OpenSSL's _hashlib
-from _blake2 import blake2b
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -60,6 +57,12 @@ import numpy as np
 
 from .convolve import ConvolutionOverflowError, exact_convolve
 from .specfun import as_int
+
+try:
+    # the very object hashlib.blake2b re-exports, without loading OpenSSL's _hashlib
+    from _blake2 import blake2b
+except ImportError:  # a CPython built without its own blake2
+    from hashlib import blake2b
 
 __all__ = [
     "RkTable",
@@ -71,8 +74,6 @@ __all__ = [
     "sigma_table",
     "save_table",
     "load_table",
-    "read_table",
-    "TableStream",
     "CacheError",
     "CacheFormatError",
     "CacheTruncatedError",
@@ -107,13 +108,13 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")  # magic, version, k, n_max
 _DIGEST_SIZE = 8
 
-# count values per piece of a streamed payload (512 KiB).  Freeing a buffer
+# count values per piece of a payload read (512 KiB).  Freeing a buffer
 # above glibc's 128 KiB mmap threshold raises that threshold to its size and
 # the heap's trim threshold to twice it, so the moments passes' 128 KiB chunk
 # temporaries that follow are reused from the heap instead of being mapped
-# afresh.  A warm c3 smooth moments run took 2.5k minor faults with 2^16 and
-# 2^17, 19k with 2^14 and 20k with 2^15 (the heap top was trimmed between
-# chunks); reading 1.5e6 values took 26-28 ms at every size
+# afresh.  A warm c3 smooth moments run took 2.4k minor faults with 2^16,
+# 3.1k with 2^17 and 19k with 2^14 and 2^15 (the heap top was trimmed between
+# chunks); reading 1.5e6 values and summing them in place took 27-33 ms
 PIECE = 1 << 16
 
 
@@ -358,31 +359,11 @@ def save_table(table: RkTable, path) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class TableStream:
-    """A cache file whose header passed its checks: r_k(0..n_max) as
-    consecutive pieces of at most PIECE values, in one buffer that the next
-    piece overwrites.  The iterator raises CacheChecksumError after the last
-    piece if the digest differs, and closes the file when it ends or is
-    dropped."""
-
-    k: int
-    n_max: int
-    pieces: Iterator[np.ndarray]
-
-    def table(self) -> RkTable:
-        """The rest of the stream collected into a table."""
-        counts = np.empty(self.n_max + 1, dtype=np.uint64)
-        lo = 0
-        for piece in self.pieces:
-            counts[lo : lo + piece.shape[0]] = piece
-            lo += piece.shape[0]
-        return RkTable(k=self.k, n_max=self.n_max, counts=counts)
-
-
 def _stream(path) -> Iterator:
     """Yield (k, n_max) once the header and the file size check out, then the
-    payload a piece at a time (see TableStream)."""
+    payload as consecutive pieces of at most PIECE values, in one buffer that
+    the next piece overwrites; raise CacheChecksumError after the last piece
+    if the digest differs."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if header[:4] != _MAGIC:
@@ -414,14 +395,13 @@ def _stream(path) -> Iterator:
             raise CacheChecksumError(f"{path}: checksum mismatch")
 
 
-def read_table(path) -> TableStream:
-    """Check a cache file's header and size, reading no payload yet; a bad
-    header raises here, a bad checksum at the end of the stream."""
-    pieces = _stream(path)
-    k, n_max = next(pieces)
-    return TableStream(k, n_max, pieces)
-
-
 def load_table(path) -> RkTable:
     """Read and validate a cache file; the round trip is bit-exact."""
-    return read_table(path).table()
+    pieces = _stream(path)
+    k, n_max = next(pieces)
+    counts = np.empty(n_max + 1, dtype=np.uint64)
+    lo = 0
+    for piece in pieces:
+        counts[lo : lo + piece.shape[0]] = piece
+        lo += piece.shape[0]
+    return RkTable(k=k, n_max=n_max, counts=counts)

@@ -1,5 +1,6 @@
-"""The streamed cache reader: a cache hit sums the file's payload a piece at a
-time (rk.read_table into prefix_counts) and never forms the counts array."""
+"""The cache reader and the in-place sums: a cache hit reads the file's
+payload a piece at a time into a new table, and cli._series sums S_k in
+place over that table's counts."""
 
 import hashlib
 import os
@@ -12,18 +13,20 @@ import pytest
 
 from gausslab import cli, rk
 from gausslab.discrepancy import PrefixOverflowError, prefix_counts
-from gausslab.rk import PIECE, RkTable, build_rk_table, load_table, read_table, save_table
+from gausslab.rk import PIECE, RkTable, build_rk_table, load_table, save_table
+from gausslab.summation import CHUNK
 
 from conftest import allocated_peak
 
 # n_max + 1 values: one, and one less and one more than one and two pieces
+# (each piece is a whole number of the sums' chunks)
 SIZES = [1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE - 1, 2 * PIECE + 1]
 
 
-def _outcome(func, *args):
+def _outcome(func, *args, **kwargs):
     """func(*args)'s prefix, or the class and text of its PrefixOverflowError."""
     try:
-        return func(*args).prefix
+        return func(*args, **kwargs).prefix
     except PrefixOverflowError as exc:
         return type(exc), str(exc)
 
@@ -50,34 +53,36 @@ def _cut(table, n_max):
     return RkTable(k=table.k, n_max=n_max, counts=table.counts[: n_max + 1].copy())
 
 
-class TestStreamedSeries:
+def _in_place(table):
+    """prefix_counts over a writable copy of the table's counts, as _series
+    sums the table it obtained."""
+    own = RkTable(k=table.k, n_max=table.n_max, counts=table.counts.copy())
+    own.counts.flags.writeable = True
+    series = prefix_counts(own, out=own.counts)
+    assert series.prefix is own.counts
+    return series
+
+
+class TestLoadedSeries:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_equals_copying_form(self, tmp_path, tables, k):
         # at k = 8 S_8 passes 2^64 at n = 46,172: both forms then name that n
         for size in SIZES:
             table = _cut(tables[k], size - 1)
-            path = _save(tmp_path, table)
-            want = _outcome(prefix_counts, load_table(path))
-            assert _same(_outcome(prefix_counts, read_table(path)), want), size
-            assert _same(_outcome(prefix_counts, table), want), size
+            loaded = load_table(_save(tmp_path, table))
+            assert loaded == table and not loaded.counts.flags.writeable, size
+            want = _outcome(prefix_counts, table)
+            assert _same(_outcome(_in_place, loaded), want), size
             if isinstance(want, np.ndarray):
                 assert want.shape == (size,)
 
-    def test_in_place_form(self, tables):
-        for size in SIZES:
-            table = _cut(tables[3], size - 1)
-            want = prefix_counts(table).prefix
-            counts = table.counts
-            counts.flags.writeable = True
-            series = prefix_counts(table, out=counts)
-            assert series.prefix is counts and np.array_equal(series.prefix, want)
-
-    def test_pieces_and_header(self, tmp_path, tables):
-        table = _cut(tables[2], 2 * PIECE)
-        stream = read_table(_save(tmp_path, table))
-        assert (stream.k, stream.n_max) == (2, 2 * PIECE)
-        lengths = [piece.shape[0] for piece in stream.pieces]
-        assert lengths == [PIECE, PIECE, 1]
+    def test_out_must_fit(self, tables):
+        table = _cut(tables[3], 99)
+        readonly = np.zeros(100, dtype=np.uint64)
+        readonly.flags.writeable = False
+        for out in (np.zeros(100, dtype=np.int64), np.zeros(101, dtype=np.uint64), readonly):
+            with pytest.raises(ValueError, match="out must be a writable uint64 array of 100 values"):
+                prefix_counts(table, out=out)
 
 
 def _wrapping_counts(n_wrap: int, n_max: int) -> np.ndarray:
@@ -89,10 +94,10 @@ def _wrapping_counts(n_wrap: int, n_max: int) -> np.ndarray:
 
 
 class TestSyntheticWrap:
-    # the wrap on the first value of a piece, on its last, and inside it
-    @pytest.mark.parametrize("n_wrap", [PIECE, 2 * PIECE, PIECE - 1, PIECE + 5, 7])
-    def test_names_first_n(self, tmp_path, n_wrap):
-        n_max = 2 * PIECE + 10
+    # the wrap on the first value of a chunk, on its last, and inside it
+    @pytest.mark.parametrize("n_wrap", [CHUNK, 2 * CHUNK, CHUNK - 1, CHUNK + 5, 7])
+    def test_names_first_n(self, tmp_path, capsys, n_wrap):
+        n_max = 2 * CHUNK + 10
         counts = _wrapping_counts(n_wrap, n_max)
         running, first = 0, None
         for n, c in enumerate(counts.tolist()):
@@ -102,25 +107,28 @@ class TestSyntheticWrap:
                 break
         assert first == n_wrap
         table = RkTable(k=1, n_max=n_max, counts=counts)
-        path = _save(tmp_path, table)
+        _save(tmp_path, table)
         text = rf"S_1 exceeds 64 bits at n = {n_wrap}$"
         with pytest.raises(PrefixOverflowError, match=text):
             prefix_counts(table)
         with pytest.raises(PrefixOverflowError, match=text):
-            prefix_counts(read_table(path))
-        own = RkTable(k=1, n_max=n_max, counts=counts.copy())
-        own.counts.flags.writeable = True
+            _in_place(table)
+        # a hit sums the file it read in place, and names the same n
         with pytest.raises(PrefixOverflowError, match=text):
-            prefix_counts(own, out=own.counts)
+            cli._series(1, n_max, str(tmp_path))
+        assert capsys.readouterr().err == ""
 
-    def test_bad_checksum_wins_over_wrap(self, tmp_path):
-        n_max = 2 * PIECE + 10
-        path = _save(tmp_path, RkTable(k=1, n_max=n_max, counts=_wrapping_counts(PIECE + 5, n_max)))
+    def test_bad_checksum_wins_over_wrap(self, tmp_path, capsys):
+        n_max = 2 * CHUNK + 10
+        path = _save(tmp_path, RkTable(k=1, n_max=n_max, counts=_wrapping_counts(CHUNK + 5, n_max)))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(rk.CacheChecksumError):
-            prefix_counts(read_table(path))
+            load_table(path)
+        series = cli._series(1, n_max, str(tmp_path))
+        assert "warning: rebuilding bad cache" in capsys.readouterr().err
+        assert np.array_equal(series.prefix, prefix_counts(build_rk_table(1, n_max)).prefix)
 
 
 def _corrupt(path, how):
@@ -161,10 +169,9 @@ class TestBadCache:
         need = len(good)
         cls, text = CORRUPTIONS[how]
         text = text.format(path=path, size=path.stat().st_size, need=need)
-        for read in (load_table, lambda p: prefix_counts(read_table(p))):
-            with pytest.raises(cls) as exc:
-                read(path)
-            assert type(exc.value) is cls and str(exc.value) == text
+        with pytest.raises(cls) as exc:
+            load_table(path)
+        assert type(exc.value) is cls and str(exc.value) == text
         capsys.readouterr()
         series = cli._series(self.K, self.N_MAX, str(cache))
         assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n"
@@ -202,7 +209,7 @@ class TestHit:
         cli._series(3, 3 * PIECE, cache)
         path = tmp_path / f"rk3_{3 * PIECE}.rktb"
         before = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert cli._obtain_table(3, 3 * PIECE, cache, fold=prefix_counts)[1] == "hit"
+        assert cli._obtain_table(3, 3 * PIECE, cache)[1] == "hit"
         cli._series(3, 3 * PIECE, cache)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == before
 
