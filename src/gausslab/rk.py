@@ -39,8 +39,8 @@ Cache file format v2 (little-endian; a v1 file raises CacheFormatError):
 
 load_table checks a file's header and size before any payload is read, then
 reads the payload PIECE values at a time through one buffer into the new
-table, hashing each piece as it goes, and raises CacheChecksumError after
-the last piece if the digest differs.
+table, hashing each piece as it goes, and raises CacheChecksumError if the
+digest differs.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ import math
 import os
 import struct
 import tempfile
-
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,11 +357,8 @@ def save_table(table: RkTable, path) -> None:
         raise
 
 
-def _stream(path) -> Iterator:
-    """Yield (k, n_max) once the header and the file size check out, then the
-    payload as consecutive pieces of at most PIECE values, in one buffer that
-    the next piece overwrites; raise CacheChecksumError after the last piece
-    if the digest differs."""
+def load_table(path) -> RkTable:
+    """Read and validate a cache file; the round trip is bit-exact."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if header[:4] != _MAGIC:
@@ -383,25 +378,15 @@ def _stream(path) -> Iterator:
             raise CacheTruncatedError(f"{path}: truncated ({size} bytes, need {need})")
         if size > need:
             raise CacheFormatError(f"{path}: trailing bytes after checksum")
-        yield k, n_max
+        counts = np.empty(n_max + 1, dtype=np.uint64)
         digest = blake2b(header, digest_size=_DIGEST_SIZE)
-        buf = np.empty(min(PIECE, n_max + 1), dtype="<u8")
+        buf = np.empty(min(PIECE, n_max + 1), dtype="<u8")  # freed on return: see PIECE
         for lo in range(0, n_max + 1, PIECE):
             piece = buf[: min(PIECE, n_max + 1 - lo)]
             fh.readinto(piece)  # a short read fails the checksum
             digest.update(piece)
-            yield piece
-        if digest.digest() != fh.read(_DIGEST_SIZE):
-            raise CacheChecksumError(f"{path}: checksum mismatch")
-
-
-def load_table(path) -> RkTable:
-    """Read and validate a cache file; the round trip is bit-exact."""
-    pieces = _stream(path)
-    k, n_max = next(pieces)
-    counts = np.empty(n_max + 1, dtype=np.uint64)
-    lo = 0
-    for piece in pieces:
-        counts[lo : lo + piece.shape[0]] = piece
-        lo += piece.shape[0]
+            counts[lo : lo + piece.shape[0]] = piece
+        stored = fh.read(_DIGEST_SIZE)
+    if digest.digest() != stored:
+        raise CacheChecksumError(f"{path}: checksum mismatch")
     return RkTable(k=k, n_max=n_max, counts=counts)
