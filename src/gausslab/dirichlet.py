@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .rk import RkTable, sigma_table
+from .rk import RkTable, divisor_sums
 from .summation import CHUNK, _BlockSum, _StreamedSum, block_compensated_sum
 
 __all__ = [
@@ -183,14 +183,16 @@ def phi_closed(cusp: Cusp, h_max: int, s: float) -> np.ndarray:
     if s <= 0.5:
         raise ValueError(f"phi_closed: needs s > 1/2 (got {s})")
     z2 = specfun.zeta_two_removed(2.0 * s)
-    nu = 1.0 - 2.0 * s
+    powers = np.zeros(h_max + 1, dtype=np.float64)
+    powers[1:] = np.arange(1.0, h_max + 1.0) ** (1.0 - 2.0 * s)
     if cusp is Cusp.INFINITY:
-        sig = sigma_table(nu, h_max // 2)[1:]
+        sig = divisor_sums(powers[: h_max // 2 + 1])[1:]
         vals = np.zeros(h_max, dtype=np.float64)
         vals[3::4] = 2.0 ** (2 - 4 * s) * sig[: h_max // 4]
         vals[1::2] -= 2.0 ** (1 - 4 * s) * sig
         return vals / z2
-    vals = sigma_table(nu, h_max, odd_only=True)[1:] / (4.0**s * z2)
+    powers[2::2] = 0.0  # sigma^(2) sums over odd divisors only
+    vals = divisor_sums(powers)[1:] / (4.0**s * z2)
     if cusp is Cusp.HALF:
         vals[::2] = -vals[::2]
     return vals

@@ -69,7 +69,7 @@ __all__ = [
     "rk_bruteforce",
     "rk_enumeration_tables",
     "sigma",
-    "sigma_table",
+    "divisor_sums",
     "save_table",
     "load_table",
     "CacheError",
@@ -325,11 +325,19 @@ def sigma(nu: float, h: int, odd_only: bool = False) -> float:
     return math.fsum(total)
 
 
-def sigma_table(nu: float, n_max: int, odd_only: bool = False) -> np.ndarray:
-    """sigma_nu(h) for all h <= n_max by sieve accumulation (index 0 unused)."""
-    out = np.zeros(n_max + 1, dtype=np.float64)
-    for d in range(1, n_max + 1, 2 if odd_only else 1):
-        out[d::d] += float(d) ** nu
+def divisor_sums(weights: np.ndarray) -> np.ndarray:
+    """sum over d | n of weights[d] for n = 0..len(weights) - 1 (entry 0 is 0),
+    in the weights' dtype, by the hyperbola sieve: each d <= sqrt(n_max)
+    reaches its multiples by one slice, and each larger d is reached through
+    its cofactor q = n/d < sqrt(n_max)."""
+    n_max = weights.shape[0] - 1
+    out = np.zeros_like(weights)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        out[d::d] += weights[d]
+    for q in range(1, n_max // (root + 1) + 1):
+        # n = q d for root < d <= n_max // q
+        out[q * (root + 1) :: q] += weights[root + 1 : n_max // q + 1]
     return out
 
 

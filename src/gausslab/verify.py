@@ -10,6 +10,7 @@ never stops early, so a broken build reports every failing identity by name.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,38 +89,19 @@ def check_oracle_equivalence(quick: bool, tables: _Tables) -> tuple[bool, str]:
     return True, f"k<=6 exact to n={n_max}, {spots} bruteforce spots"
 
 
-def _divisor_sums(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """sigma(n) and sum_{d | n} chi_4(d) for n <= n_max in int64, by the
-    hyperbola sieve: each d <= sqrt(n_max) reaches its multiples by one slice,
-    and each larger d is reached through its cofactor q = n/d < sqrt(n_max)."""
-    chi = np.zeros(n_max + 1, dtype=np.int64)
-    chi[1::4] = 1
-    chi[3::4] = -1
-    sig = np.zeros(n_max + 1, dtype=np.int64)
-    chi_sum = np.zeros(n_max + 1, dtype=np.int64)
-    root = math.isqrt(n_max)
-    for d in range(1, root + 1):
-        sig[d::d] += d
-        if d % 2:
-            chi_sum[d::d] += chi[d]
-    for q in range(1, n_max // (root + 1) + 1):
-        # n = q d for root < d <= n_max // q
-        sig[q * (root + 1) :: q] += np.arange(root + 1, n_max // q + 1, dtype=np.int64)
-        chi_sum[q * (root + 1) :: q] += chi[root + 1 : n_max // q + 1]
-    return sig, chi_sum
-
-
 def check_divisor_oracles(quick: bool, tables: _Tables) -> tuple[bool, str]:
     n_max = 10**4 if quick else 10**5
-    sig, chi_sum = _divisor_sums(n_max)
-    sig1 = sig.astype(np.float64)
+    sig1 = rk.divisor_sums(np.arange(n_max + 1, dtype=np.int64)).astype(np.float64)
     r4 = tables.get(4, n_max).counts.astype(np.int64)
     jac = 8.0 * sig1
     jac[4::4] -= 32.0 * sig1[1 : n_max // 4 + 1]
     if not np.array_equal(r4[1:].astype(np.float64), jac[1:]):
         bad = int(np.argmax(r4[1:].astype(np.float64) != jac[1:])) + 1
         return False, f"r4 Jacobi mismatch at n={bad}"
-    ones = chi_sum.astype(np.float64)
+    chi = np.zeros(n_max + 1, dtype=np.int64)
+    chi[1::4] = 1
+    chi[3::4] = -1
+    ones = rk.divisor_sums(chi).astype(np.float64)
     r2 = tables.get(2, n_max).counts.astype(np.float64)
     if not np.array_equal(r2[1:], 4.0 * ones[1:]):
         bad = int(np.argmax(r2[1:] != 4.0 * ones[1:])) + 1
@@ -187,11 +169,12 @@ def check_phi_erratum(quick: bool, tables: _Tables) -> tuple[bool, str]:
 
 
 def check_ramanujan_reduction(quick: bool, tables: _Tables) -> tuple[bool, str]:
-    rng = np.random.default_rng(20240601)
+    # stdlib random: numpy.random would load OpenSSL for every later check
+    rng = random.Random(20240601)
     pairs = 50 if quick else 200
     for _ in range(pairs):
-        gamma = int(rng.integers(1, 120))
-        h = int(rng.integers(1, 400))
+        gamma = rng.randrange(1, 120)
+        h = rng.randrange(1, 400)
         deltas = dirichlet._admissible_deltas(Cusp.ZERO, gamma, corrected=True)
         if deltas.shape[0] == 0:
             continue

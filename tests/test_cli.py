@@ -5,6 +5,8 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -280,6 +282,43 @@ class TestLaplaceGrid:
         shown = "" if predicted is None else cli._fmt(predicted)
         return [str(series.k), cli._fmt(x), stat.value, cli._fmt(plain.value), cli._fmt(plain.truncation_bound), shown]
 
+    FIVE = [s.value for s in Statistic if s is not Statistic.SHARP_WEIGHTED_FIRST]
+    SHARP = [s.value for s in Statistic if not s.exp_cut]
+    # (k, x_min, x_max, n_max, statistics): k = 1 cuts X = 1000 off at
+    # n = 52,910, k = 5 at n = 80,549 and k = 6 at n = 87,459; k = 2 and 6
+    # take the even-k volume path.  The sharp passes walk their cells in
+    # 2^14-cell chunks: each X of the last grid ends mid-chunk, in a
+    # different chunk.
+    CLI_GRIDS = [
+        (1, 100, 1000, 80000, FIVE),
+        (2, 100, 1000, 80000, FIVE),
+        (3, 100, 1000, 80000, FIVE + ["SharpWeightedFirst"]),
+        (4, 100, 1000, 80000, FIVE),
+        (5, 100, 1000, 81000, FIVE),
+        (6, 100, 1000, 88000, FIVE),
+        (3, 10000, 100000, 100000, SHARP),
+    ]
+
+    @pytest.mark.parametrize(
+        "k, x_min, x_max, n_max, stats", CLI_GRIDS, ids=[f"k{k}-to-{x_max}" for k, _, x_max, *_ in CLI_GRIDS]
+    )
+    def test_grid_run_matches_single_x_runs(self, tmp_path, k, x_min, x_max, n_max, stats):
+        # each single-X run reads its X from the grid CSV's X column, so the
+        # .17g text goes back through argparse and a one-point grid
+        options = [a for s in stats for a in ("--stat", s)] + ["--n-max", str(n_max), "--cache-dir", str(tmp_path)]
+        out = tmp_path / "m.csv"
+
+        def rows(lo, hi, points):
+            argv = ["moments", "--k", str(k), "--x-min", lo, "--x-max", hi, "--points", str(points)]
+            assert run_cli(argv + options + ["--out", str(out)]) == 0
+            return [row[:-1] for row in read_csv(out)[1:]]
+
+        grid = rows(str(x_min), str(x_max), 4)
+        assert len(grid) == 4 * len(stats)
+        singles = [row for x in [row[1] for row in grid[:4]] for row in rows(x, x, 1)]
+        assert sorted(singles) == sorted(grid)
+        assert [p.name for p in tmp_path.glob("*.rktb")] == [f"rk{k}_{n_max}.rktb"]
+
     def test_one_main_pass_per_grid(self, monkeypatch):
         passes = self._count_grid_passes(monkeypatch)
         exp_cells = self._count_main_passes(monkeypatch)
@@ -421,14 +460,24 @@ class TestRegistry:
 
 
 class TestMomentsCache:
-    ARGS = ["moments", "--k", "3", "--x-min", "100", "--x-max", "200", "--points", "2", "--stat", "SharpSecond"]
+    """SharpSecond runs through a cache: a table to 200, read in one rk.PIECE,
+    and one to 100,000, read in two, whose corrupt byte is in the second."""
 
-    def test_miss_then_hit_leaves_file_alone(self, tmp_path, capsys):
-        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
-        path = tmp_path / "rk3_200.rktb"
+    TABLES = [(200, 40), (100_000, 20 + 8 * (rk.PIECE + 5000))]  # (n_max, a payload byte)
+    IDS = ["one-piece", "two-pieces"]
+
+    @staticmethod
+    def _args(tmp_path, x_max):
+        grid = ["--x-min", str(x_max // 2), "--x-max", str(x_max), "--points", "2"]
+        return ["moments", "--k", "3", *grid, "--stat", "SharpSecond", "--cache-dir", str(tmp_path)]
+
+    @pytest.mark.parametrize("x_max", [n_max for n_max, _ in TABLES], ids=IDS)
+    def test_miss_then_hit_leaves_file_alone(self, tmp_path, capsys, x_max):
+        assert run_cli(self._args(tmp_path, x_max)) == 0
+        path = tmp_path / f"rk3_{x_max}.rktb"
         first = capsys.readouterr()
         before = os.stat(path)
-        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        assert run_cli(self._args(tmp_path, x_max)) == 0
         second = capsys.readouterr()
         after = os.stat(path)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
@@ -438,21 +487,27 @@ class TestMomentsCache:
         assert rows[0] == cli.MOMENTS_HEADER and len(rows) == 3
         assert [r[:-1] for r in rows] == [r[:-1] for r in csv.reader(first.out.splitlines())]
 
-    def test_corrupt_cache_rebuilt_with_warning(self, tmp_path, capsys):
-        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("x_max, byte", TABLES, ids=IDS)
+    def test_corrupt_cache_rebuilt_with_warning(self, tmp_path, capsys, x_max, byte):
+        assert run_cli(self._args(tmp_path, x_max)) == 0
         good = capsys.readouterr().out
-        path = tmp_path / "rk3_200.rktb"
-        data = bytearray(path.read_bytes())
-        data[40] ^= 0x55
+        path = tmp_path / f"rk3_{x_max}.rktb"
+        original = path.read_bytes()
+        data = bytearray(original)
+        data[byte] ^= 0x55
         path.write_bytes(bytes(data))
-        assert run_cli(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        assert run_cli(self._args(tmp_path, x_max)) == 0
         got = capsys.readouterr()
         assert got.err.startswith(f"warning: rebuilding bad cache {path}: ")
         assert got.err.count("\n") == 1
         assert [r[:-1] for r in csv.reader(got.out.splitlines())] == [
             r[:-1] for r in csv.reader(good.splitlines())
         ]
-        assert load_table(path) == build_rk_table(3, 200)
+        assert load_table(path) == build_rk_table(3, x_max)
+        assert path.read_bytes() == original
+        # the rebuilt file is a hit
+        assert run_cli(self._args(tmp_path, x_max)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_obtain_table_outcomes(self, tmp_path, capsys):
         cache = str(tmp_path)
@@ -558,15 +613,28 @@ class TestVerifyCommand:
         assert detail == f"{name} mismatch at n={n}"
 
     def test_divisor_sieve(self):
+        # the sieve with the weights check_divisor_oracles gives it: d and chi_4(d)
         n_max = 5000
-        sig, chi_sum = verify._divisor_sums(n_max)
-        assert np.array_equal(sig[1:].astype(np.float64), rk.sigma_table(1.0, n_max)[1:])
         chi = (0, 1, 0, -1)
-        want = [0] * (n_max + 1)
+        want_sig, want_chi = [0] * (n_max + 1), [0] * (n_max + 1)
         for d in range(1, n_max + 1):
             for n in range(d, n_max + 1, d):
-                want[n] += chi[d % 4]
-        assert chi_sum[1:].tolist() == want[1:]
+                want_sig[n] += d
+                want_chi[n] += chi[d % 4]
+        assert rk.divisor_sums(np.arange(n_max + 1, dtype=np.int64)).tolist() == want_sig
+        assert rk.divisor_sums(np.array([chi[d % 4] for d in range(n_max + 1)])).tolist() == want_chi
+
+    def test_quick_battery_loads_neither_numpy_random_nor_openssl(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys\n"
+            "from gausslab import verify\n"
+            "assert all(r.passed for r in verify.run_battery('quick'))\n"
+            "print(sorted(m for m in ('numpy.random', '_hashlib') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        assert out == "[]\n"
 
     def test_fault_injection_caught_by_phi_checks(self, monkeypatch):
         # a cusp-1/2 closed form that lost its (-1)^h sign fails both checks that use it

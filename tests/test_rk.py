@@ -14,12 +14,12 @@ from gausslab.rk import (
     CacheTruncatedError,
     build_rk_table,
     convolve_tables,
+    divisor_sums,
     load_table,
     rk_bruteforce,
     rk_enumeration_tables,
     save_table,
     sigma,
-    sigma_table,
 )
 
 from conftest import assert_close
@@ -413,7 +413,7 @@ class TestIdentities:
     def test_jacobi_r4(self):
         n_max = 20000
         table = build_rk_table(4, n_max)
-        sig1 = sigma_table(1.0, n_max)
+        sig1 = divisor_sums(np.arange(n_max + 1.0))
         want = 8.0 * sig1
         want[4::4] -= 32.0 * sig1[1 : n_max // 4 + 1]
         assert np.array_equal(table.counts[1:].astype(np.float64), want[1:])
@@ -499,7 +499,7 @@ class TestR4AtFullSize:
     the tests build, where TestIdentities stops at 2e4."""
 
     def test_sigma_sieve(self):
-        assert np.array_equal(_sigma_sieve(5000).astype(np.float64), sigma_table(1.0, 5000))
+        assert _sigma_sieve(5000)[1:].tolist() == [sigma(1.0, n) for n in range(1, 5001)]
 
     def test_jacobi(self, series4_1m):
         n_max = series4_1m.n_max
@@ -598,11 +598,18 @@ class TestDivisorSums:
 
     def test_sigma_table_consistency(self):
         for nu in (1.0, 0.0, -3.0):
-            tab = sigma_table(nu, 300)
-            odd = sigma_table(nu, 300, odd_only=True)
+            powers = np.zeros(301)
+            powers[1:] = np.arange(1.0, 301.0) ** nu
+            tab = divisor_sums(powers)
+            powers[2::2] = 0.0
+            odd = divisor_sums(powers)
             for h in (1, 2, 17, 60, 128, 255, 300):
                 assert_close(tab[h], sigma(nu, h), rel=1e-14, label=f"sigma_{nu}({h})")
                 assert_close(odd[h], sigma(nu, h, odd_only=True), rel=1e-14, label=f"sigma2_{nu}({h})")
+        # the empty table, and sizes at and next to a square (the sieve's split)
+        for n_max in (0, 1, 3, 4, 288, 289):
+            want = [0.0] + [sigma(1.0, h) for h in range(1, n_max + 1)]
+            assert divisor_sums(np.arange(n_max + 1.0)).tolist() == want, n_max
 
     def test_validation(self):
         with pytest.raises(ValueError):
