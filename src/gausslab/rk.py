@@ -7,13 +7,21 @@ r_k(1) = 2k.
 Construction routes:
   k = 1   squares get count 2 (two signed roots), r_1(0) = 1
   k = 2   direct enumeration of pairs a^2 + b^2 <= n_max, cost O(n_max)
-  k >= 3  k - 2 sparse-square steps from the k=2 table,
+  k = 3   the square step below from r_2, over the classes of n mod 8 that
+          need it, in half its adds.  Squares are 0, 1 or 4 mod 8, so r_2 is
+          0 on n = 3, 6, 7 and r_3 on n = 7 (mod 8).  Squares are 0 or 1 mod
+          4, so a sum of three that is 0 mod 4 has all three even, and halving
+          them gives r_3(4n) = r_3(n).  Classes 1, 2, 3, 5 and 6 are summed
+          from the classes where r_2 is nonzero, class 7 is set to 0, and the
+          multiples of 4 are copied from r_3(n/4)
+  k >= 4  k - 3 sparse-square steps from r_3,
           r_{j+1}(n) = r_j(n) + 2 sum_{i>=1} r_j(n - i^2), O(n_max^{3/2}) each,
-          walked in cache-sized output blocks; a step runs in u32 while
-          max(r_j) * (2 isqrt(n_max) + 1) < 2^32 proves that no sum can wrap,
-          and in u64 from the first step where it does not.  So the step to
-          r_3 runs in u32 up to MAX_N (r_2 <= 4 d(n) <= 3072 there), the step
-          to r_4 at 1e6 and 4e6, and the steps to r_3..r_6 at n_max = 2000
+          walked in cache-sized output blocks
+Each step, the k = 3 route included, runs in u32 while
+max(r_j) * (2 isqrt(n_max) + 1) < 2^32 proves that no sum can wrap, and in
+u64 from the first step where it does not.  So r_3 is built in u32 up to MAX_N
+(r_2 <= 4 d(n) <= 3072 there), the step to r_4 runs in u32 at 1e6 and 4e6,
+and at n_max = 2000 r_3 and the steps to r_4..r_6 do.
 
 Exact NTT convolution (convolve) builds no table; it is the independent
 oracle behind convolve_tables.  Measured on a 2-core box, the steps beat
@@ -28,7 +36,9 @@ above ~6.7e7 it cannot run at all.
 
 Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead
-of wrapping.  r_8 first passes 2^64 at n = R8_FIRST_OVERFLOW (987,840) and
+of wrapping.  The k = 3 route checks none: its sums are at most
+max(r_2) * (2 isqrt(n_max) + 1), below 2^32 in u32 by the bound above and
+below 2^64 because r_2 fits in u32.  r_8 first passes 2^64 at n = R8_FIRST_OVERFLOW (987,840) and
 r_7 at n = R7_FIRST_OVERFLOW (15,321,071), so a k = 8 or k = 7 request that
 reaches its limit raises before any step; no smaller k passes 2^64 below
 MAX_N.
@@ -45,6 +55,7 @@ digest differs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -205,23 +216,26 @@ def _square_step(base: np.ndarray) -> np.ndarray:
     with j innermost, so a block and the doubled window added to it stay in
     cache; every out[n] still receives its adds in increasing j.  Every add
     into a block [lo, hi) reads base below hi, so after j adds each of its
-    outputs is at most max(base[:hi]) * (2j + 1); while that per-block bound
-    fits, the adds run unchecked.  Past it each add is checked: all terms are
-    nonnegative, so an add wrapped exactly when the sum is smaller than the
-    addend.  A doubled value or a sum that does not fit raises
-    ConvolutionOverflowError, never wraps.
+    outputs is at most max(base[:hi]) * (2j + 1), taken from one running
+    maximum over the blocks; while that per-block bound fits, the adds run
+    unchecked.  Past it each add is checked: all terms are nonnegative, so an
+    add wrapped exactly when the sum is smaller than the addend.  A doubled
+    value or a sum that does not fit raises ConvolutionOverflowError, never
+    wraps.  The blocks are walked from the top down: r_k grows with n, so the
+    top block holds the largest sums, and a step that wraps raises after one
+    block instead of after all of them.
     """
     n_max = base.shape[0] - 1
     bits = 8 * base.dtype.itemsize
     limit = 1 << bits
-    if int(base.max(initial=0)) >= limit // 2 and np.any(base[:n_max] >= base.dtype.type(limit // 2)):
+    los = range(0, n_max + 1, _BLOCK)
+    tops = list(itertools.accumulate((int(base[lo : lo + _BLOCK].max()) for lo in los), max))
+    if tops[-1] >= limit // 2 and np.any(base[:n_max] >= base.dtype.type(limit // 2)):
         raise ConvolutionOverflowError(f"r_k coefficient beyond {bits} bits in the doubling")
     out = base.copy()
     doubled = base * base.dtype.type(2)
-    top = 0  # max(base[:hi]) for the current block
-    for lo in range(0, n_max + 1, _BLOCK):
+    for lo, top in zip(reversed(los), reversed(tops)):
         hi = min(lo + _BLOCK, n_max + 1)
-        top = max(top, int(base[lo:hi].max()))
         for j in range(1, math.isqrt(hi - 1) + 1):
             start = max(lo, j * j)
             seg = out[start:hi]
@@ -229,6 +243,47 @@ def _square_step(base: np.ndarray) -> np.ndarray:
             seg += add
             if top * (2 * j + 1) >= limit and np.any(seg < add):
                 raise ConvolutionOverflowError(f"r_k coefficient beyond {bits} bits at step j = {j}")
+    return out
+
+
+# n mod 8 where r_2 can be nonzero: squares are 0, 1 or 4 mod 8
+_R2_CLASSES = (0, 1, 2, 4, 5)
+
+
+def _r3_step(base: np.ndarray) -> np.ndarray:
+    """r_3 from base = r_2, equal to _square_step(base) bit for bit, in half
+    its adds; base comes from _widened, whose bound proves that no sum wraps.
+
+    The output is built one residue class c of n mod 8 at a time.  Classes
+    1, 2, 3, 5 and 6 are square steps into one contiguous accumulator, walked
+    in blocks of _BLOCK entries: r_2(n - j^2) lies in class (c - j^2) mod 8,
+    read as a contiguous slice of that class's doubled values, and j is
+    skipped where that class is not one of _R2_CLASSES.  Class 7 is 0, and
+    each multiple of 4 is copied from r_3(n/4), one range [4^a, 4^(a+1)) of
+    n/4 at a time, whose own multiples of 4 the range before filled.
+    """
+    n_max = base.shape[0] - 1
+    out = np.empty_like(base)
+    doubled = {c: base[c::8] * base.dtype.type(2) for c in _R2_CLASSES}
+    for c in (1, 2, 3, 5, 6):
+        acc = base[c::8].copy()  # acc[m] = r_3(8m + c)
+        for lo in range(0, acc.shape[0], _BLOCK):
+            hi = min(lo + _BLOCK, acc.shape[0])
+            for j in range(1, math.isqrt(8 * (hi - 1) + c) + 1):
+                src = (c - j * j) % 8
+                if src not in doubled:
+                    continue
+                shift = (j * j - c + src) // 8  # 8m + c - j^2 = 8 (m - shift) + src
+                start = max(lo, shift)
+                acc[start:hi] += doubled[src][start - shift : hi - shift]
+        out[c::8] = acc
+    out[7::8] = 0
+    out[0] = base[0]
+    lo = 1
+    while 4 * lo <= n_max:
+        hi = min(4 * lo, n_max // 4 + 1)
+        out[4 * lo : 4 * hi : 4] = out[lo:hi]
+        lo *= 4
     return out
 
 
@@ -241,9 +296,9 @@ def build_rk_table(k: int, n_max: int) -> RkTable:
             f"r_{k}(n) exceeds 64 bits from n = {first_overflow}; n_max = {n_max} cannot be built"
         )
     counts = _r1_u32(n_max) if k == 1 else _r2_u32(n_max)
-    for _ in range(k - 2):
+    for dim in range(3, k + 1):
         counts = _widened(counts)  # rebinds first, so a narrow base is freed before the step
-        counts = _square_step(counts)
+        counts = _r3_step(counts) if dim == 3 else _square_step(counts)
     return RkTable(k=k, n_max=n_max, counts=counts.astype(np.uint64, copy=False))
 
 

@@ -1,8 +1,8 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (2.3-2.9 s and a 67 MB peak RSS on one core of a 2-core
-box).  Each check returns
+acceptance scale (1.6-2.2 s and a 67 MB peak RSS on one core of a 2-core
+box, process start included).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
 """

@@ -105,8 +105,8 @@ class TestSquareStep:
             assert build_rk_table(k, 2000) == chain[k], f"k={k}"
 
     def test_matches_ntt_chain_1e5(self):
-        chain = _ntt_chain(5, 10**5)
-        for k in (4, 5):
+        chain = _ntt_chain(6, 10**5)
+        for k in range(3, 7):
             assert build_rk_table(k, 10**5) == chain[k], f"k={k}"
 
     def test_build_never_calls_the_ntt(self, monkeypatch):
@@ -222,6 +222,17 @@ class TestBlockedStep:
         with pytest.raises(ConvolutionOverflowError, match="step j = 300$"):
             rk._square_step(base)
 
+    def test_walk_is_top_down(self):
+        # doubled 2^64 - 2 wraps out[28] = 2 at j = 5 in block 0, and out[n_max] = 2
+        # at j = 10 in block 2; the walk meets block 2 first
+        base = np.zeros(2 * rk._BLOCK + 3, dtype=np.uint64)
+        n_max = base.shape[0] - 1
+        base[[3, n_max - 10**2]] = 2**63 - 1
+        base[[3 + 5**2, n_max]] = 2
+        assert _first_wrap_global_bound(base) == 5
+        with pytest.raises(ConvolutionOverflowError, match="step j = 10$"):
+            rk._square_step(base)
+
 
 def _first_wrap_global_bound(base: np.ndarray) -> int | None:
     """The j at which the blocked square step first wraps, checking every add
@@ -263,7 +274,9 @@ def _sha256(counts: np.ndarray) -> str:
     return hashlib.sha256(counts.astype(np.uint64).tobytes()).hexdigest()
 
 
-# sha256 of the uint64 counts, from the build that ran every step past r_3 in u64
+# sha256 of the uint64 counts, from the build that took every step by
+# rk._square_step, those past r_3 in u64; so they are the full-size oracle of
+# the r_3 route too
 _TABLE_DIGESTS = {
     "r3@1e6": "519e81b342b3b199497e27b690a7e2ddba35c6f8146bcf05884006f40b9d3986",
     "r4@1e6": "c8026e039b6a77623fc28ba394ca669b56b0e3e7151b67372b831062bb6ec3b8",
@@ -274,6 +287,49 @@ _TABLE_DIGESTS = {
     "r3@4e6": "1a554c975f488854ed8caee5878df6ab5016e4dfb23b51f9142b69e11e3084bd",
     "r4@4e6": "22166fd80d6e2ea49feab3331605a4d4c9ec4ae80cd78e89c1cae9695522319d",
 }
+
+
+_R3_ROUTE_SIZES = sorted(
+    {*range(18)}
+    | {4**a + d for a in range(1, 10) for d in (-1, 0, 1)}
+    | {8 * rk._BLOCK * m + d for m in (1, 2) for d in (-1, 0, 1)}
+)
+
+
+class TestR3Route:
+    """build_rk_table takes r_3 from r_2 by rk._r3_step, which sums only the
+    classes of n mod 8 where r_3 can be nonzero and copies r_3(4n) from r_3(n);
+    the plain step rk._square_step is its oracle.  The sizes put the edges of
+    the power-of-4 ranges and of the class blocks at n_max."""
+
+    @pytest.mark.parametrize("n_max", _R3_ROUTE_SIZES)
+    def test_equals_square_step(self, n_max):
+        base = rk._widened(rk._r2_u32(n_max))
+        got = rk._r3_step(base)
+        want = rk._square_step(base)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_width_from_widened(self, monkeypatch, wide):
+        # the route runs in the dtype that _widened picks for r_2, as every step does
+        want = build_rk_table(3, 2000)
+        seen = {}
+        real_widened, real_route = rk._widened, rk._r3_step
+
+        def widened(base):
+            seen["widened"] = base.astype(np.uint64) if wide else real_widened(base)
+            return seen["widened"]
+
+        def route(base):
+            seen["base"], seen["out"] = base, real_route(base)
+            return seen["out"]
+
+        monkeypatch.setattr(rk, "_widened", widened)
+        monkeypatch.setattr(rk, "_r3_step", route)
+        assert build_rk_table(3, 2000) == want
+        assert seen["base"] is seen["widened"]
+        assert seen["out"].dtype == seen["base"].dtype == (np.uint64 if wide else np.uint32)
 
 
 class TestStepDtype:
@@ -291,20 +347,21 @@ class TestStepDtype:
     def test_widths_at_2000(self, monkeypatch):
         steps = _recorded_steps(monkeypatch)
         build_rk_table(7, 2000)
-        assert [dtype for dtype, _ in steps] == ["uint32"] * 4 + ["uint64"]
+        assert [dtype for dtype, _ in steps] == ["uint32"] * 3 + ["uint64"]
 
     def test_tables_unchanged(self, monkeypatch, series3_big):
+        got = {"r3@1e6": _sha256(build_rk_table(3, 10**6).counts)}
         steps = _recorded_steps(monkeypatch)
         build_rk_table(7, 10**6)
-        got = {f"r{k}@1e6": _sha256(out) for k, (_, out) in zip(range(3, 8), steps)}
+        got.update({f"r{k}@1e6": _sha256(out) for k, (_, out) in zip(range(4, 8), steps)})
         # the last step of build_rk_table(8, 987_839)
         got["r8@987839"] = _sha256(rk._square_step(steps[-1][1][: rk.R8_FIRST_OVERFLOW]))
         r3 = np.diff(series3_big.prefix, prepend=np.uint64(0))
         got["r3@4e6"] = _sha256(r3)
         # the last step of build_rk_table(4, 4 * 10**6), from its u32 r_3
         got["r4@4e6"] = _sha256(rk._square_step(rk._widened(r3.astype(np.uint32))))
-        # build_rk_table(4, 10**6) takes the first two steps, both in u32
-        assert [dtype for dtype, _ in steps] == ["uint32"] * 2 + ["uint64"] * 4 + ["uint32"]
+        # build_rk_table(4, 10**6) takes its one square step in u32
+        assert [dtype for dtype, _ in steps] == ["uint32"] + ["uint64"] * 4 + ["uint32"]
         assert got == _TABLE_DIGESTS
 
 
@@ -453,7 +510,13 @@ class TestIdentities:
 
 class TestR3AtFullSize:
     """Two O(n) identities check r_3 at 4e6, the size the README pipeline reads,
-    where the other oracles stop at 1e5 or below."""
+    where the other oracles stop at 1e5 or below.
+
+    rk._r3_step builds r_3 from both: it sets n = 7 (mod 8) to 0 and copies
+    r_3(4n) from r_3(n), so test_four_n and the 7 (mod 8) half of
+    test_legendre_zeros restate that construction.  The nonzero half still
+    checks the summed classes 1, 2, 3, 5 and 6, and the r3@4e6 digest of
+    TestStepDtype checks every entry."""
 
     @pytest.fixture(scope="class")
     def r3(self, series3_big):
