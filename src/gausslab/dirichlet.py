@@ -37,7 +37,7 @@ import numpy as np
 
 from . import specfun
 from .rk import RkTable, divisor_sums
-from .summation import CHUNK, _BlockSum, _StreamedSum, block_compensated_sum
+from .summation import CHUNK, _BlockSum, block_compensated_sum
 
 __all__ = [
     "Cusp",
@@ -130,11 +130,12 @@ def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
 
     The bound is estimated, since c is calibrated on the table itself.  It has
     three parts: the truncation tail from r_4(m)^2 <= c m^2 (ln m + 1)^2, a
-    compensated-summation rounding allowance, and the zeta-evaluation
-    tolerance of the right-hand side (the truncation tail alone drops below
-    double rounding by s = 6).
+    compensated-summation rounding allowance (every term is >= 0, so the sum
+    of magnitudes is lhs itself), and the zeta-evaluation tolerance of the
+    right-hand side (the truncation tail alone drops below double rounding by
+    s = 6).
     The terms are streamed CHUNK at a time: only the block partials of the
-    sum, the _StreamedSum of the magnitudes and the running max for c stay.
+    sum and the running max for c stay.
     """
     if table.k != 4:
         raise ValueError("r4_identity_check needs a k = 4 table")
@@ -143,14 +144,13 @@ def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
         raise ValueError(f"r4_identity_check: needs s >= 4 to bound tails (got {s})")
     if m_max < 1 or m_max > table.n_max:
         raise ValueError(f"m_max = {m_max} outside [1, {table.n_max}]")
-    total, magnitude, c = _BlockSum(m_max), _StreamedSum(m_max), 0.0
+    total, c = _BlockSum(m_max), 0.0
     for lo in range(0, m_max, CHUNK):
         hi = min(lo + CHUNK, m_max)
         m = np.arange(lo + 1, hi + 1, dtype=np.float64)
         r4 = table.counts[lo + 1 : hi + 1].astype(np.float64)
         terms = (r4 / 8.0) ** 2 / m**s
         total.feed(lo, terms)
-        magnitude.feed(lo, np.abs(terms))
         log_term = np.log(m) + 1.0
         c = max(c, float(np.max(r4**2 / (m**2 * log_term**2))))
     lhs, rhs = total.total(), r4_euler_rhs(s)
@@ -163,7 +163,7 @@ def r4_identity_check(table: RkTable, s: float, m_max: int) -> IdentityCheck:
         * float(m_max) ** -a
         * ((big_l + 1.0) ** 2 / a + 2.0 * (big_l + 1.0) / a**2 + 2.0 / a**3)
     )
-    rounding = 8.0 * 2.22e-16 * magnitude.total()
+    rounding = 8.0 * 2.22e-16 * lhs
     rhs_eval = 4e-12 * abs(rhs)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs), trunc + rounding + rhs_eval)
 

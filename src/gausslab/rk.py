@@ -24,15 +24,10 @@ u64 from the first step where it does not.  So r_3 is built in u32 up to MAX_N
 and at n_max = 2000 r_3 and the steps to r_4..r_6 do.
 
 Exact NTT convolution (convolve) builds no table; it is the independent
-oracle behind convolve_tables.  Measured on a 2-core box, the steps beat
-binary powering under the NTT at every size measured, with bit-identical
-output: r_4 at 1e6 / 4e6 / 1.6e7 took 0.3 / 2.2 / 23 s against
-8.1 / 55 / 136 s, and r_6 at 1.6e7 took 70 s against 297 s (the NTT figures
-from 4e6 up, runs of up to 2.9 GB, and the r_6 figures are from earlier
-measurements).  The steps
-peak at about 25 B per n, the transform at 180 B per n (2.9 GB at 1.6e7):
-above n ~ 3.4e7, where it needs 2^27 points, it does not fit in 7 GB, and
-above ~6.7e7 it cannot run at all.
+oracle behind convolve_tables, kept because it reaches the same counts by a
+different algorithm.  The steps peak at about 25 B per n, the transform at
+180 B per n (2.9 GB at 1.6e7): above n ~ 3.4e7, where it needs 2^27 points,
+it does not fit in 7 GB, and above ~6.7e7 it cannot run at all.
 
 Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead

@@ -27,6 +27,18 @@ def series4_1m(table4_1m):
 
 
 @pytest.fixture(scope="session")
+def series5_273k():
+    """k = 5 series to 272,900, the exp cutoff at X = 1000 sqrt(10)."""
+    return prefix_counts(build_rk_table(5, 272_900))
+
+
+@pytest.fixture(scope="session")
+def series6_298k():
+    """k = 6 series to 298,387, the exp cutoff at X = 1000 sqrt(10)."""
+    return prefix_counts(build_rk_table(6, 298_387))
+
+
+@pytest.fixture(scope="session")
 def tables_small():
     """k = 1..6 tables to n = 512 for cheap cross-checks."""
     return {k: build_rk_table(k, 512) for k in range(1, 7)}

@@ -131,7 +131,7 @@ def _r4_identity_whole_arrays(table, s, m_max):
         * float(m_max) ** -a
         * ((big_l + 1.0) ** 2 / a + 2.0 * (big_l + 1.0) / a**2 + 2.0 / a**3)
     )
-    rounding = 8.0 * 2.22e-16 * float(np.sum(np.abs(terms)))
+    rounding = 8.0 * 2.22e-16 * lhs
     return lhs, abs(lhs - rhs), trunc + rounding + 4e-12 * abs(rhs)
 
 
