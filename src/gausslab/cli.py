@@ -55,11 +55,12 @@ class CacheLockedError(OSError):
     """Another process holds the cache directory's lock."""
 
 
-def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable, str]:
+def _obtain_table(k: int, n_max: int, cache_dir: str | None, keep: bool = True) -> tuple[rk.RkTable | None, str]:
     """r_k(0..n_max) and how it was obtained: "hit" (a valid cache file),
     "miss" (built, and saved if there is a cache directory) or "rebuild"
     (the cache file failed its checks; built and saved over it).  Every
-    outcome returns a table made by this call, which nothing else holds."""
+    outcome returns a table made by this call, which nothing else holds;
+    with keep false a hit only checks the file and returns None for it."""
     if cache_dir is None:
         return rk.build_rk_table(k, n_max), "miss"
     os.makedirs(cache_dir, exist_ok=True)
@@ -73,9 +74,13 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None) -> tuple[rk.RkTable
             raise CacheLockedError(f"cache directory is locked by another process: {exc}") from exc
         if os.path.exists(path):
             try:
-                table = rk.load_table(path)
-                if (table.k, table.n_max) != (k, n_max):
-                    raise rk.CacheFormatError(f"it holds r_{table.k} to n_max = {table.n_max}")
+                if keep:
+                    table = rk.load_table(path)
+                    held = table.k, table.n_max
+                else:
+                    table, held = None, rk.check_table(path)
+                if held != (k, n_max):
+                    raise rk.CacheFormatError(f"it holds r_{held[0]} to n_max = {held[1]}")
                 return table, "hit"
             except rk.CacheError as exc:
                 print(f"warning: rebuilding bad cache {path}: {exc}", file=sys.stderr)
@@ -172,7 +177,7 @@ def cmd_table(args) -> int:
     cache_dir = args.cache_dir or "."
     path = _cache_path(cache_dir, args.k, args.n_max)
     start = time.perf_counter()
-    _, outcome = _obtain_table(args.k, args.n_max, cache_dir)
+    _, outcome = _obtain_table(args.k, args.n_max, cache_dir, keep=False)
     elapsed = time.perf_counter() - start
     if outcome == "hit":
         print(f"cache {path} is valid; skipping rebuild")

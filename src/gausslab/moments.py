@@ -55,6 +55,18 @@ with the increment n^{k/2} expm1((k/2) log1p(u/n)) evaluated by the same
 Gauss-Legendre rule (exact for even k; ~1e-12 relative for odd k; the bound
 1e-13 sum |cells| is estimated).  Raw endpoint differences of the antiderivative
 lose ~13 digits to cancellation by n ~ 1e6, which this form avoids.
+
+Each sample's truncation_bound carries these terms and no others:
+
+  SmoothSecond, SmoothWeightedFirst  the certified tail past n_cut
+  SharpSecond, SharpWeightedFirst    0
+  LaplaceSecond                      the certified tail, the estimated
+                                     quadrature term and 1e-14 sum(cells)
+  SharpIntegralSecond                the estimate 1e-13 sum |cells|
+
+None covers the float rounding of the sum itself: against a 30-digit
+reference from the exact S_3, SmoothSecond was off by 4.9e-8 and 5.0e-5 at
+X = 100 and 1000, where its bounds read 5.7e-11 and 8.3e-10.
 """
 
 from __future__ import annotations
@@ -365,10 +377,43 @@ def laplace_second_moment(series: DiscrepancySeries, X: float, grid: Grid | None
     return _grid_sample(Statistic.LAPLACE_SECOND, series, X, grid, _laplace_pass)
 
 
+def _sharp_integral_cells(series: DiscrepancySeries, lo: int, hi: int) -> np.ndarray:
+    """The centered cells int_n^{n+1} P_k(t)^2 dt for n = lo + 1 .. hi, as
+    P_k(n)^2 - 2 P_k(n) V I_1(n) + V^2 I_2(n) (module docstring).  Every
+    operation is elementwise, so a cell's bits do not depend on the range
+    it is formed in."""
+    k, vk = series.k, series.v_k
+    n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    pvals = series.p_values(lo + 1, hi + 1)
+    nk2 = half_power(n, k)
+    i1, i2 = np.zeros_like(n), np.zeros_like(n)
+    # two scratch buffers serve every node; each product keeps the association
+    # of delta = nk2 * expm1((k/2) log1p(xi/n)), wi * delta and (wi * delta) * delta
+    delta, term = np.empty_like(n), np.empty_like(n)
+    for xi, wi in zip(_GL_X01, _GL_W01):
+        np.divide(xi, n, out=delta)
+        np.log1p(delta, out=delta)
+        delta *= k / 2.0
+        np.expm1(delta, out=delta)
+        delta *= nk2
+        np.multiply(wi, delta, out=term)
+        i1 += term
+        term *= delta
+        i2 += term
+    # cells = p^2 - ((2 vk) p) i1 + (vk vk) i2, formed in i1
+    np.multiply(2.0 * vk, pvals, out=term)
+    term *= i1
+    np.multiply(pvals, pvals, out=i1)
+    i1 -= term
+    i2 *= vk * vk
+    i1 += i2
+    return i1
+
+
 def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> dict[float, tuple]:
-    """Centered per-interval cells formed once per CHUNK of n = 1, 2, ... to
-    the largest X; each X keeps the block partials of its own prefix and the
-    _StreamedSum of its magnitudes, for the bound."""
+    """The cells of _sharp_integral_cells formed once per CHUNK of
+    n = 1, 2, ... to the largest X; each X keeps the block partials of its
+    own prefix and the _StreamedSum of its magnitudes, for the bound."""
     k, vk = series.k, series.v_k
     # cell n = 0 exactly: S = 1, int_0^1 (1 - vk t^{k/2})^2 dt
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
@@ -376,36 +421,12 @@ def _sharp_integral_pass(series: DiscrepancySeries, sizes: dict[float, int]) -> 
     magnitudes = {x: _StreamedSum(max(m - 1, 0)) for x, m in sizes.items()}
     top = max(sizes.values())
     for lo in range(0, top - 1, CHUNK):
-        hi = min(lo + CHUNK, top - 1)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        pvals = series.p_values(lo + 1, hi + 1)
-        nk2 = half_power(n, k)
-        i1, i2 = np.zeros_like(n), np.zeros_like(n)
-        # two scratch buffers serve every node; each product keeps the association
-        # of delta = nk2 * expm1((k/2) log1p(xi/n)), wi * delta and (wi * delta) * delta
-        delta, term = np.empty_like(n), np.empty_like(n)
-        for xi, wi in zip(_GL_X01, _GL_W01):
-            np.divide(xi, n, out=delta)
-            np.log1p(delta, out=delta)
-            delta *= k / 2.0
-            np.expm1(delta, out=delta)
-            delta *= nk2
-            np.multiply(wi, delta, out=term)
-            i1 += term
-            term *= delta
-            i2 += term
-        # cells = p^2 - ((2 vk) p) i1 + (vk vk) i2, formed in i1
-        np.multiply(2.0 * vk, pvals, out=term)
-        term *= i1
-        np.multiply(pvals, pvals, out=i1)
-        i1 -= term
-        i2 *= vk * vk
-        i1 += i2
+        cells = _sharp_integral_cells(series, lo, min(lo + CHUNK, top - 1))
         for acc in sums.values():
-            acc.feed(lo, i1)
-        np.abs(i1, out=delta)
+            acc.feed(lo, cells)
+        np.abs(cells, out=cells)
         for acc in magnitudes.values():
-            acc.feed(lo, delta)
+            acc.feed(lo, cells)
     return {
         x: (cell0 + sums[x].total(), 1e-13 * (abs(cell0) + magnitudes[x].total())) if m else (0.0, 0.0)
         for x, m in sizes.items()

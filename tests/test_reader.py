@@ -1,6 +1,7 @@
 """The cache reader and the in-place sums: a cache hit reads the file's
 payload a piece at a time into a new table, and cli._series sums S_k in
-place over that table's counts."""
+place over that table's counts; the table command checks a hit the same
+way without keeping its payload."""
 
 import hashlib
 import os
@@ -177,6 +178,11 @@ class TestBadCache:
         assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n"
         assert np.array_equal(series.prefix, prefix_counts(build_rk_table(self.K, self.N_MAX)).prefix)
         assert path.read_bytes() == good
+        # the table command, which checks a hit without keeping it, says the same
+        _corrupt(path, how)
+        assert cli.main(["table", "--k", str(self.K), "--n-max", str(self.N_MAX), "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n"
+        assert path.read_bytes() == good
 
     def test_file_for_another_table_checked_before_its_payload(self, tmp_path, capsys):
         # r_8 to 50,000 wraps S_8 at n = 46,172: the header alone sends it to a
@@ -189,6 +195,10 @@ class TestBadCache:
         err = capsys.readouterr().err
         assert err == f"warning: rebuilding bad cache {path}: it holds r_8 to n_max = 50000\n"
         assert np.array_equal(series.prefix, prefix_counts(build_rk_table(3, 50_000)).prefix)
+        save_table(build_rk_table(8, 50_000), path)
+        assert cli.main(["table", "--k", "3", "--n-max", "50000", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().err == err
+        assert load_table(path) == build_rk_table(3, 50_000)
 
 
 class TestHit:
@@ -221,6 +231,27 @@ class TestHit:
         series, grown = allocated_peak(cli._series, 3, n_max, cache)
         assert series.n_max == n_max
         assert grown <= 8 * (n_max + 1) + 1e6, grown
+
+    def test_table_hit_allocates_one_piece(self, tmp_path, capsys):
+        # loading the hit held the whole 8 MB table to report it valid
+        n_max = 2**20 + 2
+        cache = str(tmp_path)
+        cli._obtain_table(3, n_max, cache)
+        code, grown = allocated_peak(cli.main, ["table", "--k", "3", "--n-max", str(n_max), "--cache-dir", cache])
+        assert code == 0 and capsys.readouterr().out.endswith(" is valid; skipping rebuild\n")
+        assert grown <= 8 * PIECE + 1e6, grown
+
+    def test_only_the_table_command_skips_the_load(self, tmp_path, monkeypatch):
+        # moments and shortinterval read a hit through _series: one load_table
+        cache = str(tmp_path)
+        cli._obtain_table(3, 5000, cache)
+        calls = []
+        for name in ("load_table", "check_table"):
+            real = getattr(rk, name)
+            monkeypatch.setattr(rk, name, lambda path, real=real, name=name: calls.append(name) or real(path))
+        cli._series(3, 5000, cache)
+        assert cli.main(["table", "--k", "3", "--n-max", "5000", "--cache-dir", cache]) == 0
+        assert calls == ["load_table", "check_table"]
 
 
 def test_import_floor():
