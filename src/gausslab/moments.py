@@ -317,12 +317,11 @@ def _gauss_legendre(pieces: int) -> list[tuple[float, float]]:
     return [((piece + xi) / pieces, wi / pieces) for piece in range(pieces) for xi, wi in zip(_GL_X01, _GL_W01)]
 
 
-def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide: int = 1) -> dict[float, tuple]:
+def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int]) -> dict[float, tuple]:
     """LaplaceSecond at every X of n_cuts (X -> its cutoff), from one run of
     _exp_cells over the intervals with g = (S_n - v_k t^{k/2})^2 and, for
-    the audit, two over its sample: with the pass's rule and with each piece
-    halved.  `subdivide` refines every unit interval; only the audit of the
-    quadrature bound sets it.  Per X the main pass keeps the block partials
+    the audit, two over its sample: with the pass's one-piece rule and with
+    each unit interval halved.  Per X the main pass keeps the block partials
     of its cells and a _StreamedSum of them for the rounding term."""
     k, v_k = series.k, series.v_k
 
@@ -334,7 +333,7 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
 
     values = {x: _BlockSum(n_cut) for x, n_cut in n_cuts.items()}
     sums = {x: _StreamedSum(n_cut) for x, n_cut in n_cuts.items()}
-    for lo, x, cells in _exp_cells(counts, g, n_cuts, _gauss_legendre(subdivide)):
+    for lo, x, cells in _exp_cells(counts, g, n_cuts, _gauss_legendre(1)):
         values[x].feed(lo, cells)
         sums[x].feed(lo, cells)
     # every cutoff is at least MIN_EXP_CUTOFF = 100, so each X's audit sample
@@ -349,7 +348,7 @@ def _laplace_pass(series: DiscrepancySeries, n_cuts: dict[float, int], subdivide
         return steps[lo:hi], at[lo:hi]
 
     diff = {x: np.empty(m, dtype=np.float64) for x, m in sample_sizes.items()}
-    fine, coarse = (_exp_cells(sampled, g, sample_sizes, _gauss_legendre(p)) for p in (2 * subdivide, subdivide))
+    fine, coarse = (_exp_cells(sampled, g, sample_sizes, _gauss_legendre(p)) for p in (2, 1))
     for (lo, x, halved), (_, _, cells) in zip(fine, coarse):
         np.subtract(halved, cells, out=diff[x][lo : lo + cells.shape[0]])
     # t^{k/2} is singular at 0, so halving cuts interval 0's error by 2^{-(k/2+1)}:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gausslab import moments
-from gausslab.discrepancy import prefix_counts
+from gausslab.discrepancy import half_power, prefix_counts
 from gausslab.rk import build_rk_table
+from gausslab.summation import block_compensated_sum
 
 
 @pytest.fixture(scope="session")
@@ -44,13 +46,28 @@ def tables_small():
     return {k: build_rk_table(k, 512) for k in range(1, 7)}
 
 
-def laplace_refined(series, x, subdivide, grid=None):
-    """LaplaceSecond at X with each unit interval cut into `subdivide` equal
-    Gauss-Legendre pieces, through the kernels' grid engine: the refinement
-    that audits the quadrature bound (the public kernel takes one piece)."""
-    return moments._grid_sample(
-        moments.Statistic.LAPLACE_SECOND, series, x, grid, moments._laplace_pass, subdivide
-    )
+def laplace_cells(step_values, v_k, k, x, idx, pieces):
+    """The LaplaceSecond integrand (S_n - v_k t^{k/2})^2 e^{-t/X} integrated
+    over each unit interval [n, n + 1) of idx, S_n = step_values, by the
+    8-point Gauss-Legendre rule on `pieces` equal pieces, over all of idx in
+    one pass."""
+    acc = np.zeros(idx.shape[0], dtype=np.float64)
+    base = idx.astype(np.float64)
+    for piece in range(pieces):
+        for xi, wi in zip(moments._GL_X01, moments._GL_W01):
+            t = base + (piece + xi) / pieces
+            f = (step_values - v_k * half_power(t, k)) ** 2 * np.exp(-t / x)
+            acc += (wi / pieces) * f
+    return acc
+
+
+def laplace_refined(series, x, pieces):
+    """LaplaceSecond's value at X with each unit interval cut into `pieces`
+    Gauss-Legendre pieces, from whole arrays: the refinement that audits the
+    quadrature bound (the kernel takes one piece)."""
+    n_cut = moments.exp_cutoff(series.k, x)
+    steps = series.prefix_float(slice(0, n_cut))
+    return block_compensated_sum(laplace_cells(steps, series.v_k, series.k, x, np.arange(n_cut), pieces))
 
 
 def allocated_peak(func, *args):

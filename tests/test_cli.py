@@ -575,6 +575,45 @@ class TestFitCommand:
         assert run_cli(["fit", str(tmp_path / "nope.csv")]) == 3
 
 
+def _bruteforce_off_at_61(monkeypatch):
+    real = rk.rk_bruteforce
+    monkeypatch.setattr(rk, "rk_bruteforce", lambda k, n: real(k, n) + (k == 4 and n == 61))
+    return verify._Tables()
+
+
+def _r4_off_at_6(monkeypatch):
+    # r_4(6)/8 no longer equals r_4(2)/8 * r_4(3)/8
+    counts = build_rk_table(4, 300**2).counts.copy()
+    counts[6] += 8
+    return verify._Tables({4: rk.RkTable(4, 300**2, counts)})
+
+
+def _ramanujan_off_by_one(monkeypatch):
+    real = dirichlet.ramanujan_sum
+    monkeypatch.setattr(dirichlet, "ramanujan_sum", lambda q, n: real(q, n) + 1)
+    return verify._Tables()
+
+
+def _r3_lifted(monkeypatch):
+    # a million extra points at n = 1 keep P_3 positive to 2000
+    counts = build_rk_table(3, 2000).counts.copy()
+    counts[1] += 10**6
+    return verify._Tables({3: rk.RkTable(3, 2000, counts)})
+
+
+def _save_off_by_one(monkeypatch):
+    real = rk.save_table
+    monkeypatch.setattr(rk, "save_table", lambda t, path: real(rk.RkTable(t.k, t.n_max, t.counts + np.uint64(1)), path))
+    return verify._Tables()
+
+
+def _load_unchecked(monkeypatch):
+    # a loader that skips the checksum hands back the table whatever the bytes
+    table = build_rk_table(3, 1000)
+    monkeypatch.setattr(rk, "load_table", lambda path: table)
+    return verify._Tables({3: table})
+
+
 class TestVerifyCommand:
     def test_exit_zero_on_all_pass(self, monkeypatch, capsys):
         fake = [("alpha", lambda q, t: (True, "ok"))]
@@ -612,17 +651,29 @@ class TestVerifyCommand:
         assert not passed
         assert detail == f"{name} mismatch at n={n}"
 
-    def test_divisor_sieve(self):
-        # the sieve with the weights check_divisor_oracles gives it: d and chi_4(d)
-        n_max = 5000
-        chi = (0, 1, 0, -1)
-        want_sig, want_chi = [0] * (n_max + 1), [0] * (n_max + 1)
-        for d in range(1, n_max + 1):
-            for n in range(d, n_max + 1, d):
-                want_sig[n] += d
-                want_chi[n] += chi[d % 4]
-        assert rk.divisor_sums(np.arange(n_max + 1, dtype=np.int64)).tolist() == want_sig
-        assert rk.divisor_sums(np.array([chi[d % 4] for d in range(n_max + 1)])).tolist() == want_chi
+    # each fault: a setup that injects it and returns the check's tables, the
+    # check, and the pattern its whole detail must match at the quick level
+    FAULTS = {
+        "oracle-bruteforce": (_bruteforce_off_at_61, verify.check_oracle_equivalence, "bruteforce mismatch k=4 n=61"),
+        "r4-multiplicativity": (_r4_off_at_6, verify.check_r4_multiplicativity, r"fails at \(2, 3\)"),
+        "ramanujan-reduction": (
+            _ramanujan_off_by_one, verify.check_ramanujan_reduction, r"gamma=101 h=133: \(.+\) vs 0"
+        ),
+        "p3-sign-changes": (_r3_lifted, verify.check_sign_changes, r"no sign change in \[100, 200\]"),
+        "cache-save-load": (_save_off_by_one, verify.check_cache_roundtrip, "save/load not bit-exact"),
+        "cache-flipped-byte": (_load_unchecked, verify.check_cache_roundtrip, "a flipped payload byte loads"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_injection_caught_by_name(self, monkeypatch, fault):
+        inject, check, want = self.FAULTS[fault]
+        passed, detail = check(True, inject(monkeypatch))
+        assert not passed
+        assert re.fullmatch(want, detail), detail
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(ValueError, match="level must be 'quick' or 'full', got 'medium'"):
+            verify.run_battery("medium")
 
     def test_quick_battery_loads_neither_numpy_random_nor_openssl(self):
         # the battery runs reversed: each check sees tables of exactly the size
@@ -656,8 +707,8 @@ class TestVerifyCommand:
         [res] = verify.run_battery("quick")
         assert not res.passed and "ArithmeticError" in res.detail and "nonreal" in res.detail
 
-    def test_overflow_abort_steps_from_the_held_r4(self, monkeypatch):
-        tables = verify._Tables({4: build_rk_table(4, 10**6)})
+    def test_overflow_abort_steps_from_the_held_r4(self, monkeypatch, table4_1m):
+        tables = verify._Tables({4: table4_1m})
         monkeypatch.setattr(rk, "build_rk_table", _raise(AssertionError("build_rk_table called")))
         passed, detail = verify.check_overflow_abort(False, tables)
         # r_8 first passes 2^64 at 987,840, so only the top block [983,040, 995,000] wraps
@@ -800,10 +851,14 @@ def _raise(exc):
     return raiser
 
 
-def _moments_csv(name, rows):
+def _csv(name, rows):
     with open(name, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\r\n").writerows([cli.MOMENTS_HEADER] + [r.split(",") for r in rows])
+        csv.writer(fh, lineterminator="\r\n").writerows(r.split(",") for r in rows)
     return ["fit", name]
+
+
+def _moments_csv(name, rows):
+    return _csv(name, [",".join(cli.MOMENTS_HEADER)] + rows)
 
 
 def _failing_verify(monkeypatch, stack):
@@ -860,6 +915,10 @@ class TestExitCodes:
         "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),
         "shortinterval-bad-beta": ("shortinterval --x-min 10 --x-max 20 --beta 1.5", 2, "error: beta"),
         "fit-missing-file": ("fit nope.csv", 3, "error: "),
+        "fit-not-moments-csv": (lambda *_: _csv("other.csv", ["k,X,value", _ROW]), 2, "other.csv:1: not a moments CSV"),
+        "fit-short-row": (
+            lambda *_: _moments_csv("short.csv", [_ROW, "3,2000,SmoothSecond,1.0,0"]), 2, ":3: expected >= 6"
+        ),
         "fit-malformed-csv": (
             lambda *_: _moments_csv("bad.csv", [_ROW, _ROW, "3,not_a_number,SmoothSecond,1.0,0,,0"]), 2, ":4:"
         ),

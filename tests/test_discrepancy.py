@@ -178,6 +178,10 @@ class TestSlicedSeries:
         for lo, hi in ((-1, 5), (5, 4), (0, series3.n_max + 2)):
             with pytest.raises(ValueError):
                 series3.p_values(lo, hi)
+        # the prefix is uint64 of length n_max + 1
+        for prefix in (series3.prefix.astype(np.int64), series3.prefix[:-1]):
+            with pytest.raises(ValueError, match="uint64 of length"):
+                DiscrepancySeries(k=3, n_max=series3.n_max, prefix=prefix, v_k=series3.v_k)
 
     def test_prefix_float_gathers_before_converting(self, series3):
         idx = np.array([0, 5, 100, 10**4])
@@ -196,14 +200,6 @@ class TestGaussBoundScan:
         n = np.arange(1, 10**4 + 1, dtype=np.float64)
         ratio = np.abs(p[1:]) / n ** ((k - 1) / 2.0)
         assert float(ratio.max()) < 8.0
-
-
-class TestSignChanges:
-    def test_p3_oscillates(self, series3):
-        p = series3.p_values(0, series3.n_max + 1)
-        for x in (100, 1000):
-            window = p[x : 2 * x + 1]
-            assert np.any(window > 0) and np.any(window < 0), f"no sign change in [{x}, {2 * x}]"
 
 
 class TestDiagonal:
@@ -226,6 +222,9 @@ class TestDiagonal:
     def test_needs_positive_x(self, series4):
         with pytest.raises(ValueError):
             diagonal_partial_mean(series4, 0)
+        # and X inside the series
+        with pytest.raises(ValueError, match="outside"):
+            diagonal_partial_mean(series4, 10**4 + 1)
 
     @pytest.mark.parametrize("x", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + BLOCK + 7])
     def test_chunks_change_no_bit(self, series4_1m, x):

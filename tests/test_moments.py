@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from gausslab.moments import (
 from gausslab.rk import build_rk_table
 from gausslab.summation import BLOCK, block_compensated_sum
 
-from conftest import allocated_peak, assert_close, laplace_refined
+from conftest import allocated_peak, assert_close, laplace_cells, laplace_refined
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +72,6 @@ class TestSmoothSecond:
     def test_requires_big_enough_table(self, series3_small):
         with pytest.raises(ValueError):
             smooth_second_moment(series3_small, 1e5)
-
-    def test_deterministic(self, series3_small):
-        a = smooth_second_moment(series3_small, 37.0).value
-        b = smooth_second_moment(series3_small, 37.0).value
-        assert a == b
 
 
 class TestSharpSecond:
@@ -141,18 +135,6 @@ class TestLaplaceSecond:
         assert_close(got, simpson, rel=1e-9)
 
     @staticmethod
-    def _unchunked_cells(step_values, v_k, k, x, idx, subdivide):
-        """The kernel's per-interval integrand over all of idx in one pass."""
-        acc = np.zeros(idx.shape[0], dtype=np.float64)
-        base = idx.astype(np.float64)
-        for piece in range(subdivide):
-            for xi, wi in zip(moments._GL_X01, moments._GL_W01):
-                t = base + (piece + xi) / subdivide
-                f = (step_values - v_k * half_power(t, k)) ** 2 * np.exp(-t / x)
-                acc += (wi / subdivide) * f
-        return acc
-
-    @staticmethod
     def _counts(series):
         """The main pass's source: the counts rounded to float a range at a
         time, at n = lo .. hi - 1."""
@@ -191,7 +173,7 @@ class TestLaplaceSecond:
         for idx in (contiguous, sample):
             args = (pf[idx], series.v_k, k, 2e4, idx, subdivide)
             got = self._joined_cells(self._sampled(pf[idx], idx), series.v_k, k, {2e4: idx.shape[0]}, subdivide)[2e4]
-            assert np.array_equal(got, self._unchunked_cells(*args))
+            assert np.array_equal(got, laplace_cells(*args))
 
     @staticmethod
     def _scale_with_cutoff(k, n_cut):
@@ -213,15 +195,17 @@ class TestLaplaceSecond:
         pf = series.prefix_float()
         # the main pass rounds the counts to float a chunk at a time
         shared = self._joined_cells(self._counts(series), series.v_k, k, n_cuts, subdivide)
-        grid = dict.fromkeys(scales)
-        laplace_refined(series, scales[0], subdivide, grid=grid)
-        # one call filled every entry
-        assert list(grid) == scales and None not in grid.values()
         for x, n_cut in n_cuts.items():
             idx = np.arange(n_cut, dtype=np.int64)
-            assert np.array_equal(shared[x], self._unchunked_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
-            assert laplace_refined(series, x, subdivide, grid=grid) is grid[x]
-            assert grid[x] == laplace_refined(series, x, subdivide)
+            assert np.array_equal(shared[x], laplace_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
+        if subdivide == 1:
+            # the kernel's own rule: one call fills every entry of the grid
+            grid = dict.fromkeys(scales)
+            laplace_second_moment(series, scales[0], grid=grid)
+            assert list(grid) == scales and None not in grid.values()
+            for x in scales:
+                assert laplace_second_moment(series, x, grid=grid) is grid[x]
+                assert grid[x] == laplace_second_moment(series, x)
 
     @pytest.mark.parametrize("subdivide", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 4])
@@ -259,7 +243,7 @@ class TestLaplaceSecond:
     def test_halving_within_reported_bound(self, series3_small, x):
         coarse = laplace_second_moment(series3_small, x)
         fine = laplace_refined(series3_small, x, 2)
-        assert abs(fine.value - coarse.value) < coarse.truncation_bound
+        assert abs(fine - coarse.value) < coarse.truncation_bound
 
     @pytest.mark.parametrize("x", [10.0, 1000.0])
     def test_k1_bound_covers_refinement(self, x):
@@ -267,7 +251,7 @@ class TestLaplaceSecond:
         series = prefix_counts(build_rk_table(1, exp_cutoff(1, x)))
         coarse = laplace_second_moment(series, x)
         fine = laplace_refined(series, x, 16)
-        assert abs(fine.value - coarse.value) <= coarse.truncation_bound
+        assert abs(fine - coarse.value) <= coarse.truncation_bound
 
 
 class TestStreamedSum:
@@ -315,22 +299,13 @@ class TestGridPass:
     # chunk boundary, one block past it, past the third chunk
     CUTOFFS = [MIN_EXP_CUTOFF, BLOCK - 1, CHUNK + CHUNK // 2 + 7, 2 * CHUNK, 2 * CHUNK + BLOCK, 3 * CHUNK + 1234]
     SHARP_SCALES = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK + 7, 3 * CHUNK + 1234]
-    CASES = [
-        (stat, k, subdivide)
-        for stat in Statistic
-        for k in (3, 4, 5)
-        for subdivide in ((1, 2) if stat is Statistic.LAPLACE_SECOND else (1,))
-        if stat is not Statistic.SHARP_WEIGHTED_FIRST or k == 3
-    ]
+    CASES = [(stat, k) for stat in Statistic for k in (3, 4, 5) if stat is not Statistic.SHARP_WEIGHTED_FIRST or k == 3]
 
-    @pytest.mark.parametrize(
-        "stat, k, subdivide", CASES, ids=[f"{s.value}-k{k}-sub{d}" for s, k, d in CASES]
-    )
-    def test_grid_matches_single_calls(self, series3_big, series4_small, series5_small, stat, k, subdivide):
+    # sub1: each kernel's own rule, one piece per unit interval
+    @pytest.mark.parametrize("stat, k", CASES, ids=[f"{s.value}-k{k}-sub1" for s, k in CASES])
+    def test_grid_matches_single_calls(self, series3_big, series4_small, series5_small, stat, k):
         series = {3: series3_big, 4: series4_small, 5: series5_small}[k]
         kernel = KERNELS[stat]
-        if subdivide != 1:
-            kernel = functools.partial(laplace_refined, subdivide=subdivide)
         if stat.exp_cut:
             scales = [TestLaplaceSecond._scale_with_cutoff(k, n) for n in self.CUTOFFS]
         else:

@@ -45,11 +45,6 @@ class TestBuild:
         assert int(table.counts[0]) == 1
         assert int(table.counts[1]) == 2 * k
 
-    def test_oracle_equivalence_small(self, tables_small):
-        reference = rk_enumeration_tables(6, 512)
-        for k in range(1, 7):
-            assert tables_small[k].counts.tolist() == reference[k - 1], f"k={k}"
-
     def test_bruteforce_spot_checks(self, tables_small):
         for k, n in ((3, 101), (4, 97), (5, 64), (6, 40), (2, 325), (1, 289)):
             assert rk_bruteforce(k, n) == int(tables_small[k].counts[n]), (k, n)
@@ -77,6 +72,10 @@ class TestBuild:
         for k, n_max in ((True, 10), (3, True), (3.0, 10), (3, 10.0)):
             with pytest.raises(ValueError, match="outside"):
                 build_rk_table(k, n_max)
+        # a table is made only of uint64 counts of length n_max + 1
+        for counts in (np.zeros(11, dtype=np.int64), np.zeros(10, dtype=np.uint64)):
+            with pytest.raises(ValueError, match="uint64 of length"):
+                rk.RkTable(3, 10, counts)
 
     def test_numpy_integers_accepted(self):
         table = build_rk_table(np.int64(3), np.int64(100))
@@ -171,20 +170,27 @@ _BLOCK_LENGTHS = [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 3]
 
 
 class TestBlockedStep:
-    """The step walks its output in blocks of rk._BLOCK entries; each case is
-    checked against the NTT product with r_1, which shares no code with it."""
+    """The step walks its output in blocks of rk._BLOCK entries, each with its
+    own bound on when an add must be checked; each case is checked against
+    the unblocked sum out[j^2:] += 2 base[:n_max + 1 - j^2] in u64 over every
+    j, which shares neither the blocks nor the bounds.  The NTT product is
+    the different-algorithm oracle of the whole step in TestSquareStep."""
 
     @staticmethod
-    def _ntt_step(base):
+    def _unblocked_step(base):
         n_max = base.shape[0] - 1
-        return convolve.exact_convolve(base, build_rk_table(1, n_max).counts, n_max + 1)
+        out = base.astype(np.uint64)
+        doubled = out * np.uint64(2)
+        for j in range(1, math.isqrt(n_max) + 1):
+            out[j * j :] += doubled[: n_max + 1 - j * j]
+        return out
 
     @pytest.mark.parametrize("length", _BLOCK_LENGTHS)
     def test_u64_unchecked_matches_ntt(self, length):
         # every sum stays below top * (2j + 1) < 2^64, so no add is checked
         top = 2**64 // (2 * math.isqrt(length - 1) + 1) - 1
         base = np.random.default_rng(length).integers(0, top, size=length, dtype=np.uint64, endpoint=True)
-        assert np.array_equal(rk._square_step(base), self._ntt_step(base))
+        assert np.array_equal(rk._square_step(base), self._unblocked_step(base))
 
     @pytest.mark.parametrize("length", _BLOCK_LENGTHS)
     def test_u32_checked_matches_ntt(self, length):
@@ -192,7 +198,7 @@ class TestBlockedStep:
         # doubled images never meet, so every true sum still fits in u32
         base = np.random.default_rng(length).integers(0, 2**12, size=length, dtype=np.uint32)
         base[[3, rk._BLOCK - 5]] = 2**30
-        want = self._ntt_step(base)
+        want = self._unblocked_step(base)
         assert int(want.max()) < 2**32
         got = rk._square_step(base)
         assert got.dtype == np.uint32
@@ -267,6 +273,19 @@ def _recorded_steps(monkeypatch) -> list:
         return out
 
     monkeypatch.setattr(rk, "_square_step", record)
+    return steps
+
+
+@pytest.fixture(scope="module")
+def chain_1m():
+    """The r_4 -> r_8 chain, stepped once for the module: the recorded steps
+    of build_rk_table(7, 10**6), r_4 to r_7 to 1e6, then r_8 to
+    R8_FIRST_OVERFLOW - 1 by one step from r_7, the last step of
+    build_rk_table(8, 987_839)."""
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _recorded_steps(mp)
+        build_rk_table(7, 10**6)
+        rk._square_step(steps[-1][1][: rk.R8_FIRST_OVERFLOW])
     return steps
 
 
@@ -349,19 +368,18 @@ class TestStepDtype:
         build_rk_table(7, 2000)
         assert [dtype for dtype, _ in steps] == ["uint32"] * 3 + ["uint64"]
 
-    def test_tables_unchanged(self, monkeypatch, series3_big):
+    def test_tables_unchanged(self, chain_1m, series3_big):
         got = {"r3@1e6": _sha256(build_rk_table(3, 10**6).counts)}
-        steps = _recorded_steps(monkeypatch)
-        build_rk_table(7, 10**6)
-        got.update({f"r{k}@1e6": _sha256(out) for k, (_, out) in zip(range(4, 8), steps)})
-        # the last step of build_rk_table(8, 987_839)
-        got["r8@987839"] = _sha256(rk._square_step(steps[-1][1][: rk.R8_FIRST_OVERFLOW]))
+        got.update({f"r{k}@1e6": _sha256(out) for k, (_, out) in zip(range(4, 8), chain_1m)})
+        got["r8@987839"] = _sha256(chain_1m[-1][1])
         r3 = np.diff(series3_big.prefix, prepend=np.uint64(0))
         got["r3@4e6"] = _sha256(r3)
-        # the last step of build_rk_table(4, 4 * 10**6), from its u32 r_3
-        got["r4@4e6"] = _sha256(rk._square_step(rk._widened(r3.astype(np.uint32))))
+        # the last step of build_rk_table(4, 4 * 10**6), from its r_3, in u32
+        base = rk._widened(r3.astype(np.uint32))
+        assert base.dtype == np.uint32
+        got["r4@4e6"] = _sha256(rk._square_step(base))
         # build_rk_table(4, 10**6) takes its one square step in u32
-        assert [dtype for dtype, _ in steps] == ["uint32"] + ["uint64"] * 4 + ["uint32"]
+        assert [dtype for dtype, _ in chain_1m] == ["uint32"] + ["uint64"] * 4
         assert got == _TABLE_DIGESTS
 
 
@@ -458,6 +476,8 @@ class TestBruteforce:
             rk_bruteforce(7, 1)
         with pytest.raises(ValueError):
             rk_bruteforce(3, 10**4 + 1)
+        with pytest.raises(ValueError, match="k_max"):
+            rk_enumeration_tables(0, 10)
 
     def test_matches_enumeration_tables(self):
         tables = rk_enumeration_tables(4, 60)
@@ -467,42 +487,6 @@ class TestBruteforce:
 
 
 class TestIdentities:
-    def test_jacobi_r4(self):
-        n_max = 20000
-        table = build_rk_table(4, n_max)
-        sig1 = divisor_sums(np.arange(n_max + 1.0))
-        want = 8.0 * sig1
-        want[4::4] -= 32.0 * sig1[1 : n_max // 4 + 1]
-        assert np.array_equal(table.counts[1:].astype(np.float64), want[1:])
-
-    def test_two_squares(self):
-        n_max = 20000
-        table = build_rk_table(2, n_max)
-        diff = np.zeros(n_max + 1)
-        for d in range(1, n_max + 1):
-            if d % 4 == 1:
-                diff[d::d] += 1.0
-            elif d % 4 == 3:
-                diff[d::d] -= 1.0
-        assert np.array_equal(table.counts[1:].astype(np.float64), 4.0 * diff[1:])
-
-    def test_r4_multiplicativity_sample(self):
-        table = build_rk_table(4, 10**4)
-        counts = table.counts
-        for m in range(2, 101):
-            for n in range(2, 101):
-                if math.gcd(m, n) != 1:
-                    continue
-                assert int(counts[m * n]) // 8 == (int(counts[m]) // 8) * (int(counts[n]) // 8)
-
-    def test_r5_two_routes(self):
-        n_max = 2000
-        a = convolve_tables(build_rk_table(2, n_max), build_rk_table(3, n_max))
-        b = convolve_tables(build_rk_table(4, n_max), build_rk_table(1, n_max))
-        direct = build_rk_table(5, n_max)
-        assert a == b == direct
-        assert a.k == 5
-
     def test_convolve_tables_dimension_cap(self):
         with pytest.raises(ValueError):
             convolve_tables(build_rk_table(5, 10), build_rk_table(4, 10))
@@ -543,31 +527,14 @@ class TestR3AtFullSize:
             )
 
 
-def _sigma_sieve(n_max: int) -> np.ndarray:
-    """sigma(n), the sum of the divisors of n, for n <= n_max in int64: each
-    d <= sqrt(n_max) is added to its multiples by one slice, and each larger
-    d through its cofactor q = n/d < sqrt(n_max)."""
-    sig = np.zeros(n_max + 1, dtype=np.int64)
-    root = math.isqrt(n_max)
-    for d in range(1, root + 1):
-        sig[d::d] += d
-    for q in range(1, n_max // (root + 1) + 1):
-        # n = q d for root < d <= n_max // q
-        sig[q * (root + 1) :: q] += np.arange(root + 1, n_max // q + 1, dtype=np.int64)
-    return sig
-
-
 class TestR4AtFullSize:
     """Jacobi's four-square theorem checks r_4 at 1e6, the largest r_4 table
-    the tests build, where TestIdentities stops at 2e4."""
-
-    def test_sigma_sieve(self):
-        assert _sigma_sieve(5000)[1:].tolist() == [sigma(1.0, n) for n in range(1, 5001)]
+    the tests build, where verify's jacobi-and-two-squares stops at 1e5."""
 
     def test_jacobi(self, series4_1m):
         n_max = series4_1m.n_max
         r4 = np.diff(series4_1m.prefix, prepend=np.uint64(0)).astype(np.int64)
-        sig = _sigma_sieve(n_max)
+        sig = divisor_sums(np.arange(n_max + 1, dtype=np.int64))
         want = 8 * sig
         want[4::4] -= 32 * sig[1 : n_max // 4 + 1]
         wrong = r4[1:] != want[1:]
@@ -624,26 +591,22 @@ def _fail_at_first_difference(name: str, got: np.ndarray, want: np.ndarray, form
 
 
 class TestR6R8AtFullSize:
-    """r_6 to 1e6 and r_8 to R8_FIRST_OVERFLOW - 1, stepped from the 1e6 r_4
-    table by rk._square_step, against their closed forms; TestR7Limit and
-    TestR8Limit check the builds only to 3000."""
-
-    @pytest.fixture(scope="class")
-    def r6(self, series4_1m):
-        r4 = np.diff(series4_1m.prefix, prepend=np.uint64(0))
-        return rk._square_step(rk._square_step(r4))
+    """r_6 to 1e6 and r_8 to R8_FIRST_OVERFLOW - 1, from the r_4 -> r_8 chain
+    of chain_1m, against their closed forms; TestR7Limit and TestR8Limit
+    check the builds only to 3000."""
 
     def test_sieves_match_closed_forms(self):
         n = np.arange(3001, dtype=np.int64)
         assert np.array_equal(_r6_sieve(3000), _r6_closed(n))
         assert _r8_sieve(3000)[1:].tolist() == _r8_jacobi(n[1:])
 
-    def test_r6(self, r6):
+    def test_r6(self, chain_1m):
+        r6 = chain_1m[2][1]
         formula = "sum_{d | n} (16 chi(n/d) - 4 chi(d)) d^2"
         _fail_at_first_difference("r_6", r6, _r6_sieve(r6.shape[0] - 1).astype(np.uint64), formula)
 
-    def test_r8(self, r6):
-        r8 = rk._square_step(rk._square_step(r6[: rk.R8_FIRST_OVERFLOW]))
+    def test_r8(self, chain_1m):
+        r8 = chain_1m[-1][1]
         assert r8.shape[0] - 1 == 987_839
         _fail_at_first_difference("r_8", r8, _r8_sieve(r8.shape[0] - 1), "16 sum_{d | n} (-1)^(n+d) d^3")
 
@@ -674,11 +637,26 @@ class TestDivisorSums:
             want = [0.0] + [sigma(1.0, h) for h in range(1, n_max + 1)]
             assert divisor_sums(np.arange(n_max + 1.0)).tolist() == want, n_max
 
+    def test_divisor_sieve(self):
+        # the sieve with the integer weights verify's jacobi-and-two-squares
+        # gives it, d and chi_4(d), against a sum over every divisor
+        n_max = 5000
+        chi = (0, 1, 0, -1)
+        want_sig, want_chi = [0] * (n_max + 1), [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for n in range(d, n_max + 1, d):
+                want_sig[n] += d
+                want_chi[n] += chi[d % 4]
+        assert divisor_sums(np.arange(n_max + 1, dtype=np.int64)).tolist() == want_sig
+        assert divisor_sums(np.array([chi[d % 4] for d in range(n_max + 1)])).tolist() == want_chi
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sigma(1.0, 0)
         with pytest.raises(ValueError):
             sigma(1.0, -3, odd_only=True)
+        with pytest.raises(ValueError, match="trial-division range"):
+            sigma(1.0, 10**9 + 1)
 
 
 class TestCache:
@@ -735,6 +713,15 @@ class TestCache:
         path.write_bytes(bytes(data))
         with pytest.raises(CacheChecksumError):
             load_table(path)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_table(build_rk_table(2, 10), tmp_path / "r2.rktb")
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "bad.rktb"

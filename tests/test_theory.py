@@ -7,7 +7,7 @@ import pytest
 from gausslab import theory
 from gausslab.moments import Statistic
 from gausslab.specfun import gamma_fn
-from gausslab.theory import constants_for, nonspectral_E, nonspectral_residue_minus1, predicted
+from gausslab.theory import constants_for, nonspectral_E, predicted
 
 from conftest import assert_close, zeta_eta_oracle
 
@@ -238,9 +238,3 @@ class TestNonspectral:
         # 1/Gamma(s + k/2 + 1) vanishes at half-integer s for odd k
         assert nonspectral_E(3, -2.5) == 0.0
         assert nonspectral_E(3, -3.5) == 0.0
-
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_residue_cancels_diagonal(self, k):
-        res = nonspectral_residue_minus1(k)
-        target = -constants_for(k).diagonal_residue
-        assert_close(res, target, rel=1e-6, label=f"k={k}")
