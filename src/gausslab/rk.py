@@ -28,6 +28,9 @@ oracle behind convolve_tables, kept because it reaches the same counts by a
 different algorithm.  The steps peak at about 25 B per n, the transform at
 180 B per n (2.9 GB at 1.6e7): above n ~ 3.4e7, where it needs 2^27 points,
 it does not fit in 7 GB, and above ~6.7e7 it cannot run at all.
+r6_closed_form is an oracle too, not a route: r_6 from the divisor sum of
+Jacobi and Glaisher by divisor_sums' sieve, with no square step.  verify's
+overflow check starts from it, two steps below the r_8 that wraps.
 
 Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead
@@ -76,6 +79,7 @@ __all__ = [
     "rk_enumeration_tables",
     "sigma",
     "divisor_sums",
+    "r6_closed_form",
     "save_table",
     "load_table",
     "check_table",
@@ -390,6 +394,46 @@ def divisor_sums(weights: np.ndarray) -> np.ndarray:
         # n = q d for root < d <= n_max // q
         out[q * (root + 1) :: q] += weights[root + 1 : n_max // q + 1]
     return out
+
+
+def r6_closed_form(n_max: int) -> np.ndarray:
+    """r_6(0..n_max) as u64 from r_6(n) = sum_{d | n} (16 chi(n/d) - 4 chi(d)) d^2
+    (Jacobi and Glaisher), chi the nontrivial character mod 4, and r_6(0) = 1.
+
+    divisor_sums' hyperbola sieve: each d <= sqrt(n_max) reaches every
+    n = d q by slices over q, and each larger d is reached through its
+    cofactor q = n/d.  Exact in int64, then viewed as u64: every term is at
+    most 20 d^2 in size, so every partial sum is below
+    20 sigma_2(n) < 20 zeta(2) n^2 ~ 32.9 n^2, 3.3e17 at MAX_N.  chi is int8
+    and the size-n temporaries are taken PIECE values at a time, so the peak
+    is the output and chi, 9 B per n.
+    """
+    _, n_max = _check_range(6, n_max)
+    chi = np.zeros(n_max + 1, dtype=np.int8)
+    chi[1::4] = 1
+    chi[3::4] = -1
+    acc = np.zeros(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        # n = d q for q <= n_max // d; every product's dtype is pinned, since
+        # numpy 1.x and 2.x promote an int8 array times a Python int differently
+        for lo in range(1, n_max // d + 1, PIECE):
+            hi = min(lo + PIECE, n_max // d + 1)
+            term = np.multiply(chi[lo:hi], 16 * d * d, dtype=np.int64)
+            term -= 4 * int(chi[d]) * d * d
+            acc[d * lo : d * hi : d] += term
+    for q in range(1, n_max // (root + 1) + 1):
+        # n = q d for root < d <= n_max // q
+        for lo in range(root + 1, n_max // q + 1, PIECE):
+            hi = min(lo + PIECE, n_max // q + 1)
+            term = np.multiply(chi[lo:hi], -4, dtype=np.int64)
+            term += 16 * int(chi[q])
+            d = np.arange(lo, hi, dtype=np.int64)
+            d *= d
+            term *= d
+            acc[q * lo : q * hi : q] += term
+    acc[0] = 1
+    return acc.view(np.uint64)
 
 
 def _digest(header: bytes, counts: np.ndarray) -> bytes:

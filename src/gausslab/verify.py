@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (1.6-2.2 s and a 67 MB peak RSS on one core of a 2-core
+acceptance scale (1.4-2.1 s and a 66 MB peak RSS on one core of a 2-core
 box, process start included).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.
@@ -320,15 +320,15 @@ def check_overflow_abort(quick: bool, tables: _Tables) -> tuple[bool, str]:
             # the doubled values 2^63 fit; the j = 2 sum 2^62 + 2 * 2^63 does not
             rk._square_step(np.full(8, 2**62, dtype=np.uint64))
             return False, "synthetic 2^64 + 2^62 sum not caught"
-        # real path: r_8 passes 2^64 at rk.R8_FIRST_OVERFLOW, so four steps from
-        # the r_4 that r4-multiplicativity holds must abort; build_rk_table
-        # would refuse this size before any step
-        counts = tables.get(4, 995_000).counts
-        for _ in range(4):
+        # real path: r_8 passes 2^64 at rk.R8_FIRST_OVERFLOW, so two steps from
+        # the divisor-sum r_6 must abort, the second in its top block;
+        # build_rk_table would refuse this size before any step
+        counts = rk.r6_closed_form(995_000)
+        for _ in range(2):
             counts = rk._square_step(counts)
         return False, "r_8 coefficient beyond 2^64 not caught"
     except ConvolutionOverflowError as exc:
-        what = "synthetic sum" if quick else "r_8 from the held r_4"
+        what = "synthetic sum" if quick else "r_8 from the divisor-sum r_6"
         return True, f"{what} aborts: {exc}"
 
 

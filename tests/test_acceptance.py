@@ -125,6 +125,17 @@ UNGATED_DECAY = [
     (k, stat, (1e1, 1e2)) for k in (7, 8) for stat in _EXP_SECOND + [Statistic.SMOOTH_WEIGHTED_FIRST]
 ] + [(k, Statistic.SMOOTH_WEIGHTED_FIRST, (1e2, 1e3)) for k in (4, 5, 6)]
 
+# the fit windows of criterion 6b, and its gates on each fitted leading
+# coefficient's relative deviation, (SmoothSecond, LaplaceSecond): about 10x
+# the deviations measured on these fixtures, (4.6e-6, 1.6e-7) at k = 4,
+# (8.8e-9, 3.8e-8) at 5, (4.5e-7, 1.3e-6) at 6, (8.4e-6, 3.2e-5) at 7 and
+# (1.5e-5, 7.8e-6) at 8.  k = 7 and 8 stop at X = 100, as criterion 9 does
+LEAD_WINDOWS = {4: (300.0, 3000.0), 5: (300.0, 3000.0), 6: (300.0, 3000.0), 7: (10.0, 100.0), 8: (10.0, 100.0)}
+LEAD_GATES = {4: (5e-5, 2e-6), 5: (9e-8, 4e-7), 6: (5e-6, 2e-5), 7: (9e-5, 4e-4), 8: (2e-4, 8e-5)}
+# LaplaceSecond's X^{5/2} coefficient C4' Gamma(5/2); measured 5.4e-5
+C4_PRIME_GATE = 6e-4
+_LEAD_STATS = [Statistic.SMOOTH_SECOND, Statistic.LAPLACE_SECOND]
+
 
 class TestAcceptance:
     def test_criterion_1_c3_recovery(self):
@@ -287,6 +298,40 @@ class TestAcceptance:
             f"X^3 coeff {lead:.3f} vs {lead_target:.3f} ({dev_lead:.2%} of 1%); "
             f"X^2.5 coeff {half_term:.3f} vs {half_target:.3f} ({dev_half:.2%} of 20%)",
         )
+
+    @pytest.mark.parametrize("stat", _LEAD_STATS, ids=[s.value for s in _LEAD_STATS])
+    @pytest.mark.parametrize("k", sorted(LEAD_WINDOWS), ids=[f"k{k}" for k in sorted(LEAD_WINDOWS)])
+    def test_criterion_6b_leading_constants(self, request, k, stat):
+        # Every closed-form leading constant, recovered by a fit on 12
+        # log-spaced X: C_k Gamma(k-1) from SmoothSecond's X^{k-1} coefficient,
+        # the same plus the Laplace gap from LaplaceSecond's, and at k = 4
+        # C4' Gamma(5/2) from the X^{5/2} coefficient.  The X^{k-2}
+        # coefficients have no closed form here: reported, not gated.
+        x0, x1 = LEAD_WINDOWS[k]
+        xs = _geometric(x0, x1, 12)
+        grid = dict.fromkeys(xs)
+        series = request.getfixturevalue(SERIES[k])
+        samples = [KERNELS[stat](series, x, grid=grid) for x in xs]
+        basis = (BasisTerm.XK1, BasisTerm.XK32, BasisTerm.XK2) if k == 4 else (BasisTerm.XK1, BasisTerm.XK2)
+        coeffs = fit(FitModel(k, basis), samples).coefficients
+        consts = theory.constants_for(k)
+        laplace = stat is Statistic.LAPLACE_SECOND
+        target = consts.c_k * math.gamma(k - 1.0) + (consts.laplace_gap if laplace else 0.0)
+        gate = LEAD_GATES[k][laplace]
+        dev = abs(coeffs[0] / target - 1.0)
+        ok = dev <= gate
+        parts = [f"X^{k - 1} coeff {coeffs[0]:.6f} vs {target:.6f} (dev {dev:.2e} of {gate:.0e})"]
+        if k == 4:
+            half_target = consts.c4_prime * math.gamma(2.5)
+            dev_half = abs(coeffs[1] / half_target - 1.0)
+            if laplace:
+                ok &= dev_half <= C4_PRIME_GATE
+                shown = f" of {C4_PRIME_GATE:.0e})"
+            else:
+                shown = ") [reported, not gated]"
+            parts.append(f"X^2.5 coeff {coeffs[1]:.4f} vs {half_target:.4f} (dev {dev_half:.2e}{shown}")
+        parts.append(f"X^{k - 2} coeff {coeffs[-1]:.4f} [reported, not gated]")
+        assert _report("6b", ok, f"k={k} {stat.value} over [{x0:g}, {x1:g}]: " + "; ".join(parts))
 
     def test_criterion_7_diagonal_residue(self, full_battery):
         _report_check(full_battery, 7, "diagonal-partial-mean", "96 zeta(3) at X = 1e6, tol 5%")

@@ -707,18 +707,20 @@ class TestVerifyCommand:
         [res] = verify.run_battery("quick")
         assert not res.passed and "ArithmeticError" in res.detail and "nonreal" in res.detail
 
-    def test_overflow_abort_steps_from_the_held_r4(self, monkeypatch, table4_1m):
-        tables = verify._Tables({4: table4_1m})
+    def test_overflow_abort_steps_from_the_r6_closed_form(self, monkeypatch):
+        tables = verify._Tables()
         monkeypatch.setattr(rk, "build_rk_table", _raise(AssertionError("build_rk_table called")))
+        real, steps = rk._square_step, []
+        monkeypatch.setattr(rk, "_square_step", lambda base: steps.append(base.shape[0]) or real(base))
         passed, detail = verify.check_overflow_abort(False, tables)
         # r_8 first passes 2^64 at 987,840, so only the top block [983,040, 995,000] wraps
         assert passed and detail.endswith("step j = 741")
+        assert steps == [995_001, 995_001] and tables._held == {}
 
-    def test_fault_injection_caught_by_overflow_check(self):
-        zeros = np.zeros(995_001, dtype=np.uint64)
-        tables = verify._Tables({4: rk.RkTable(4, 995_000, zeros)})
-        passed, detail = verify.check_overflow_abort(False, tables)
-        assert not passed and detail.endswith("not caught")
+    def test_fault_injection_caught_by_overflow_check(self, monkeypatch):
+        monkeypatch.setattr(rk, "r6_closed_form", lambda n_max: np.zeros(n_max + 1, dtype=np.uint64))
+        passed, detail = verify.check_overflow_abort(False, verify._Tables())
+        assert (passed, detail) == (False, "r_8 coefficient beyond 2^64 not caught")
 
     def test_tables_hand_out_requested_size(self):
         tables = verify._Tables()

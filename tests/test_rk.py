@@ -72,6 +72,9 @@ class TestBuild:
         for k, n_max in ((True, 10), (3, True), (3.0, 10), (3, 10.0)):
             with pytest.raises(ValueError, match="outside"):
                 build_rk_table(k, n_max)
+        for n_max in (-1, rk.MAX_N + 1):
+            with pytest.raises(ValueError, match=f"n_max = {n_max} outside"):
+                rk.r6_closed_form(n_max)
         # a table is made only of uint64 counts of length n_max + 1
         for counts in (np.zeros(11, dtype=np.int64), np.zeros(10, dtype=np.uint64)):
             with pytest.raises(ValueError, match="uint64 of length"):
@@ -543,22 +546,6 @@ class TestR4AtFullSize:
             pytest.fail(f"r_4({n}) = {int(r4[n])}, but 8 sigma(n) - 32 sigma(n/4) = {int(want[n])}")
 
 
-def _r6_sieve(n_max: int) -> np.ndarray:
-    """_r6_closed over 0..n_max in sieve form, in int64: each d <= sqrt(n_max)
-    adds (16 chi(q) - 4 chi(d)) d^2 to every n = d q by one slice, and each
-    larger d is reached through its cofactor q = n/d < sqrt(n_max)."""
-    chi = _chi4(np.arange(n_max + 1, dtype=np.int64))
-    acc = np.zeros(n_max + 1, dtype=np.int64)
-    root = math.isqrt(n_max)
-    for d in range(1, root + 1):
-        acc[d::d] += (16 * chi[1 : n_max // d + 1] - 4 * int(chi[d])) * (d * d)
-    for q in range(1, n_max // (root + 1) + 1):
-        d = np.arange(root + 1, n_max // q + 1, dtype=np.int64)
-        acc[q * (root + 1) :: q] += (16 * int(chi[q]) - 4 * chi[root + 1 : n_max // q + 1]) * d * d
-    acc[0] = 1
-    return acc
-
-
 def _r8_sieve(n_max: int) -> np.ndarray:
     """_r8_jacobi over 0..n_max in sieve form, as uint64.  The signed sum
     sum_{d | n} (-1)^(n+d) d^3 fits int64 below 2^20 and is positive for n >= 1;
@@ -592,18 +579,30 @@ def _fail_at_first_difference(name: str, got: np.ndarray, want: np.ndarray, form
 
 class TestR6R8AtFullSize:
     """r_6 to 1e6 and r_8 to R8_FIRST_OVERFLOW - 1, from the r_4 -> r_8 chain
-    of chain_1m, against their closed forms; TestR7Limit and TestR8Limit
-    check the builds only to 3000."""
+    of chain_1m, against their closed forms in sieve form (rk.r6_closed_form
+    and _r8_sieve); TestR7Limit and TestR8Limit check the builds only to 3000."""
 
     def test_sieves_match_closed_forms(self):
+        # every n_max to 40 runs the sieve's loops empty or short
         n = np.arange(3001, dtype=np.int64)
-        assert np.array_equal(_r6_sieve(3000), _r6_closed(n))
+        r6 = _r6_closed(n).tolist()
+        for n_max in (*range(41), 3000):
+            got = rk.r6_closed_form(n_max)
+            assert got.dtype == np.uint64 and got.tolist() == r6[: n_max + 1], n_max
         assert _r8_sieve(3000)[1:].tolist() == _r8_jacobi(n[1:])
+
+    def test_r6_closed_form_across_pieces(self):
+        # d = 1 walks q over [1, n_max] in rk.PIECE = 2^16 values a piece: these
+        # sizes end one short of, at and one past its first piece edge, and
+        # past its second
+        r6 = build_rk_table(6, 131_075).counts
+        for n_max in (65_535, 65_536, 65_537, 131_075):
+            assert np.array_equal(rk.r6_closed_form(n_max), r6[: n_max + 1]), n_max
 
     def test_r6(self, chain_1m):
         r6 = chain_1m[2][1]
         formula = "sum_{d | n} (16 chi(n/d) - 4 chi(d)) d^2"
-        _fail_at_first_difference("r_6", r6, _r6_sieve(r6.shape[0] - 1).astype(np.uint64), formula)
+        _fail_at_first_difference("r_6", r6, rk.r6_closed_form(r6.shape[0] - 1), formula)
 
     def test_r8(self, chain_1m):
         r8 = chain_1m[-1][1]
