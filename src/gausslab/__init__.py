@@ -11,7 +11,6 @@ least squares.  `python -m gausslab verify` runs the self-check battery.
 from .convolve import ConvolutionCapacityError, ConvolutionOverflowError, exact_convolve
 from .discrepancy import (
     DiscrepancySeries,
-    PrefixOverflowError,
     diagonal_partial_mean,
     p_at_real,
     prefix_counts,

@@ -13,8 +13,8 @@ Commands raise; main alone turns an exception into a message on stderr and
 an exit code, by its class:
   0  success
   1  verify found a failing check
-  2  usage error: ValueError, or an OverflowError (including an exact count
-     beyond 64 bits: a request too large for the tables)
+  2  usage error: ValueError, or an OverflowError (including a table entry
+     r_k(n) beyond 64 bits: a request too large for the tables)
   3  I/O or cache error: OSError (CacheLockedError: a locked cache directory)
   4  internal fault: any other exception; main prints its traceback to stderr
 GAUSSLAB_CACHE_DIR sets the default cache directory.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import moments, rk, theory, verify
 from .fit import c3_standard_error, recover_c3
-from .discrepancy import DiscrepancySeries, check_prefix_fits, prefix_counts
+from .discrepancy import DiscrepancySeries, prefix_counts
 from .moments import MomentSample, Statistic
 
 __all__ = ["CacheLockedError", "main", "run_moments"]
@@ -91,12 +91,10 @@ def _obtain_table(k: int, n_max: int, cache_dir: str | None, keep: bool = True) 
 
 
 def _series(k: int, n_max: int, cache_dir: str | None) -> DiscrepancySeries:
-    """S_k and P_k to n_max from the cache or a build.  An n_max whose S_k is
-    sure to pass 64 bits raises before the build.  The table is _obtain_table's
-    own, loaded or built and saved, so S_k is summed in place over its counts
-    and is the one array of its size that the moments passes share room
-    with."""
-    check_prefix_fits(k, n_max)
+    """S_k and P_k to n_max from the cache or a build.  The table is
+    _obtain_table's own, loaded or built and saved, so S_k is summed in place
+    over its counts and is the one array of its size that the moments passes
+    share room with."""
     table, _ = _obtain_table(k, n_max, cache_dir)
     table.counts.flags.writeable = True
     return prefix_counts(table, out=table.counts)
@@ -132,8 +130,7 @@ def run_moments(
 ) -> tuple[list[list[str]], int]:
     """All (statistic, X) cells as CSV rows; returns (rows, exit_code).
 
-    The series runs to n_max, by default the smallest one every cell needs;
-    _series refuses an n_max whose S_k is sure to pass 64 bits.
+    The series runs to n_max, by default the smallest one every cell needs.
     A kernel's ValueError (an X the table or the statistic cannot take, such
     as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
     other exception propagates.

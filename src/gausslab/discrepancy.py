@@ -10,18 +10,20 @@ identical across platforms that agree on exp/log.  Prefix values above 2^53
 are converted to float through a 32/32 bit split so that the subtraction
 keeps the low-order bits.
 
-The series keeps the counts only: p_values(lo, hi) forms P_k on the range a
-pass asks for, CHUNK values at a time, and as both steps are elementwise the
-range and the slicing change no bit.  prefix_float(idx) converts only the
-counts at idx, for a pass that needs a run or a sample of them.
-diagonal_partial_mean forms r_k(m)^2 from the counts CHUNK values at a time
-and keeps only the block partials of its sum.
+The series keeps the counts only, as S_k mod 2^64 and the n where S_k
+carries past a multiple of 2^64; each reader adds 2^64 per carry.
+p_values(lo, hi) forms P_k on the range a pass asks for, CHUNK values at a
+time, and as both steps are elementwise the range and the slicing change no
+bit.  prefix_float(idx) converts only the counts at idx, for a pass that
+needs a run or a sample of them.  diagonal_partial_mean forms r_k(m)^2 from
+the counts CHUNK values at a time and keeps only the block partials of its
+sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,18 +33,11 @@ from .summation import CHUNK, _BlockSum
 
 __all__ = [
     "DiscrepancySeries",
-    "PrefixOverflowError",
     "prefix_counts",
-    "prefix_lower_bound",
-    "check_prefix_fits",
     "p_at_real",
     "diagonal_partial_mean",
     "half_power",
 ]
-
-
-class PrefixOverflowError(OverflowError):
-    """A running lattice count does not fit in an unsigned 64-bit integer."""
 
 
 def half_power(t, k: int):
@@ -70,10 +65,11 @@ def _minus_volume(counts, vol):
 
 @dataclass(frozen=True, eq=False)
 class DiscrepancySeries:
-    """Running lattice counts prefix[n] = S_k(n) with the ball volume V_k,
-    from which each pass forms the discrepancy P_k it needs.
+    """Running lattice counts S_k(n) = prefix[n] + 2^64 * (the number of
+    wraps <= n) with the ball volume V_k, from which each pass forms the
+    discrepancy P_k it needs.  wraps is sorted, and empty below 2^64.
 
-    Immutable: the fields are frozen and the prefix array is read-only.
+    Immutable: the fields are frozen and the arrays are read-only.
     What a statistic derives for its own pass (P_k or the float counts on its
     range, a grid's samples) belongs to that pass, not to the series.
     """
@@ -82,56 +78,55 @@ class DiscrepancySeries:
     n_max: int
     prefix: np.ndarray
     v_k: float
+    wraps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         if self.prefix.dtype != np.uint64 or self.prefix.shape != (self.n_max + 1,):
             raise ValueError("DiscrepancySeries: prefix must be uint64 of length n_max + 1")
         self.prefix.flags.writeable = False
+        self.wraps.flags.writeable = False
+
+    def _carried(self, n) -> np.ndarray:
+        """2^64 times the number of wraps <= n, elementwise, as float64."""
+        return np.searchsorted(self.wraps, n, "right") * 2.0**64
 
     def prefix_float(self, idx=None) -> np.ndarray:
-        """The prefix counts prefix[idx] (all of them if idx is None) as
-        float64, each rounded to nearest: a new array on each call, for the
-        caller's pass alone.  The counts are gathered before they are
-        converted, so a sample costs no float copy of the whole prefix."""
+        """The counts S_k at idx (a slice or an index array; all of them if
+        None) as float64, each rounded to nearest, or within 1 ulp past the
+        first wrap (two roundings): a new array on each call, for the caller's
+        pass alone.  The counts are gathered before they are converted, so a
+        sample costs no float copy of the whole prefix."""
         counts = self.prefix if idx is None else self.prefix[idx]
-        return counts.astype(np.float64)
+        floats = counts.astype(np.float64)
+        if self.wraps.size:
+            n = idx if isinstance(idx, np.ndarray) else np.arange(*(idx or slice(None)).indices(self.n_max + 1))
+            floats += self._carried(n)
+        return floats
 
     def p_values(self, lo: int, hi: int) -> np.ndarray:
         """P_k(n) for lo <= n < hi as a new float64 array, filled CHUNK
         values at a time: the volume and the split counts are elementwise, so
         the slices change no bit and their temporaries stay small next to
-        the output."""
+        the output.  The carries come off the volume exactly (both are
+        multiples of its ulp), so P_k is still rounded once."""
         if not 0 <= lo <= hi <= self.n_max + 1:
             raise ValueError(f"p_values: [{lo}, {hi}) outside [0, {self.n_max + 1})")
         p = np.empty(hi - lo, dtype=np.float64)
         for a in range(lo, hi, CHUNK):
             b = min(a + CHUNK, hi)
             vol = self.v_k * half_power(np.arange(a, b, dtype=np.float64), self.k)
+            if self.wraps.size:
+                vol -= self._carried(np.arange(a, b))
             p[a - lo : b - lo] = _minus_volume(self.prefix[a:b], vol)
         return p
 
 
-def prefix_lower_bound(k: int, n):
-    """V_k (sqrt(n) - sqrt(k)/2)^k <= S_k(n): the unit cubes centred on the lattice
-    points of the ball of radius sqrt(n) cover the ball of radius sqrt(n) - sqrt(k)/2."""
-    inner = np.maximum(np.sqrt(np.asarray(n, dtype=np.float64)) - math.sqrt(k) / 2.0, 0.0)
-    return ball_volume(k) * inner**k
-
-
-def check_prefix_fits(k: int, n_max: int) -> None:
-    """Reject, before any build, an n_max whose S_k(n_max) is sure to pass 2^64
-    (the relative margin 1e-9 absorbs rounding in the bound)."""
-    bound = float(prefix_lower_bound(k, n_max))
-    if bound > 2.0**64 * (1.0 + 1e-9):
-        raise PrefixOverflowError(f"S_{k} exceeds 64 bits by n = {n_max} (lattice-cube bound {bound:.6g})")
-
-
 def prefix_counts(table: RkTable, out: np.ndarray | None = None) -> DiscrepancySeries:
-    """Exact running sums of a representation table; aborts on u64 overflow.
-    The sums fill a new array, or out: a writable uint64 array of n_max + 1
-    values, which may be the table's own counts when the caller alone holds
-    them, so that S_k takes their place.  Either way the sums go CHUNK values
-    at a time, so the overflow check's temporaries stay small."""
+    """Exact running sums of a representation table, as S_k mod 2^64 and the
+    n of its wraps.  The sums fill a new array, or out: a writable uint64
+    array of n_max + 1 values, which may be the table's own counts when the
+    caller alone holds them, so that S_k takes their place.  Either way the
+    sums go CHUNK values at a time, so the wrap scan's temporaries stay small."""
     shape = (table.n_max + 1,)
     if out is None:
         prefix = np.empty(shape, dtype=np.uint64)
@@ -140,18 +135,21 @@ def prefix_counts(table: RkTable, out: np.ndarray | None = None) -> DiscrepancyS
     else:
         prefix = out
     carry = np.uint64(0)
+    wraps = [np.empty(0, dtype=np.int64)]
     for lo in range(0, table.n_max + 1, CHUNK):
         run = prefix[lo : lo + CHUNK]
         np.cumsum(table.counts[lo : lo + CHUNK], dtype=np.uint64, out=run)
         run += carry
-        # counts are nonnegative and below 2^64: the first wraparound is the first decrease
+        # counts are nonnegative and below 2^64, so S_k passes a multiple of
+        # 2^64 exactly where S_k mod 2^64 decreases
         dropped = run[1:] < run[:-1]
         if run[0] < carry:
-            raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {lo}")
+            wraps.append(np.array([lo], dtype=np.int64))
         if bool(dropped.any()):
-            raise PrefixOverflowError(f"S_{table.k} exceeds 64 bits at n = {lo + int(np.argmax(dropped)) + 1}")
+            wraps.append(np.flatnonzero(dropped) + (lo + 1))
         carry = run[-1]
-    return DiscrepancySeries(k=table.k, n_max=table.n_max, prefix=prefix, v_k=ball_volume(table.k))
+    wraps = np.concatenate(wraps)
+    return DiscrepancySeries(k=table.k, n_max=table.n_max, prefix=prefix, v_k=ball_volume(table.k), wraps=wraps)
 
 
 def _check_n(series: DiscrepancySeries, n) -> None:
@@ -164,8 +162,9 @@ def p_at_real(series: DiscrepancySeries, t: float) -> float:
     t = float(t)
     if t < 0 or t > series.n_max:
         raise ValueError(f"t = {t} outside [0, {series.n_max}]")
-    vol = series.v_k * float(half_power(np.float64(t), series.k))
-    return float(_minus_volume(series.prefix[int(math.floor(t))], vol))
+    n = int(math.floor(t))
+    vol = series.v_k * float(half_power(np.float64(t), series.k)) - float(series._carried(n))
+    return float(_minus_volume(series.prefix[n], vol))
 
 
 def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:
@@ -179,7 +178,7 @@ def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:
     _check_n(series, X)
     total = _BlockSum(X + 1)
     for lo in range(0, X + 1, CHUNK):
-        # r_k(m) = S_k(m) - S_k(m - 1), with S_k(-1) = 0
+        # r_k(m) = S_k(m) - S_k(m - 1), with S_k(-1) = 0, exact mod 2^64 as r_k(m) < 2^64
         before = series.prefix[lo - 1] if lo else np.uint64(0)
         rvals = np.diff(series.prefix[lo : min(lo + CHUNK, X + 1)], prepend=before).astype(np.float64)
         total.feed(lo, rvals * rvals)

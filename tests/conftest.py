@@ -41,6 +41,26 @@ def series6_298k():
 
 
 @pytest.fixture(scope="session")
+def series7_324k():
+    """k = 7 series to 323,874, the exp cutoff at X = 1000 sqrt(10); S_7
+    passes 2^64 four times, first at n = 205,054."""
+    return prefix_counts(build_rk_table(7, 323_874))
+
+
+@pytest.fixture(scope="session")
+def series8_349k():
+    """k = 8 series to 349,361, the exp cutoff at X = 1000 sqrt(10); S_8
+    passes 2^64 3,277 times, first at n = 46,172."""
+    return prefix_counts(build_rk_table(8, 349_361))
+
+
+def exact_prefix(series):
+    """S_k(0..n_max) as Python ints, summed from r_k = the differences of the
+    counts mod 2^64, so no carry of the series enters them."""
+    return np.cumsum(np.diff(series.prefix, prepend=np.uint64(0)).astype(object))
+
+
+@pytest.fixture(scope="session")
 def tables_small():
     """k = 1..6 tables to n = 512 for cheap cross-checks."""
     return {k: build_rk_table(k, 512) for k in range(1, 7)}

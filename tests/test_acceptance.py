@@ -104,20 +104,8 @@ def full_battery():
     return {res.name: res for res in verify.run_battery("full")}
 
 
-@pytest.fixture(scope="module")
-def series7_27k():
-    """k = 7 series to 27,303, the exp cutoff at X = 100 sqrt(10)."""
-    return prefix_counts(build_rk_table(7, 27_303))
-
-
-@pytest.fixture(scope="module")
-def series8_29k():
-    """k = 8 series to 29,126, the exp cutoff at X = 100 sqrt(10)."""
-    return prefix_counts(build_rk_table(8, 29_126))
-
-
 # the series each dimension's windows read
-SERIES = {4: "series4_1m", 5: "series5_273k", 6: "series6_298k", 7: "series7_27k", 8: "series8_29k"}
+SERIES = {4: "series4_1m", 5: "series5_273k", 6: "series6_298k", 7: "series7_324k", 8: "series8_349k"}
 
 # (k, statistic, X0s) of the ungated windowed-RMS rows
 _EXP_SECOND = [Statistic.SMOOTH_SECOND, Statistic.LAPLACE_SECOND, Statistic.SHARP_SECOND]
@@ -128,10 +116,10 @@ UNGATED_DECAY = [
 # the fit windows of criterion 6b, and its gates on each fitted leading
 # coefficient's relative deviation, (SmoothSecond, LaplaceSecond): about 10x
 # the deviations measured on these fixtures, (4.6e-6, 1.6e-7) at k = 4,
-# (8.8e-9, 3.8e-8) at 5, (4.5e-7, 1.3e-6) at 6, (8.4e-6, 3.2e-5) at 7 and
-# (1.5e-5, 7.8e-6) at 8.  k = 7 and 8 stop at X = 100, as criterion 9 does
-LEAD_WINDOWS = {4: (300.0, 3000.0), 5: (300.0, 3000.0), 6: (300.0, 3000.0), 7: (10.0, 100.0), 8: (10.0, 100.0)}
-LEAD_GATES = {4: (5e-5, 2e-6), 5: (9e-8, 4e-7), 6: (5e-6, 2e-5), 7: (9e-5, 4e-4), 8: (2e-4, 8e-5)}
+# (8.8e-9, 3.8e-8) at 5, (4.5e-7, 1.3e-6) at 6, (8.1e-8, 3.4e-7) at 7 and
+# (1.6e-7, 6.6e-8) at 8
+LEAD_WINDOWS = {4: (300.0, 3000.0), 5: (300.0, 3000.0), 6: (300.0, 3000.0), 7: (100.0, 1000.0), 8: (100.0, 1000.0)}
+LEAD_GATES = {4: (5e-5, 2e-6), 5: (9e-8, 4e-7), 6: (5e-6, 2e-5), 7: (9e-7, 4e-6), 8: (2e-6, 7e-7)}
 # LaplaceSecond's X^{5/2} coefficient C4' Gamma(5/2); measured 5.4e-5
 C4_PRIME_GATE = 6e-4
 _LEAD_STATS = [Statistic.SMOOTH_SECOND, Statistic.LAPLACE_SECOND]
@@ -268,15 +256,17 @@ class TestAcceptance:
         _decade_decay(series3_big, Statistic.SMOOTH_SECOND, "4f")
 
     @pytest.mark.parametrize("stat", _EXP_SECOND, ids=[s.value for s in _EXP_SECOND])
-    @pytest.mark.parametrize("k", [4, 5, 6], ids=["k4", "k5", "k6"])
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8], ids=["k4", "k5", "k6", "k7", "k8"])
     def test_criterion_4g_higher_dimension_decay(self, request, k, stat):
         # The abstract claims power-saving errors in every dimension k >= 3.
         # 4e/4f's shape with X^{k-1} in place of X^2, at X0 = 1e2 and 1e3:
         # the X0 = 1e3 window tops at X = 1000 sqrt(10), whose cutoff is
-        # 247,413 (k = 4), 272,900 (k = 5) and 298,387 (k = 6).  Measured
-        # steps: k = 4 9.6x, 30.6x, 4.5x; k = 5 10.0x, 10.0x, 14.6x; k = 6
-        # 9.9x, 31.7x, 13.0x (smooth, Laplace, sharp).  A step of exactly 10x
-        # is an X^{k-2} term that theory.predicted lacks.
+        # 247,413 (k = 4), 272,900 (k = 5), 298,387 (k = 6), 323,874 (k = 7)
+        # and 349,361 (k = 8); S_7 and S_8 pass 2^64 below the last two.
+        # Measured steps: k = 4 9.6x, 30.6x, 4.5x; k = 5 10.0x, 10.0x, 14.6x;
+        # k = 6 9.9x, 31.7x, 13.0x; k = 7 10.0x, 100.3x, 9.7x; k = 8 10.0x,
+        # 113.3x, 8.4x (smooth, Laplace, sharp).  A step of exactly 10x is an
+        # X^{k-2} term that theory.predicted lacks.
         _decade_decay(request.getfixturevalue(SERIES[k]), stat, "4g", (1e2, 1e3))
 
     def test_criterion_5_first_moments(self, full_battery):
@@ -371,11 +361,10 @@ class TestAcceptance:
         "k, stat, x0s", UNGATED_DECAY, ids=[f"k{k}-{stat.value}" for k, stat, _ in UNGATED_DECAY]
     )
     def test_criterion_9_ungated_decay(self, request, k, stat, x0s):
-        # 4g's rows that are reported, not gated.  k = 7 and 8 stop at
-        # X0 = 1e2: S_7 passes 2^64 at n = 205,054 and S_8 at 46,172, below
-        # the X0 = 1e3 windows' top cutoffs 323,880 and 349,360.  Measured
-        # steps: k = 7 10.04x, 95.6x, 15.9x, 1091x; k = 8 10.09x, 125x,
-        # 18.0x, 1000x (smooth, Laplace, sharp, weighted first).
+        # 4g's rows that are reported, not gated: k = 7 and 8 over the decade
+        # below 4g's, X0 = 1e1 -> 1e2.  Measured steps: k = 7 10.04x, 95.6x,
+        # 15.9x, 1091x; k = 8 10.09x, 125x, 18.0x, 1000x (smooth, Laplace,
+        # sharp, weighted first).
         # SmoothWeightedFirst at k = 4, 5, 6: 1009x, 1146x, then 0.19x, where
         # the error/X^{k-1} has reached its float floor near 1e-10.
         _decade_decay(request.getfixturevalue(SERIES[k]), stat, 9, x0s, gated=False)

@@ -22,7 +22,8 @@ from gausslab.rk import build_rk_table
 
 from conftest import laplace_refined
 
-# S_7 and S_8 pass 2^64 near n = 2e5 and 5e4, below 3 exp_cutoff(k, 1e3)
+# k = 7 and 8 stop at 1e2: at 1e3 their tables, 3 exp_cutoff(k, X_MAX[k]),
+# would reach about 3e5 and add about 0.5 s to the suite
 X_MAX = {k: 1e3 if k <= 6 else 1e2 for k in range(1, 9)}
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=10)

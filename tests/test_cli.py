@@ -16,7 +16,7 @@ from gausslab import cli, dirichlet, moments, rk, theory, verify
 from gausslab.cli import main
 from gausslab.convolve import ConvolutionOverflowError
 from gausslab.dirichlet import Cusp
-from gausslab.discrepancy import PrefixOverflowError, prefix_counts
+from gausslab.discrepancy import prefix_counts
 from gausslab.moments import KERNELS, Statistic, sharp_second_moment
 from gausslab.rk import build_rk_table, load_table, save_table
 
@@ -370,35 +370,21 @@ class TestLaplaceGrid:
             assert got == [self._plain_row(series, stat, x) for x in (100, 100, 100, 215)]
 
 
-class TestPrefixOverflow:
-    """S_8 passes 2^64 at n = 46,172.  A request whose lattice-cube lower
-    bound on S_k(n_max) already passes 2^64 is rejected before any table is
-    built; one just past the overflow, where the bound is still below 2^64,
-    is caught by the exact scan after the build and names the first n."""
+class TestPastTwoTo64:
+    """S_8 passes 2^64 at n = 46,172, far below the cutoff of the Laplace
+    and smooth sums at X = 1000: the series carries past it and every cell
+    is a value."""
 
-    def test_doomed_request_never_builds(self, monkeypatch, capsys):
-        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
-
-        def refuse(k, n_max):
-            raise AssertionError(f"built r_{k} to {n_max}")
-
-        monkeypatch.setattr(rk, "build_rk_table", refuse)
-        argv = "moments --k 8 --x-min 5000 --x-max 5000 --points 1 --stat SmoothSecond"
-        assert run_cli(argv.split()) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: S_8 exceeds 64 bits") and "n = 570704" in err
-
-    @pytest.mark.parametrize("x, code", [(46171, 0), (46172, 2)])
-    def test_k8_sharp_boundary(self, tmp_path, monkeypatch, capsys, x, code):
+    def test_k8_moments_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
         out = tmp_path / "m.csv"
-        argv = f"moments --k 8 --x-min {x} --x-max {x} --points 1 --stat SharpSecond --out {out}"
-        assert run_cli(argv.split()) == code
-        err = capsys.readouterr().err
-        if code == 0:
-            assert err == "" and len(read_csv(out)) == 2
-        else:
-            assert err == "error: S_8 exceeds 64 bits at n = 46172\n"
+        stats = " ".join(f"--stat {s}" for s in ("SmoothSecond", "LaplaceSecond", "SharpSecond"))
+        argv = f"moments --k 8 --x-min 100 --x-max 1000 --points 4 {stats} --out {out}"
+        assert run_cli(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)[1:]
+        assert len(rows) == 12 and not any(row[3].startswith("ERROR:") for row in rows)
+        assert all(float(row[3]) > 0 for row in rows)
 
 
 def _stripped_digest(path):
@@ -718,7 +704,7 @@ class TestVerifyCommand:
         assert steps == [995_001, 995_001] and tables._held == {}
 
     def test_fault_injection_caught_by_overflow_check(self, monkeypatch):
-        monkeypatch.setattr(rk, "r6_closed_form", lambda n_max: np.zeros(n_max + 1, dtype=np.uint64))
+        monkeypatch.setattr(rk, "r6_closed_form", lambda n_max: np.zeros(8, dtype=np.uint64))
         passed, detail = verify.check_overflow_abort(False, verify._Tables())
         assert (passed, detail) == (False, "r_8 coefficient beyond 2^64 not caught")
 
@@ -788,21 +774,6 @@ class TestShortInterval:
             ["shortinterval", "--x-min", "10", "--x-max", "20", "--beta", "1.5"]
         )
         assert code == 2
-
-    def test_prefix_bound_checked_before_any_build(self, monkeypatch, capsys):
-        # shortinterval gets its series the way moments does
-        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
-
-        def refuse(k, n_max):
-            raise AssertionError(f"built r_{k} to {n_max}")
-
-        def doomed(k, n_max):
-            raise PrefixOverflowError(f"S_{k} exceeds 64 bits by n = {n_max}")
-
-        monkeypatch.setattr(rk, "build_rk_table", refuse)
-        monkeypatch.setattr(cli, "check_prefix_fits", doomed)
-        assert run_cli("shortinterval --x-min 100 --x-max 100 --points 1 --beta 0.5".split()) == 2
-        assert capsys.readouterr().err == "error: S_3 exceeds 64 bits by n = 110\n"
 
 
 class TestConstantsCommand:
@@ -891,7 +862,7 @@ _ROW = "3,2000,SmoothSecond,1.0,0,,0"
 
 class TestExitCodes:
     """main alone maps an exception to an exit code by its class: usage
-    (ValueError, OverflowError, an exact count beyond 64 bits among them) 2,
+    (ValueError, OverflowError, a table entry beyond 64 bits among them) 2,
     I/O and cache (OSError) 3, any other exception (an internal fault) 4 with
     its traceback on stderr; exit 1 means only that verify failed.  Each case
     is argv, or a setup returning it, then the exit code and a fragment of
@@ -902,9 +873,8 @@ class TestExitCodes:
         "verify-fails": (_failing_verify, 1, None),
         "table-overflow": (_overflowing_table, 2, "error: beyond 64 bits"),
         "table-k8-doomed": ("table --k 8 --n-max 1000000 --cache-dir .", 2, "exceeds 64 bits from n = 987840;"),
-        "moments-prefix-overflow": (
-            "moments --k 8 --x-min 50000 --x-max 50000 --points 1 --stat SharpSecond", 2, "S_8 exceeds 64 bits"
-        ),
+        # S_8 passes 2^64 at n = 46,172: the series carries past it, no error
+        "moments-prefix-overflow": ("moments --k 8 --x-min 50000 --x-max 50000 --points 1 --stat SharpSecond", 0, None),
         "moments-float-overflow": (
             "moments --k 3 --x-min 1 --x-max 1e308 --points 2 --stat SmoothSecond", 2, "too large"
         ),

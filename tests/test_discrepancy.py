@@ -8,19 +8,16 @@ import pytest
 
 from gausslab.discrepancy import (
     DiscrepancySeries,
-    PrefixOverflowError,
-    check_prefix_fits,
     diagonal_partial_mean,
     half_power,
     p_at_real,
     prefix_counts,
-    prefix_lower_bound,
     _minus_volume,
 )
 from gausslab.rk import RkTable, build_rk_table, rk_bruteforce
 from gausslab.summation import BLOCK, CHUNK, block_compensated_sum
 
-from conftest import allocated_peak, assert_close
+from conftest import allocated_peak, assert_close, exact_prefix
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +28,13 @@ def series3():
 @pytest.fixture(scope="module")
 def series4():
     return prefix_counts(build_rk_table(4, 10**4))
+
+
+@pytest.fixture(scope="module")
+def table8():
+    """r_8 to 60,000: S_8 passes a multiple of 2^64 at n = 46,172 and 54,909
+    (the next carry is at 60,766)."""
+    return build_rk_table(8, 60_000)
 
 
 class TestPrefix:
@@ -52,38 +56,57 @@ class TestPrefix:
         assert bool(np.all(series3.prefix[1:] >= series3.prefix[:-1]))
 
     def test_overflow_detected(self):
+        # S_1 = 1, 2^63 + 1, 2^64 + 1, 2^64 + 5: one carry, at n = 2
         counts = np.array([1, 2**63, 2**63, 4], dtype=np.uint64)
-        table = RkTable(k=1, n_max=3, counts=counts)
-        with pytest.raises(PrefixOverflowError, match=r"S_1 exceeds 64 bits at n = 2$"):
-            prefix_counts(table)
+        series = prefix_counts(RkTable(k=1, n_max=3, counts=counts))
+        assert series.wraps.tolist() == [2] and series.prefix.tolist() == [1, 2**63 + 1, 1, 5]
+        assert series.wraps.dtype == np.int64 and not series.wraps.flags.writeable
+        assert series.prefix_float().tolist() == [1.0, 2.0**63, 2.0**64, 2.0**64]
 
-    def test_k8_overflow_n_matches_exact_running_sum(self):
-        table = build_rk_table(8, 50_000)
-        running, first = 0, None
-        for n, c in enumerate(table.counts.tolist()):
-            running += c
-            if running >= 2**64:
-                first = n
-                break
-        assert first == 46_172
-        with pytest.raises(PrefixOverflowError, match=rf"S_8 exceeds 64 bits at n = {first}$"):
-            prefix_counts(table)
+    def test_k8_overflow_n_matches_exact_running_sum(self, table8):
+        exact = np.cumsum(table8.counts.astype(object))
+        series = prefix_counts(table8)
+        assert series.wraps.tolist() == [46_172, 54_909]
+        assert [n for n in range(1, 60_001) if exact[n] // 2**64 > exact[n - 1] // 2**64] == [46_172, 54_909]
+        carries = np.searchsorted(series.wraps, np.arange(60_001), "right")
+        assert (series.prefix.astype(object) + carries.astype(object) * 2**64).tolist() == exact.tolist()
 
 
-class TestPrefixLowerBound:
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_bound_below_counts(self, k):
-        prefix = np.cumsum(build_rk_table(k, 3000).counts.astype(object))
-        bound = prefix_lower_bound(k, np.arange(3001))
-        assert all(float(b) <= int(s) for b, s in zip(bound, prefix))
+class TestPastTheCarry:
+    """Every reader of the counts past S_8's first carry, against the
+    Python-int S_8."""
 
-    def test_k8_boundary(self):
-        # S_8 first passes 2^64 at n = 46,172, where the bound is 0.9485 of
-        # 2^64; the bound itself passes 2^64 only from n = 46,783 on
-        assert 0.948 < prefix_lower_bound(8, 46_172) / 2.0**64 < 0.949
-        check_prefix_fits(8, 46_782)
-        with pytest.raises(PrefixOverflowError, match="S_8 exceeds 64 bits by n = 46783"):
-            check_prefix_fits(8, 46_783)
+    @pytest.fixture(scope="class")
+    def series8(self, table8):
+        return prefix_counts(table8)
+
+    @pytest.fixture(scope="class")
+    def exact(self, series8):
+        return exact_prefix(series8)
+
+    def test_p_values_round_once(self, series8, exact):
+        # S_8 - V n^4 in exact arithmetic, rounded once: the volume n^4 V is
+        # an integer above 2^53, so the difference of Python ints is exact
+        n = np.arange(40_000, 60_001)
+        vol = series8.v_k * half_power(n.astype(np.float64), 8)
+        want = [float(s - int(v)) for s, v in zip(exact[n], vol)]
+        assert series8.p_values(40_000, 60_001).tolist() == want
+        for m in (46_171, 46_172, 54_909, 60_000):
+            assert p_at_real(series8, float(m)) == want[m - 40_000]
+        vol = series8.v_k * float(half_power(46_172.5, 8))
+        assert p_at_real(series8, 46_172.5) == float(exact[46_172] - int(vol))
+
+    def test_prefix_float_within_one_ulp(self, series8, exact):
+        idx = np.arange(40_000, 60_001, 7)
+        want = np.array([float(s) for s in exact[idx]])
+        for got in (series8.prefix_float(idx), series8.prefix_float(slice(40_000, 60_001, 7))):
+            assert np.array_equal(got, series8.prefix_float()[idx])
+            assert float(np.max(np.abs(got - want) / np.spacing(want))) <= 1.0
+
+    def test_diagonal_partial_mean(self, series8, table8):
+        rvals = table8.counts.astype(np.float64)
+        want = 7 * 60_000.0**-7 * block_compensated_sum(rvals * rvals)
+        assert diagonal_partial_mean(series8, 60_000) == want
 
 
 class TestPAt:
@@ -170,7 +193,7 @@ class TestSlicedSeries:
         assert grown <= p.nbytes + 4e6, grown
 
     def test_series_is_frozen_and_keeps_no_p_k(self, series3):
-        assert [f.name for f in dataclasses.fields(series3)] == ["k", "n_max", "prefix", "v_k"]
+        assert [f.name for f in dataclasses.fields(series3)] == ["k", "n_max", "prefix", "v_k", "wraps"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             series3.k = 4
         assert series3.p_values(10, 20) is not series3.p_values(10, 20)

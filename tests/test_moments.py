@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gausslab.moments import (
 from gausslab.rk import build_rk_table
 from gausslab.summation import BLOCK, block_compensated_sum
 
-from conftest import allocated_peak, assert_close, laplace_cells, laplace_refined
+from conftest import allocated_peak, assert_close, exact_prefix, laplace_cells, laplace_refined
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +476,54 @@ class TestWeightedFirst:
     def test_sharp_wrong_dimension(self, series4_small):
         with pytest.raises(ValueError):
             sharp_weighted_first_moment_p3(series4_small, 10)
+
+
+# k -> the series, an integer X and an exp-cut X whose sums pass the carries
+# of S_k: S_7 passes 2^64 at n = 205,054, 249,964 and 280,665 below 300,000,
+# and S_8 at n = 46,172 and 54,909 below the cutoff 101,235 at X = 1000
+PAST_CARRY = {7: ("series7_324k", 300_000, 3000.0), 8: ("series8_349k", 100_000, 1000.0)}
+
+
+@pytest.fixture(scope="module", params=sorted(PAST_CARRY), ids=[f"k{k}" for k in sorted(PAST_CARRY)])
+def past_carry(request):
+    """(series, sharp X, exp-cut X, S_k and P_k on 0..top as float64), each
+    value rounded once from the Python-int S_k: past 2^53 the volume is an
+    integer, so S_k minus it is an exact int."""
+    name, x_sharp, x_exp = PAST_CARRY[request.param]
+    series = request.getfixturevalue(name)
+    top = max(x_sharp, exp_cutoff(series.k, x_exp))
+    exact = exact_prefix(series)[: top + 1].tolist()
+    vol = (series.v_k * half_power(np.arange(top + 1, dtype=np.float64), series.k)).tolist()
+    p = [float(s - int(v)) if v >= 2.0**53 else float(s - Fraction(v)) for s, v in zip(exact, vol)]
+    return series, x_sharp, x_exp, np.array([float(s) for s in exact]), np.array(p)
+
+
+class TestPastTheCarry:
+    """Each statistic at k = 7 and 8, its sum past the carries of S_k,
+    against the whole-array formula on S_k and P_k from Python ints.  P_k is
+    rounded once there as below 2^64, so the sums of P_k keep every bit;
+    the integrals take S_k as float, which the series rounds twice."""
+
+    def test_sums_of_p_keep_every_bit(self, past_carry):
+        series, x_sharp, x_exp, _, p = past_carry
+        k = series.k
+        assert series.wraps[0] < x_sharp and series.wraps[0] < exp_cutoff(k, x_exp)
+        assert sharp_second_moment(series, x_sharp).value == block_compensated_sum(p[1 : x_sharp + 1] ** 2)
+        n_cut = exp_cutoff(k, x_exp)
+        n = np.arange(1, n_cut + 1, dtype=np.float64)
+        decay = np.exp(-n / x_exp)
+        assert smooth_second_moment(series, x_exp).value == block_compensated_sum(p[1 : n_cut + 1] ** 2 * decay)
+        weighted = block_compensated_sum(p[1 : n_cut + 1] * moments._weight_power(n, k - 2) * decay)
+        assert smooth_weighted_first_moment(series, x_exp).value == weighted
+
+    def test_integrals(self, past_carry):
+        series, x_sharp, x_exp, s, _ = past_carry
+        k, n_cut = series.k, exp_cutoff(series.k, x_exp)
+        want = block_compensated_sum(laplace_cells(s[:n_cut], series.v_k, k, x_exp, np.arange(n_cut), 1))
+        assert_close(laplace_second_moment(series, x_exp).value, want, rel=1e-10)
+        # e^{-t/inf} = 1: the same Gauss-Legendre cells with no decay
+        want = block_compensated_sum(laplace_cells(s[:x_sharp], series.v_k, k, math.inf, np.arange(x_sharp), 1))
+        assert_close(sharp_integral_second_moment(series, x_sharp).value, want, rel=1e-10)
 
 
 class TestStructuralInvariants:

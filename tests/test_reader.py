@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gausslab import cli, rk
-from gausslab.discrepancy import PrefixOverflowError, prefix_counts
+from gausslab.discrepancy import prefix_counts
 from gausslab.rk import PIECE, RkTable, build_rk_table, load_table, save_table
 from gausslab.summation import CHUNK
 
@@ -22,20 +22,6 @@ from conftest import allocated_peak
 # n_max + 1 values: one, and one less and one more than one and two pieces
 # (each piece is a whole number of the sums' chunks)
 SIZES = [1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE - 1, 2 * PIECE + 1]
-
-
-def _outcome(func, *args, **kwargs):
-    """func(*args)'s prefix, or the class and text of its PrefixOverflowError."""
-    try:
-        return func(*args, **kwargs).prefix
-    except PrefixOverflowError as exc:
-        return type(exc), str(exc)
-
-
-def _same(a, b):
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
-    return a == b
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +53,16 @@ def _in_place(table):
 class TestLoadedSeries:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_equals_copying_form(self, tmp_path, tables, k):
-        # at k = 8 S_8 passes 2^64 at n = 46,172: both forms then name that n
+        # at k = 8 S_8 first passes 2^64 at n = 46,172: both forms then
+        # record the same carries
         for size in SIZES:
             table = _cut(tables[k], size - 1)
             loaded = load_table(_save(tmp_path, table))
             assert loaded == table and not loaded.counts.flags.writeable, size
-            want = _outcome(prefix_counts, table)
-            assert _same(_outcome(_in_place, loaded), want), size
-            if isinstance(want, np.ndarray):
-                assert want.shape == (size,)
+            want, got = prefix_counts(table), _in_place(loaded)
+            assert want.prefix.shape == (size,) and np.array_equal(got.prefix, want.prefix), size
+            assert np.array_equal(got.wraps, want.wraps)
+            assert want.wraps[:1].tolist() == ([46_172] if k == 8 and size > 46_172 else []), size
 
     def test_out_must_fit(self, tables):
         table = _cut(tables[3], 99)
@@ -87,7 +74,7 @@ class TestLoadedSeries:
 
 
 def _wrapping_counts(n_wrap: int, n_max: int) -> np.ndarray:
-    """Counts whose running sum first reaches 2^64 at n_wrap."""
+    """Counts whose running sum reaches 2^64 at n_wrap and nowhere else."""
     counts = np.ones(n_max + 1, dtype=np.uint64)
     counts[n_wrap - 1] = np.uint64(2**63)
     counts[n_wrap] = np.uint64(2**63)
@@ -109,14 +96,11 @@ class TestSyntheticWrap:
         assert first == n_wrap
         table = RkTable(k=1, n_max=n_max, counts=counts)
         _save(tmp_path, table)
-        text = rf"S_1 exceeds 64 bits at n = {n_wrap}$"
-        with pytest.raises(PrefixOverflowError, match=text):
-            prefix_counts(table)
-        with pytest.raises(PrefixOverflowError, match=text):
-            _in_place(table)
-        # a hit sums the file it read in place, and names the same n
-        with pytest.raises(PrefixOverflowError, match=text):
-            cli._series(1, n_max, str(tmp_path))
+        want = [int(s) % 2**64 for s in np.cumsum(counts.astype(object))]
+        # a hit sums the file it read in place, and records the same carry
+        for series in (prefix_counts(table), _in_place(table), cli._series(1, n_max, str(tmp_path))):
+            assert series.wraps.tolist() == [n_wrap]
+            assert series.prefix.tolist() == want
         assert capsys.readouterr().err == ""
 
     def test_bad_checksum_wins_over_wrap(self, tmp_path, capsys):
@@ -185,8 +169,8 @@ class TestBadCache:
         assert path.read_bytes() == good
 
     def test_file_for_another_table_checked_before_its_payload(self, tmp_path, capsys):
-        # r_8 to 50,000 wraps S_8 at n = 46,172: the header alone sends it to a
-        # rebuild, before any sum could raise PrefixOverflowError
+        # r_8 to 50,000, whose S_8 carries at n = 46,172: the header alone
+        # sends it to a rebuild, before any sum is formed
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "rk3_50000.rktb"
