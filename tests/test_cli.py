@@ -370,10 +370,41 @@ class TestLaplaceGrid:
             assert got == [self._plain_row(series, stat, x) for x in (100, 100, 100, 215)]
 
 
-class TestPastTwoTo64:
+class TestPrefixOverflow:
     """S_8 passes 2^64 at n = 46,172, far below the cutoff of the Laplace
     and smooth sums at X = 1000: the series carries past it and every cell
-    is a value."""
+    is a value.  Only a request whose r_8 table would hold a coefficient
+    past 2^64 (from n = 987,840) is refused, before any step is taken."""
+
+    def test_doomed_request_never_builds(self, monkeypatch, capsys):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+
+        def refuse(counts):
+            raise AssertionError("_square_step called")
+
+        monkeypatch.setattr(rk, "_square_step", refuse)
+        argv = "moments --k 8 --x-min 1e6 --x-max 1e6 --points 1 --stat SharpSecond"
+        assert run_cli(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: r_8(n) exceeds 64 bits from n = {rk.R8_FIRST_OVERFLOW}; n_max = 1000000 cannot be built\n"
+
+    # both sides of S_8's first carry exit 0; SharpSecond at X sums P_8(n)^2
+    # to n = X, so at 46,172 it holds the first carried term
+    @pytest.mark.parametrize("x, code", [(46171, 0), (46172, 0)])
+    def test_k8_sharp_boundary(self, tmp_path, monkeypatch, capsys, x, code):
+        monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
+        out = tmp_path / "m.csv"
+        argv = f"moments --k 8 --x-min {x} --x-max {x} --points 1 --stat SharpSecond --out {out}"
+        assert run_cli(argv.split()) == code
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)
+        assert len(rows) == 2
+        # Python-int S_8 against V_8 n^4 rounded to an integer: each P_8(n)
+        # is within 2^12 of exact, about 1e-10 of its size near n = X
+        s8 = np.cumsum(build_rk_table(8, x).counts.astype(object))
+        v8 = math.pi**4 / 24
+        want = sum((int(s8[n]) - round(v8 * n**4)) ** 2 for n in range(1, x + 1))
+        assert float(rows[1][3]) == pytest.approx(want, rel=1e-9)
 
     def test_k8_moments_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("GAUSSLAB_CACHE_DIR", raising=False)
