@@ -66,7 +66,13 @@ Each sample's truncation_bound carries these terms and no others:
 
 None covers the float rounding of the sum itself: against a 30-digit
 reference from the exact S_3, SmoothSecond was off by 4.9e-8 and 5.0e-5 at
-X = 100 and 1000, where its bounds read 5.7e-11 and 8.3e-10.
+X = 100 and 1000, where its bounds read 5.7e-11 and 8.3e-10.  Nor does
+LaplaceSecond's quadrature estimate cover its error at small X: the 8-point
+rule on [0, 1] and its halving both miss an e^{-t/X} that dies within
+t ~ 5X.  Against 64 pieces per interval at k = 3, X = 1e-2 is off by 3.10e-3
+under a bound of 3.53e-3, but X = 1e-3 gives 1.18e-10 against 9.996e-4 under
+a bound of 1.53e-6 (k = 4 alike; the bound first fails near X = 7e-3).
+Covering it would need an adaptive rule on the interval [0, 1).
 """
 
 from __future__ import annotations
@@ -185,15 +191,20 @@ def _require_cutoff(series: DiscrepancySeries, X: float) -> int:
 
 
 def _exp_poly_tail(m: int, X: float, T: float) -> float:
-    """int_T^inf t^m e^(-t/X) dt = m! X^(m+1) e^(-T/X) sum_{j<=m} (T/X)^j / j!"""
+    """int_T^inf t^m e^(-t/X) dt = m! X^(m+1) e^(-T/X) sum_{j<=m} (T/X)^j / j!,
+    0 where e^(-T/X) underflows (tiny X, where the sum can overflow or
+    X^(m+1) underflow, so the product would be nan)."""
     z = T / X
+    decay = math.exp(-z)
+    if decay == 0.0:
+        return 0.0
     acc = 0.0
     term = 1.0
     for j in range(m + 1):
         if j:
             term *= z / j
         acc += term
-    return math.factorial(m) * X ** (m + 1) * math.exp(-z) * acc
+    return math.factorial(m) * X ** (m + 1) * decay * acc
 
 
 def _check_int_x(series: DiscrepancySeries, X) -> int:

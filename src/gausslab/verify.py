@@ -1,7 +1,7 @@
 """Cross-check battery: every identity the library can test against itself.
 
 Two scales: "quick" takes under a second; "full" runs the identity suite at
-acceptance scale (1.4-2.1 s and a 66 MB peak RSS on one core of a 2-core
+acceptance scale (1.25-1.38 s and a 67 MB peak RSS on one core of a 2-core
 box, process start included).  Each check returns
 (passed, detail) and BATTERY names it; run_battery makes the CheckResult and
 never stops early, so a broken build reports every failing identity by name.

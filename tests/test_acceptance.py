@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from gausslab import theory, verify
+from gausslab import cli, theory, verify
 from gausslab.discrepancy import prefix_counts
 from gausslab.fit import BasisTerm, FitModel, fit, recover_c3
 from gausslab.moments import (
@@ -34,14 +34,9 @@ from gausslab.rk import build_rk_table
 C3_PIN = 10.5632603
 
 
-def _geometric(x0, x1, n):
-    ratio = (x1 / x0) ** (1.0 / (n - 1))
-    return [x0 * ratio**j for j in range(n)]
-
-
 def _window(stat, x0):
     """24 log-spaced scales of stat in [X0/sqrt(10), X0 sqrt(10)]."""
-    return [stat.scale(x) for x in _geometric(x0 / math.sqrt(10.0), x0 * math.sqrt(10.0), 24)]
+    return [stat.scale(x) for x in cli._geometric_grid(x0 / math.sqrt(10.0), x0 * math.sqrt(10.0), 24)]
 
 
 def _windowed_rms_error(series, stat, x0s):
@@ -129,7 +124,7 @@ class TestAcceptance:
     def test_criterion_1_c3_recovery(self):
         start = time.perf_counter()
         series = prefix_counts(build_rk_table(3, 4 * 10**6))
-        samples = [smooth_second_moment(series, x) for x in _geometric(2e3, 2e4, 12)]
+        samples = [smooth_second_moment(series, x) for x in cli._geometric_grid(2e3, 2e4, 12)]
         c3, diag = recover_c3(samples)
         elapsed = time.perf_counter() - start
         _recovered["smooth"] = c3
@@ -140,13 +135,13 @@ class TestAcceptance:
 
     def test_criterion_2_smooth_sharp_cross_consistency(self, series3_big):
         start = time.perf_counter()
-        xs = [round(x) for x in _geometric(1e4, 1e5, 12)]
+        xs = [round(x) for x in cli._geometric_grid(1e4, 1e5, 12)]
         samples = [sharp_second_moment(series3_big, x) for x in xs]
         c3_sharp, _ = recover_c3(samples)
         elapsed = time.perf_counter() - start
         c3_smooth = _recovered.get("smooth")
         if c3_smooth is None:  # criterion 1 not run in this session
-            smooth = [smooth_second_moment(series3_big, x) for x in _geometric(2e3, 2e4, 12)]
+            smooth = [smooth_second_moment(series3_big, x) for x in cli._geometric_grid(2e3, 2e4, 12)]
             c3_smooth, _ = recover_c3(smooth)
         rel = abs(c3_sharp - c3_smooth) / c3_smooth
         ok = rel <= 0.05 and elapsed <= 60.0
@@ -273,7 +268,7 @@ class TestAcceptance:
         _report_check(full_battery, 5, "weighted-first-moments", "smooth at X = 1e4, tol 1%; sharp at 1e6, tol 5%")
 
     def test_criterion_6_dimension_four_constants(self, series4_1m):
-        samples = [smooth_second_moment(series4_1m, x) for x in _geometric(300.0, 3000.0, 12)]
+        samples = [smooth_second_moment(series4_1m, x) for x in cli._geometric_grid(300.0, 3000.0, 12)]
         model = FitModel(4, (BasisTerm.XK1, BasisTerm.XK32, BasisTerm.XK2))
         res = fit(model, samples)
         lead, half_term = res.coefficients[0], res.coefficients[1]
@@ -298,7 +293,7 @@ class TestAcceptance:
         # C4' Gamma(5/2) from the X^{5/2} coefficient.  The X^{k-2}
         # coefficients have no closed form here: reported, not gated.
         x0, x1 = LEAD_WINDOWS[k]
-        xs = _geometric(x0, x1, 12)
+        xs = cli._geometric_grid(x0, x1, 12)
         grid = dict.fromkeys(xs)
         series = request.getfixturevalue(SERIES[k])
         samples = [KERNELS[stat](series, x, grid=grid) for x in xs]
@@ -339,7 +334,7 @@ class TestAcceptance:
     def test_criterion_9_ungated_diagnostics(self, series3_big):
         # residual-decay slope of the smoothed fit and short-interval ratios:
         # reported for the record, never gated (unknown implied constants)
-        xs = _geometric(2e3, 2e4, 12)
+        xs = cli._geometric_grid(2e3, 2e4, 12)
         samples = [smooth_second_moment(series3_big, x) for x in xs]
         _, diag = recover_c3(samples)
         ratios = []

@@ -21,14 +21,9 @@ def _samples(xs, values, stat=Statistic.SMOOTH_SECOND, k=3):
     return [MomentSample(k, x, stat, v, 0.0) for x, v in zip(xs, values)]
 
 
-def _geometric(x0, x1, n):
-    ratio = (x1 / x0) ** (1.0 / (n - 1))
-    return [x0 * ratio**j for j in range(n)]
-
-
 class TestFit:
     def test_exact_recovery(self):
-        xs = np.array(_geometric(100.0, 5000.0, 12))
+        xs = np.array(cli._geometric_grid(100.0, 5000.0, 12))
         a, b = 1.5639, 12.2
         values = a * xs**2 * np.log(xs) + b * xs**2
         model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1))
@@ -53,19 +48,19 @@ class TestFit:
             fit(model, _samples(xs, [1.0, 2.0, 3.0]))
 
     def test_mixed_statistics_rejected(self):
-        xs = _geometric(10.0, 100.0, 6)
+        xs = cli._geometric_grid(10.0, 100.0, 6)
         samples = _samples(xs, [1.0] * 6)
         samples[2] = MomentSample(3, xs[2], Statistic.SHARP_SECOND, 1.0, 0.0)
         with pytest.raises(ValueError):
             fit(FitModel(3, (BasisTerm.XK1,)), samples)
 
     def test_wrong_dimension_rejected(self):
-        xs = _geometric(10.0, 100.0, 6)
+        xs = cli._geometric_grid(10.0, 100.0, 6)
         with pytest.raises(ValueError):
             fit(FitModel(4, (BasisTerm.XK1,)), _samples(xs, [1.0] * 6, k=3))
 
     def test_scaling_equivariance_power_of_two(self):
-        xs = np.array(_geometric(50.0, 900.0, 10))
+        xs = np.array(cli._geometric_grid(50.0, 900.0, 10))
         values = 2.5 * xs**2 * np.log(xs) + 0.7 * xs**2 + 3.0 * xs
         model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2))
         base = fit(model, _samples(xs, values))
@@ -74,7 +69,7 @@ class TestFit:
             assert c_scaled == 2.0 * c_base
 
     def test_scaling_equivariance_general(self):
-        xs = np.array(_geometric(50.0, 900.0, 10))
+        xs = np.array(cli._geometric_grid(50.0, 900.0, 10))
         values = 2.5 * xs**2 * np.log(xs) + 0.7 * xs**2
         model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1))
         base = fit(model, _samples(xs, values))
@@ -93,14 +88,14 @@ class TestFit:
 
 class TestRecoverC3:
     def test_synthetic_round_trip(self):
-        xs = _geometric(2e3, 2e4, 12)
+        xs = cli._geometric_grid(2e3, 2e4, 12)
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         c3, diag = recover_c3(_samples(xs, values))
         assert_close(c3, 10.6, abs_=1e-9)
         assert diag.samples_used == 12
 
     def test_synthetic_sharp_round_trip(self):
-        xs = [round(x) for x in _geometric(1e4, 1e5, 12)]
+        xs = [round(x) for x in cli._geometric_grid(1e4, 1e5, 12)]
         values = [theory.predicted(Statistic.SHARP_SECOND, 3, x, 9.7) for x in xs]
         c3, _ = recover_c3(_samples(xs, values, stat=Statistic.SHARP_SECOND))
         assert_close(c3, 9.7, abs_=1e-6)
@@ -109,7 +104,7 @@ class TestRecoverC3:
     def test_synthetic_round_trip_higher_dimensions(self, k):
         from gausslab.specfun import gamma_fn
 
-        xs = _geometric(300.0, 3000.0, 12)
+        xs = cli._geometric_grid(300.0, 3000.0, 12)
         values = [theory.predicted(Statistic.SMOOTH_SECOND, k, x) for x in xs]
         basis = (BasisTerm.XK1, BasisTerm.XK32) if k == 4 else (BasisTerm.XK1,)
         model = FitModel(k, basis)
@@ -125,7 +120,7 @@ class TestRecoverC3:
 
     def test_standard_error_rejects_mixed_statistics(self):
         # one design per statistic; a mixed set has no single answer
-        xs = _geometric(2e3, 2e4, 12)
+        xs = cli._geometric_grid(2e3, 2e4, 12)
         smooth, sharp = (
             _samples(xs, [theory.predicted(stat, 3, x, 10.6) for x in xs], stat=stat)
             for stat in (Statistic.SMOOTH_SECOND, Statistic.SHARP_SECOND)
@@ -136,20 +131,20 @@ class TestRecoverC3:
             recover_c3(smooth + sharp)
 
     def test_standard_error_checks_like_recover_c3(self):
-        xs = _geometric(1e4, 5e4, 8)  # less than a decade
+        xs = cli._geometric_grid(1e4, 5e4, 8)  # less than a decade
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             c3_standard_error(_samples(xs, values))
-        xs = _geometric(2e3, 2e4, 12)
+        xs = cli._geometric_grid(2e3, 2e4, 12)
         with pytest.raises(ValueError):
             c3_standard_error(_samples(xs, [1.0] * 12, stat=Statistic.LAPLACE_SECOND))
 
     def test_span_preconditions(self):
-        xs = _geometric(1e4, 5e4, 8)  # less than a decade
+        xs = cli._geometric_grid(1e4, 5e4, 8)  # less than a decade
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             recover_c3(_samples(xs, values))
-        xs = _geometric(2e2, 5e3, 8)  # decade but max too small
+        xs = cli._geometric_grid(2e2, 5e3, 8)  # decade but max too small
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         with pytest.raises(ValueError):
             recover_c3(_samples(xs, values))
@@ -162,21 +157,21 @@ class TestRecoverC3:
         ],
     )
     def test_one_decade_grid_accepted_despite_rounding(self, x0, x1, points):
-        xs = _geometric(x0, x1, points)
+        xs = cli._geometric_grid(x0, x1, points)
         assert xs[-1] / xs[0] < 10.0 or xs[-1] < 1e4
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         c3, _ = recover_c3(_samples(xs, values))
         assert_close(c3, 10.6, abs_=1e-9)
 
     def test_wrong_statistic_rejected(self):
-        xs = _geometric(2e3, 2e4, 8)
+        xs = cli._geometric_grid(2e3, 2e4, 8)
         samples = _samples(xs, [1.0] * 8, stat=Statistic.LAPLACE_SECOND)
         with pytest.raises(ValueError):
             recover_c3(samples)
 
     def test_free_fit_lead_matches_c3_prime(self, series3_big):
         # unconstrained three-term fit still sees the proven log coefficient
-        xs = _geometric(2e3, 2e4, 12)
+        xs = cli._geometric_grid(2e3, 2e4, 12)
         samples = [smooth_second_moment(series3_big, x) for x in xs]
         model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2))
         res = fit(model, samples)
@@ -184,7 +179,7 @@ class TestRecoverC3:
 
     def test_stability_against_dropping_top_sample(self, series3_big):
         # wide enough that a decade of span survives dropping the top point
-        xs = _geometric(1.5e3, 3e4, 13)
+        xs = cli._geometric_grid(1.5e3, 3e4, 13)
         samples = [smooth_second_moment(series3_big, x) for x in xs]
         c3_full, _ = recover_c3(samples)
         c3_drop, _ = recover_c3(samples[:-1])
@@ -219,6 +214,6 @@ class TestPinnedFit:
 
     def test_free_fit_digest_unchanged(self, series3_big):
         # the model and grid of TestRecoverC3.test_free_fit_lead_matches_c3_prime
-        samples = [smooth_second_moment(series3_big, x) for x in _geometric(2e3, 2e4, 12)]
+        samples = [smooth_second_moment(series3_big, x) for x in cli._geometric_grid(2e3, 2e4, 12)]
         model = FitModel(3, (BasisTerm.XK1_LOG, BasisTerm.XK1, BasisTerm.XK2))
         assert _repr_digest(fit(model, samples)) == self.PINNED["free"]

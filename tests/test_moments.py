@@ -191,22 +191,13 @@ class TestLaplaceSecond:
     def test_shared_pass_changes_no_bit(self, series3_big, series4_small, k, subdivide):
         # three cutoffs: mid-chunk, exactly on a chunk boundary, past it
         series = series3_big if k == 3 else series4_small
-        scales = [self._scale_with_cutoff(k, n) for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)]
-        n_cuts = {x: exp_cutoff(k, x) for x in scales}
+        n_cuts = {self._scale_with_cutoff(k, n): n for n in (CHUNK + CHUNK // 2, 2 * CHUNK, 3 * CHUNK + 1234)}
         pf = series.prefix_float()
         # the main pass rounds the counts to float a chunk at a time
         shared = self._joined_cells(self._counts(series), series.v_k, k, n_cuts, subdivide)
         for x, n_cut in n_cuts.items():
             idx = np.arange(n_cut, dtype=np.int64)
             assert np.array_equal(shared[x], laplace_cells(pf[:n_cut], series.v_k, k, x, idx, subdivide))
-        if subdivide == 1:
-            # the kernel's own rule: one call fills every entry of the grid
-            grid = dict.fromkeys(scales)
-            laplace_second_moment(series, scales[0], grid=grid)
-            assert list(grid) == scales and None not in grid.values()
-            for x in scales:
-                assert laplace_second_moment(series, x, grid=grid) is grid[x]
-                assert grid[x] == laplace_second_moment(series, x)
 
     @pytest.mark.parametrize("subdivide", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 4])

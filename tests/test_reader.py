@@ -3,6 +3,7 @@ payload a piece at a time into a new table, and cli._series sums S_k in
 place over that table's counts; the table command checks a hit the same
 way without keeping its payload."""
 
+import csv
 import hashlib
 import os
 import struct
@@ -122,12 +123,16 @@ def _corrupt(path, how):
         data[:4] = b"XKTB"
     elif how == "version":
         struct.pack_into("<I", data, 4, 99)
+    elif how == "version-1":
+        struct.pack_into("<I", data, 4, 1)
     elif how == "truncated":
         data = data[:-9]
     elif how == "trailing":
         data += b"x"
     elif how == "checksum":
-        data[20 + 8 * 5] ^= 0x55  # a payload byte
+        data[20 + 8 * 5] ^= 0x55  # a payload byte in the first read piece
+    elif how == "checksum-piece-2":
+        data[20 + 8 * (PIECE + 3)] ^= 0x55  # and one in the second
     path.write_bytes(bytes(data))
 
 
@@ -135,38 +140,60 @@ def _corrupt(path, how):
 CORRUPTIONS = {
     "magic": (rk.CacheFormatError, "{path}: bad magic bytes"),
     "version": (rk.CacheFormatError, "{path}: unsupported format version 99"),
+    "version-1": (rk.CacheFormatError, "{path}: unsupported format version 1"),
     "truncated": (rk.CacheTruncatedError, "{path}: truncated ({size} bytes, need {need})"),
     "trailing": (rk.CacheFormatError, "{path}: trailing bytes after checksum"),
     "checksum": (rk.CacheChecksumError, "{path}: checksum mismatch"),
+    "checksum-piece-2": (rk.CacheChecksumError, "{path}: checksum mismatch"),
 }
 
 
 class TestBadCache:
+    """The one home of cache-file faults: each corruption kind at each entry
+    point that reads the file.  load_table raises the kind's class and text;
+    cli._series, the table command and the moments command each print that
+    text in one warning line, give a clean run's result and write the file's
+    bytes back."""
+
     K, N_MAX = 3, PIECE + 7
 
     @pytest.mark.parametrize("how", list(CORRUPTIONS))
     def test_same_error_then_warned_rebuild(self, tmp_path, capsys, how):
         cache = tmp_path / "cache"
-        cli._obtain_table(self.K, self.N_MAX, str(cache))
         path = cache / f"rk{self.K}_{self.N_MAX}.rktb"
+        rows_path = tmp_path / "rows.csv"
+        grid = ["--x-min", "1000", "--x-max", str(PIECE), "--points", "2", "--n-max", str(self.N_MAX)]
+        moments_argv = ["moments", "--k", str(self.K), *grid, "--stat", "SharpSecond"]
+        moments_argv += ["--cache-dir", str(cache), "--out", str(rows_path)]
+
+        def moments_rows():
+            assert cli.main(moments_argv) == 0
+            with open(rows_path, newline="") as fh:
+                return [row[:-1] for row in csv.reader(fh)]  # all but runtime_ms
+
+        clean_rows = moments_rows()  # a miss, which writes the file
+        clean_prefix = prefix_counts(build_rk_table(self.K, self.N_MAX)).prefix
         good = path.read_bytes()
+        assert capsys.readouterr().err == ""
         _corrupt(path, how)
-        need = len(good)
+        bad = path.read_bytes()
         cls, text = CORRUPTIONS[how]
-        text = text.format(path=path, size=path.stat().st_size, need=need)
+        text = text.format(path=path, size=path.stat().st_size, need=len(good))
         with pytest.raises(cls) as exc:
             load_table(path)
         assert type(exc.value) is cls and str(exc.value) == text
-        capsys.readouterr()
-        series = cli._series(self.K, self.N_MAX, str(cache))
-        assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n"
-        assert np.array_equal(series.prefix, prefix_counts(build_rk_table(self.K, self.N_MAX)).prefix)
-        assert path.read_bytes() == good
-        # the table command, which checks a hit without keeping it, says the same
-        _corrupt(path, how)
-        assert cli.main(["table", "--k", str(self.K), "--n-max", str(self.N_MAX), "--cache-dir", str(cache)]) == 0
-        assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n"
-        assert path.read_bytes() == good
+        table_argv = ["table", "--k", str(self.K), "--n-max", str(self.N_MAX), "--cache-dir", str(cache)]
+        entries = {
+            "_series": lambda: np.array_equal(cli._series(self.K, self.N_MAX, str(cache)).prefix, clean_prefix),
+            # checks the file without keeping it
+            "table": lambda: cli.main(table_argv) == 0,
+            "moments": lambda: moments_rows() == clean_rows,
+        }
+        for entry, run in entries.items():
+            path.write_bytes(bad)
+            assert run(), entry
+            assert capsys.readouterr().err == f"warning: rebuilding bad cache {path}: {text}\n", entry
+            assert path.read_bytes() == good, entry
 
     def test_file_for_another_table_checked_before_its_payload(self, tmp_path, capsys):
         # r_8 to 50,000, whose S_8 carries at n = 46,172: the header alone

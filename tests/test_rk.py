@@ -546,25 +546,16 @@ class TestR4AtFullSize:
             pytest.fail(f"r_4({n}) = {int(r4[n])}, but 8 sigma(n) - 32 sigma(n/4) = {int(want[n])}")
 
 
-def _r8_sieve(n_max: int) -> np.ndarray:
-    """_r8_jacobi over 0..n_max in sieve form, as uint64.  The signed sum
-    sum_{d | n} (-1)^(n+d) d^3 fits int64 below 2^20 and is positive for n >= 1;
-    16 times it passes int64 from n = 784,080, so the product is taken in uint64.
-    With n = d q the sign is -1 exactly when d is odd and q even."""
-    acc = np.zeros(n_max + 1, dtype=np.int64)
-    root = math.isqrt(n_max)
-    for d in range(1, root + 1):
-        if d % 2:
-            acc[d :: 2 * d] += d**3
-            acc[2 * d :: 2 * d] -= d**3
-        else:
-            acc[d::d] += d**3
-    for q in range(1, n_max // (root + 1) + 1):
-        d = np.arange(root + 1, n_max // q + 1, dtype=np.int64)
-        cube = d**3
-        if q % 2 == 0:
-            cube[d % 2 == 1] *= -1
-        acc[q * (root + 1) :: q] += cube
+def _r8_closed_form(n_max: int) -> np.ndarray:
+    """r_8(0..n_max) as uint64, _r8_jacobi's formula from two divisor sums: the
+    signed sum is sigma_3(n) for odd n and sigma_3(n) - 2 sigma_3^odd(n) for
+    even n.  sigma_3 < 1.2e18 fits int64 below 2^20 and the signed sum is
+    positive for n >= 1; 16 times it passes int64 from n = 784,080, so the
+    product is taken in uint64."""
+    cubes = np.arange(n_max + 1, dtype=np.int64) ** 3
+    acc = divisor_sums(cubes)
+    cubes[::2] = 0
+    acc[::2] -= 2 * divisor_sums(cubes)[::2]
     out = acc.astype(np.uint64) * np.uint64(16)
     out[0] = 1
     return out
@@ -579,8 +570,9 @@ def _fail_at_first_difference(name: str, got: np.ndarray, want: np.ndarray, form
 
 class TestR6R8AtFullSize:
     """r_6 to 1e6 and r_8 to R8_FIRST_OVERFLOW - 1, from the r_4 -> r_8 chain
-    of chain_1m, against their closed forms in sieve form (rk.r6_closed_form
-    and _r8_sieve); TestR7Limit and TestR8Limit check the builds only to 3000."""
+    of chain_1m, against their closed forms by divisor sums (rk.r6_closed_form
+    and _r8_closed_form); TestR7Limit and TestR8Limit check the builds only
+    to 3000."""
 
     def test_sieves_match_closed_forms(self):
         # every n_max to 40 runs the sieve's loops empty or short
@@ -589,7 +581,10 @@ class TestR6R8AtFullSize:
         for n_max in (*range(41), 3000):
             got = rk.r6_closed_form(n_max)
             assert got.dtype == np.uint64 and got.tolist() == r6[: n_max + 1], n_max
-        assert _r8_sieve(3000)[1:].tolist() == _r8_jacobi(n[1:])
+        r8 = [1] + _r8_jacobi(n[1:])
+        for n_max in (0, 1, 2, 3, 40, 3000):
+            got = _r8_closed_form(n_max)
+            assert got.dtype == np.uint64 and got.tolist() == r8[: n_max + 1], n_max
 
     def test_r6_closed_form_across_pieces(self):
         # d = 1 walks q over [1, n_max] in rk.PIECE = 2^16 values a piece: these
@@ -607,7 +602,7 @@ class TestR6R8AtFullSize:
     def test_r8(self, chain_1m):
         r8 = chain_1m[-1][1]
         assert r8.shape[0] - 1 == 987_839
-        _fail_at_first_difference("r_8", r8, _r8_sieve(r8.shape[0] - 1), "16 sum_{d | n} (-1)^(n+d) d^3")
+        _fail_at_first_difference("r_8", r8, _r8_closed_form(r8.shape[0] - 1), "16 sum_{d | n} (-1)^(n+d) d^3")
 
 
 class TestDivisorSums:
@@ -666,53 +661,6 @@ class TestCache:
         assert data[:8] == b"RKTB" + struct.pack("<I", 2)
         assert data[-8:] == hashlib.blake2b(data[:-8], digest_size=8).digest()
 
-    def test_roundtrip(self, tmp_path):
-        table = build_rk_table(3, 1000)
-        path = tmp_path / "r3.rktb"
-        save_table(table, path)
-        assert load_table(path) == table
-
-    def test_file_size(self, tmp_path):
-        table = build_rk_table(2, 999)
-        path = tmp_path / "r2.rktb"
-        save_table(table, path)
-        assert os.path.getsize(path) == 4 + 4 + 4 + 8 + 8 * 1000 + 8
-
-    def test_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.rktb"
-        save_table(build_rk_table(2, 10), path)
-        data = bytearray(path.read_bytes())
-        data[:4] = b"XKTB"
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheFormatError):
-            load_table(path)
-
-    def test_bad_version(self, tmp_path):
-        path = tmp_path / "bad.rktb"
-        save_table(build_rk_table(2, 10), path)
-        for version in (99, 1):
-            data = bytearray(path.read_bytes())
-            struct.pack_into("<I", data, 4, version)
-            path.write_bytes(bytes(data))
-            with pytest.raises(CacheFormatError):
-                load_table(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "bad.rktb"
-        save_table(build_rk_table(2, 10), path)
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(CacheTruncatedError):
-            load_table(path)
-
-    def test_checksum_mismatch(self, tmp_path):
-        path = tmp_path / "bad.rktb"
-        save_table(build_rk_table(2, 10), path)
-        data = bytearray(path.read_bytes())
-        data[30] ^= 0xFF  # flip a payload byte
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheChecksumError):
-            load_table(path)
-
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise OSError("replace refused")
@@ -721,13 +669,6 @@ class TestCache:
         with pytest.raises(OSError, match="replace refused"):
             save_table(build_rk_table(2, 10), tmp_path / "r2.rktb")
         assert list(tmp_path.iterdir()) == []
-
-    def test_trailing_garbage(self, tmp_path):
-        path = tmp_path / "bad.rktb"
-        save_table(build_rk_table(2, 10), path)
-        path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(CacheFormatError):
-            load_table(path)
 
     def test_header_checked_before_payload_read(self, tmp_path, monkeypatch):
         def no_read(*args, **kwargs):
