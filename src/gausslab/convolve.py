@@ -52,40 +52,45 @@ def _bitrev_indices(n: int) -> np.ndarray:
     return rev
 
 
-def _root_powers(w: int, count: int, p: int) -> np.ndarray:
-    """w^0 .. w^(count-1) mod p, built by doubling."""
-    ws = np.ones(1, dtype=np.uint64)
-    cur = w
-    while ws.shape[0] < count:
-        ws = np.concatenate([ws, ws * np.uint64(cur) % np.uint64(p)])
-        cur = cur * cur % p
-    return ws[:count]
+def _root_table(p: int, g: int, n: int, invert: bool) -> np.ndarray:
+    """The n/2 twiddle factors w^0 .. w^(n/2-1) of a length-n transform, w the
+    primitive n-th root g^((p-1)/n) mod p or, to invert, its inverse; built
+    by doubling."""
+    w = pow(g, (p - 1) // n, p)
+    if invert:
+        w = pow(w, p - 2, p)
+    table = np.ones(1, dtype=np.uint64)
+    while table.shape[0] < n // 2:
+        table = np.concatenate([table, table * np.uint64(w) % np.uint64(p)])
+        w = w * w % p
+    return table
 
 
-def _ntt(values: np.ndarray, p: int, g: int, bitrev: np.ndarray, invert: bool) -> np.ndarray:
-    """Transform of values (length a power of two); bitrev is
-    _bitrev_indices(len(values)), built once per convolution."""
+def _ntt(values: np.ndarray, p: int, roots: np.ndarray, bitrev: np.ndarray, invert: bool) -> np.ndarray:
+    """Transform of values (length n, a power of two); bitrev is
+    _bitrev_indices(n) and roots is _root_table(p, g, n, invert), both built
+    once per convolution.  The stage of half-length h reads every n/(2h)-th
+    root, the powers of its primitive 2h-th root."""
     n = values.shape[0]
     pn = np.uint64(p)
     a = values[bitrev]
     half = 1
     while half < n:
-        wlen = pow(g, (p - 1) // (2 * half), p)
-        if invert:
-            wlen = pow(wlen, p - 2, p)
-        ws = _root_powers(wlen, half, p)
+        ws = roots[:: n // (2 * half)]
         blk = a.reshape(-1, 2 * half)
         u = blk[:, :half]
-        v = blk[:, half:] * ws % pn
+        v = blk[:, half:] * ws
+        v %= pn
         s = u + v
-        s -= np.where(s >= pn, pn, np.uint64(0))
-        d = u + pn - v
-        d -= np.where(d >= pn, pn, np.uint64(0))
-        blk[:, :half] = s
-        blk[:, half:] = d
+        d = u + pn
+        d -= v
+        # s and d lie in [0, 2p): the wrapped s - p of an s below p is the larger
+        np.minimum(s, s - pn, out=blk[:, :half])
+        np.minimum(d, d - pn, out=blk[:, half:])
         half *= 2
     if invert:
-        a = a * np.uint64(pow(n, p - 2, p)) % pn
+        a *= np.uint64(pow(n, p - 2, p))
+        a %= pn
     return a
 
 
@@ -113,9 +118,11 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
         pa[: a.shape[0]] = a % np.uint64(p)
         pb = np.zeros(size, dtype=np.uint64)
         pb[: b.shape[0]] = b % np.uint64(p)
-        fa = _ntt(pa, p, g, bitrev, invert=False)
-        fb = _ntt(pb, p, g, bitrev, invert=False)
-        residues.append(_ntt(fa * fb % np.uint64(p), p, g, bitrev, invert=True)[:n_out])
+        roots = _root_table(p, g, size, invert=False)
+        fa = _ntt(pa, p, roots, bitrev, invert=False)
+        fb = _ntt(pb, p, roots, bitrev, invert=False)
+        inverse = _root_table(p, g, size, invert=True)
+        residues.append(_ntt(fa * fb % np.uint64(p), p, inverse, bitrev, invert=True)[:n_out])
     return _crt3(residues)
 
 

@@ -223,14 +223,20 @@ def phi_di_sum(
     the math).  The tail bound v * sum_{gamma > gamma_max} gamma^{1-2s}
     <= v gamma_max^{2-2s}/(2s-2) dominates the omitted terms since each inner
     sum has at most gamma*v unit-modulus summands.
+
+    Each inner sum sum_delta e(h delta / gamma v), for every h at once, is
+    gamma v times the inverse DFT of the indicator of the admissible delta
+    mod gamma v, read at h mod gamma v.
     """
+    import numpy.fft  # here, not at the top: the c3 commands never load it
+
     s = float(s)
     if s <= 1.0:
         raise ValueError(f"phi_di_sum: needs s > 1 (got {s})")
     if gamma_max < 4 or h_max < 1:
         raise ValueError("phi_di_sum: needs gamma_max >= 4 and h_max >= 1")
     h_arr = np.arange(1, h_max + 1, dtype=np.int64)
-    u, v = cusp.u, cusp.v
+    v = cusp.v
     prefactor = (math.gcd(v, 4 // v) / (4.0 * v)) ** s
     totals = np.zeros(h_max, dtype=np.complex128)
     for gamma in range(1, gamma_max + 1):
@@ -238,10 +244,10 @@ def phi_di_sum(
         if deltas.shape[0] == 0:
             continue
         gv = gamma * v
-        # e(h delta / gv) depends on h delta mod gv only: gather it from the gv roots of unity
-        roots = np.exp((2j * math.pi / gv) * np.arange(gv, dtype=np.float64))
-        phases = roots[np.outer(h_arr, deltas) % gv]
-        totals += float(gamma) ** (-2.0 * s) * phases.sum(axis=1)
+        indicator = np.zeros(gv, dtype=np.float64)
+        indicator[deltas % gv] = 1.0
+        inner = numpy.fft.ifft(indicator) * gv
+        totals += float(gamma) ** (-2.0 * s) * inner[h_arr % gv]
     tail = v * float(gamma_max) ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)
     values = prefactor * totals
     i = int(np.argmax(np.abs(values.imag)))

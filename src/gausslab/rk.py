@@ -26,8 +26,9 @@ and at n_max = 2000 r_3 and the steps to r_4..r_6 do.
 Exact NTT convolution (convolve) builds no table; it is the independent
 oracle behind convolve_tables, kept because it reaches the same counts by a
 different algorithm.  The steps peak at about 25 B per n, the transform at
-180 B per n (2.9 GB at 1.6e7): above n ~ 3.4e7, where it needs 2^27 points,
-it does not fit in 7 GB, and above ~6.7e7 it cannot run at all.
+about 200 B per n (the peak RSS rise of r_2 * r_2 at 1e6; 3.2 GB at 1.6e7):
+above n ~ 3.4e7, where it needs 2^27 points, it does not fit in 7 GB, and
+above ~6.7e7 it cannot run at all.
 r6_closed_form is an oracle too, not a route: r_6 from the divisor sum of
 Jacobi and Glaisher by divisor_sums' sieve, with no square step.  verify's
 overflow check starts from it, two steps below the r_8 that wraps.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -355,8 +357,7 @@ def rk_enumeration_tables(k_max: int, n_max: int) -> list[list[int]]:
         nxt = [0] * (n_max + 1)
         for t in range(-root, root + 1):
             tt = t * t
-            for m in range(n_max + 1 - tt):
-                nxt[m + tt] += current[m]
+            nxt[tt:] = map(operator.add, nxt[tt:], current)
         tables.append(nxt)
         current = nxt
     return tables

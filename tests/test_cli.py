@@ -108,6 +108,26 @@ class TestMoments:
             want = theory.predicted(Statistic.SMOOTH_SECOND, 3, float(r[1]), 10.6)
             assert abs(float(r[5]) - want) <= 1e-9 * want
 
+    def test_moments_never_loads_numpy_fft(self, tmp_path):
+        # only verify's Kloosterman sums take a DFT; the c3 commands start without it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        stats = [a for s in Statistic for a in ("--stat", s.value)]
+        argv = ["moments", "--k", "3", "--x-min", "100", "--x-max", "400", "--points", "3", *stats]
+        argv += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "m.csv")]
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "bare = 'numpy.fft' in sys.modules\n"
+            "from gausslab import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(bare, code, 'numpy.fft' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        if out.startswith("True"):
+            pytest.skip("bare import numpy loads numpy.fft (numpy < 2)")
+        assert out == "False 0 False\n"
+
     def test_k4_predicted_column(self, tmp_path):
         out = tmp_path / "m.csv"
         run_cli(
@@ -691,6 +711,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(rk, "r6_closed_form", lambda n_max: np.zeros(8, dtype=np.uint64))
         passed, detail = verify.check_overflow_abort(False, verify._Tables())
         assert (passed, detail) == (False, "r_8 coefficient beyond 2^64 not caught")
+
+    def test_coprime_mask_matches_gcd(self):
+        m = np.arange(1, 1001, dtype=np.int64)
+        assert np.array_equal(verify._coprime_mask(1000), np.gcd.outer(m, m) == 1)
 
     def test_tables_hand_out_requested_size(self):
         tables = verify._Tables()

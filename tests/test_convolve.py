@@ -28,6 +28,29 @@ def test_matches_naive_on_random_inputs(seed):
     assert got == naive_convolve(a, b, n_out)
 
 
+def test_matches_naive_at_every_transform_size():
+    # lengths 2^(j-1) and 2^(j-1) + 1 need exactly 2^j points
+    rng = np.random.default_rng(3)
+    for j in range(1, 11):
+        a = rng.integers(0, 2**27, 1 << (j - 1), endpoint=True).astype(np.uint64)
+        b = rng.integers(0, 2**27, (1 << (j - 1)) + 1, endpoint=True).astype(np.uint64)
+        n_out = 1 << j
+        got = [int(x) for x in exact_convolve(a, b, n_out)]
+        assert got == naive_convolve(a, b, n_out), j
+
+
+@pytest.mark.parametrize("p, g", list(zip(convolve._PRIMES, convolve._GENERATORS)))
+def test_inverse_ntt_undoes_forward(p, g):
+    rng = np.random.default_rng(p)
+    for j in range(1, 17):
+        n = 1 << j
+        values = rng.integers(0, p, n).astype(np.uint64)
+        bitrev = convolve._bitrev_indices(n)
+        forward = convolve._ntt(values, p, convolve._root_table(p, g, n, False), bitrev, invert=False)
+        back = convolve._ntt(forward, p, convolve._root_table(p, g, n, True), bitrev, invert=True)
+        assert np.array_equal(back, values), n
+
+
 def test_truncation_only_keeps_prefix():
     rng = np.random.default_rng(7)
     a = rng.integers(0, 2**20, 200).astype(np.uint64)

@@ -149,12 +149,12 @@ def _scalar_phi_closed(cusp, h, s):
 
 # sha256 of the float64 bytes of phi_di_sum(cusp, 64, 2.0, 400) for cusps 0,
 # 1/2, inf and then cusp 1/2 with corrected=False, concatenated in that order
-_DI_DIGEST = "1cf578f5166d27d9193414465c23287e187fe253c363bfc4e0b62b0092828977"
+_DI_DIGEST = "6c12d4b58862010b9b29641fc94f10ab6d9b756c4c4a179db42a8207d38639ea"
 
 
 def _phi_di_sum_exp(cusp, h_max, s, gamma_max, corrected=True):
     """phi_di_sum's values with one complex exp per (h, delta) pair, the
-    formulation before the root-of-unity table."""
+    direct formulation of the per-modulus DFT."""
     h_arr = np.arange(1, h_max + 1, dtype=np.float64)
     v = cusp.v
     prefactor = (math.gcd(v, 4 // v) / (4.0 * v)) ** s
@@ -245,8 +245,8 @@ class TestPhiDiSum:
             digest.update(part.tobytes())
         assert digest.hexdigest() == _DI_DIGEST
 
-    def test_root_table_matches_one_exp_per_pair(self):
-        # at the pinned digest's inputs the table moves no value by more than 1e-15
+    def test_dft_matches_one_exp_per_pair(self):
+        # at the pinned digest's inputs the DFT moves no value by more than 1e-15
         for cusp, corrected in [(cusp, True) for cusp in Cusp] + [(Cusp.HALF, False)]:
             got = phi_di_sum(cusp, 64, 2.0, 400, corrected=corrected)[0]
             want = _phi_di_sum_exp(cusp, 64, 2.0, 400, corrected=corrected)
