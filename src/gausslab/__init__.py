@@ -12,7 +12,6 @@ from .convolve import ConvolutionCapacityError, ConvolutionOverflowError, exact_
 from .discrepancy import (
     DiscrepancySeries,
     diagonal_partial_mean,
-    p_at_real,
     prefix_counts,
 )
 from .dirichlet import (
@@ -26,7 +25,7 @@ from .dirichlet import (
     r4_euler_rhs,
     r4_identity_check,
 )
-from .fit import BasisTerm, FitModel, FitResult, RankDeficiencyError, fit, recover_c3
+from .fit import BasisTerm, FitModel, FitResult, RankDeficiencyError, recover_c3
 from .moments import (
     MomentSample,
     Statistic,
@@ -49,7 +48,6 @@ from .rk import (
     load_table,
     rk_bruteforce,
     save_table,
-    sigma,
 )
 from .specfun import ball_volume, euler_gamma, gamma_fn, zeta, zeta_two_removed
 from .theory import (

@@ -166,7 +166,12 @@ def _geometric_grid(x_min: float, x_max: float, points: int) -> list[float]:
         raise ValueError("bad grid: need 0 < x-min <= x-max and points >= 1")
     if points == 1:
         return [x_min]
-    ratio = (x_max / x_min) ** (1.0 / (points - 1))
+    quotient = x_max / x_min
+    if math.isinf(quotient) and math.isfinite(x_max):
+        # finite bounds whose quotient overflows: step in logs, end at x_max
+        lo, step = math.log(x_min), (math.log(x_max) - math.log(x_min)) / (points - 1)
+        return [x_min] + [math.exp(lo + step * j) for j in range(1, points - 1)] + [x_max]
+    ratio = quotient ** (1.0 / (points - 1))
     return [x_min * ratio**j for j in range(points)]
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "exact_convolve",
-    "naive_convolve",
     "ConvolutionOverflowError",
     "ConvolutionCapacityError",
     "MAX_RESULT_LEN",
@@ -44,11 +43,12 @@ class ConvolutionCapacityError(ValueError):
 
 
 def _bitrev_indices(n: int) -> np.ndarray:
-    lg = n.bit_length() - 1
-    j = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(lg):
-        rev |= ((j >> b) & 1) << (lg - 1 - b)
+    """The bit-reversal permutation of 0 .. n-1 (n a power of two), by
+    doubling: that of 2m points is 2r, then 2r + 1, for r that of m points."""
+    rev = np.zeros(1, dtype=np.int64)
+    while rev.shape[0] < n:
+        rev *= 2
+        rev = np.concatenate([rev, rev + 1])
     return rev
 
 
@@ -144,17 +144,3 @@ def _crt3(residues: list[np.ndarray]) -> np.ndarray:
         )
     return x01 + np.uint64(p01) * t2
 
-
-def naive_convolve(a, b, n_out: int) -> list[int]:
-    """Reference quadratic convolution over Python integers (oracle scale)."""
-    a = [int(x) for x in a[:n_out]]
-    b = [int(x) for x in b[:n_out]]
-    out = [0] * min(n_out, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n_out:
-                break
-            out[i + j] += ai * bj
-    return out

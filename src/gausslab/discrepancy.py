@@ -22,7 +22,6 @@ sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from .summation import CHUNK, _BlockSum
 __all__ = [
     "DiscrepancySeries",
     "prefix_counts",
-    "p_at_real",
     "diagonal_partial_mean",
     "half_power",
 ]
@@ -155,16 +153,6 @@ def prefix_counts(table: RkTable, out: np.ndarray | None = None) -> DiscrepancyS
 def _check_n(series: DiscrepancySeries, n) -> None:
     if n < 0 or n > series.n_max:
         raise ValueError(f"n = {n} outside [0, {series.n_max}]")
-
-
-def p_at_real(series: DiscrepancySeries, t: float) -> float:
-    """P_k(t) = S_k(floor(t)) - V_k t^{k/2} for real t >= 0."""
-    t = float(t)
-    if t < 0 or t > series.n_max:
-        raise ValueError(f"t = {t} outside [0, {series.n_max}]")
-    n = int(math.floor(t))
-    vol = series.v_k * float(half_power(np.float64(t), series.k)) - float(series._carried(n))
-    return float(_minus_volume(series.prefix[n], vol))
 
 
 def diagonal_partial_mean(series: DiscrepancySeries, X: int) -> float:

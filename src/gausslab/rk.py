@@ -61,6 +61,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -79,7 +80,6 @@ __all__ = [
     "convolve_tables",
     "rk_bruteforce",
     "rk_enumeration_tables",
-    "sigma",
     "divisor_sums",
     "r6_closed_form",
     "save_table",
@@ -176,7 +176,9 @@ def _check_range(k: int, n_max: int) -> tuple[int, int]:
     if k_int is None or not (1 <= k_int <= MAX_K):
         raise ValueError(f"k = {k} outside [1, {MAX_K}]")
     if n_int is None or not (0 <= n_int <= MAX_N):
-        raise ValueError(f"n_max = {n_max} outside [0, {MAX_N}]")
+        # past 17 digits, 17 significant ones, exact even past float range
+        shown = n_max if n_int is None or abs(n_int) < 10**17 else format(Decimal(n_int), ".17g")
+        raise ValueError(f"n_max = {shown} outside [0, {MAX_N}]")
     return k_int, n_int
 
 
@@ -361,24 +363,6 @@ def rk_enumeration_tables(k_max: int, n_max: int) -> list[list[int]]:
         tables.append(nxt)
         current = nxt
     return tables
-
-
-def sigma(nu: float, h: int, odd_only: bool = False) -> float:
-    """Divisor power sum sigma_nu(h) = sum over d | h of d^nu (odd d only if
-    odd_only), by trial division."""
-    if not isinstance(h, int) or h < 1:
-        raise ValueError("sigma: h must be a positive integer")
-    if h > 10**9:
-        raise ValueError("sigma: h above trial-division range")
-    total = []
-    d = 1
-    while d * d <= h:
-        if h % d == 0:
-            for q in {d, h // d}:
-                if not odd_only or q % 2:
-                    total.append(float(q) ** nu)
-        d += 1
-    return math.fsum(total)
 
 
 def divisor_sums(weights: np.ndarray) -> np.ndarray:

@@ -137,6 +137,20 @@ def gamma_recurrence_oracle(x: float) -> float:
     return val
 
 
+def sigma(nu: float, h: int, odd_only: bool = False) -> float:
+    """Divisor power sum sigma_nu(h) = sum over d | h of d^nu (odd d only if
+    odd_only), by trial division: the oracle for rk.divisor_sums."""
+    total = []
+    d = 1
+    while d * d <= h:
+        if h % d == 0:
+            for q in {d, h // d}:
+                if not odd_only or q % 2:
+                    total.append(float(q) ** nu)
+        d += 1
+    return math.fsum(total)
+
+
 def assert_close(got, want, rel=0.0, abs_=0.0, label=""):
     err = abs(got - want)
     limit = abs_ + rel * abs(want)

@@ -890,6 +890,23 @@ class TestExitCodes:
             "moments --k 3 --x-min 100 --x-max 1e308 --points 2 --stat SmoothSecond --n-max 1000", 2, None
         ),
         "moments-x-inf": ("moments --k 3 --x-min 1 --x-max inf --points 2 --stat SharpSecond", 2, "infinity"),
+        # x-max / x-min overflows: the grid is 1e-300, 1, 1e300, with no X = inf
+        "moments-wide-grid-smooth": (
+            "moments --k 3 --x-min 1e-300 --x-max 1e300 --points 3 --stat SmoothSecond",
+            2,
+            "n_max = 2.1183265836946413e+303",
+        ),
+        "moments-wide-grid-sharp": (
+            "moments --k 3 --x-min 1e-300 --x-max 1e300 --points 3 --stat SharpSecond",
+            2,
+            "n_max = 1.0000000000000001e+300",
+        ),
+        # the whole line: n_max = int(1e300) shows 17 significant digits, not 301
+        "moments-n-max-17-digits": (
+            "moments --k 3 --x-min 1e300 --x-max 1e300 --points 1 --stat SharpSecond",
+            2,
+            "error: n_max = 1.0000000000000001e+300 outside [0, 100000000]\n",
+        ),
         "moments-x-min-nan": ("moments --k 3 --x-min nan --x-max 10 --points 2 --stat SmoothSecond", 2, "bad grid"),
         "moments-x-max-nan": ("moments --k 3 --x-min 1 --x-max nan --points 2 --stat SharpSecond", 2, "bad grid"),
         "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),

@@ -6,8 +6,22 @@ from gausslab.convolve import (
     ConvolutionCapacityError,
     ConvolutionOverflowError,
     exact_convolve,
-    naive_convolve,
 )
+
+
+def naive_convolve(a, b, n_out: int) -> list[int]:
+    """Reference quadratic convolution over Python integers (oracle scale)."""
+    a = [int(x) for x in a[:n_out]]
+    b = [int(x) for x in b[:n_out]]
+    out = [0] * min(n_out, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= n_out:
+                break
+            out[i + j] += ai * bj
+    return out
 
 
 def test_small_known_product():

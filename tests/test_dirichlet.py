@@ -15,10 +15,10 @@ from gausslab.dirichlet import (
     r4_identity_check,
     ramanujan_sum,
 )
-from gausslab.rk import build_rk_table, sigma
+from gausslab.rk import build_rk_table
 from gausslab.summation import BLOCK, CHUNK, block_compensated_sum
 
-from conftest import allocated_peak, assert_close, zeta_eta_oracle
+from conftest import allocated_peak, assert_close, sigma, zeta_eta_oracle
 
 
 @pytest.fixture(scope="module")

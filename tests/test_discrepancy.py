@@ -10,7 +10,6 @@ from gausslab.discrepancy import (
     DiscrepancySeries,
     diagonal_partial_mean,
     half_power,
-    p_at_real,
     prefix_counts,
     _minus_volume,
 )
@@ -91,10 +90,9 @@ class TestPastTheCarry:
         vol = series8.v_k * half_power(n.astype(np.float64), 8)
         want = [float(s - int(v)) for s, v in zip(exact[n], vol)]
         assert series8.p_values(40_000, 60_001).tolist() == want
+        # one-value ranges at and next to the carries
         for m in (46_171, 46_172, 54_909, 60_000):
-            assert p_at_real(series8, float(m)) == want[m - 40_000]
-        vol = series8.v_k * float(half_power(46_172.5, 8))
-        assert p_at_real(series8, 46_172.5) == float(exact[46_172] - int(vol))
+            assert series8.p_values(m, m + 1).tolist() == [want[m - 40_000]]
 
     def test_prefix_float_within_one_ulp(self, series8, exact):
         idx = np.arange(40_000, 60_001, 7)
@@ -111,26 +109,16 @@ class TestPastTheCarry:
 
 class TestPAt:
     def test_origin(self, series3):
-        assert p_at_real(series3, 0.0) == 1.0
+        assert series3.p_values(0, 1)[0] == 1.0
 
     def test_n4(self, series3):
         v3 = 4.0 * math.pi / 3.0
-        assert_close(p_at_real(series3, 4.0), 33.0 - v3 * 8.0, rel=1e-13)
-        assert_close(p_at_real(series3, 4.0), -0.5103, abs_=1e-4)
+        p4 = series3.p_values(4, 5)[0]
+        assert_close(p4, 33.0 - v3 * 8.0, rel=1e-13)
+        assert_close(p4, -0.5103, abs_=1e-4)
 
     def test_k4_n1(self, series4):
-        assert_close(p_at_real(series4, 1.0), 9.0 - math.pi**2 / 2.0, rel=1e-13)
-
-    def test_real_half(self, series3):
-        v3 = 4.0 * math.pi / 3.0
-        assert_close(p_at_real(series3, 0.5), 1.0 - v3 * 0.5**1.5, rel=1e-12)
-
-    def test_real_matches_integer_on_floor(self, series3):
-        assert p_at_real(series3, 4.0) == series3.p_values(0, series3.n_max + 1)[4]
-
-    def test_left_limit_at_one(self, series3):
-        t = np.nextafter(1.0, 0.0)
-        assert_close(p_at_real(series3, t), 1.0 - 4.0 * math.pi / 3.0, rel=1e-9)
+        assert_close(series4.p_values(1, 2)[0], 9.0 - math.pi**2 / 2.0, rel=1e-13)
 
     def test_reconstruction_identity(self, series3):
         # P + V n^{k/2} == S to double rounding, on every n <= 1e4
@@ -140,40 +128,25 @@ class TestPAt:
         exact = series3.prefix.astype(np.float64)
         assert float(np.max(np.abs(s - exact))) <= 1e-7  # ~eps * S_max
 
-    def test_out_of_range(self, series3):
-        with pytest.raises(ValueError):
-            p_at_real(series3, 10**4 + 1.0)
-        with pytest.raises(ValueError):
-            p_at_real(series3, -0.5)
-
     def test_split_conversion_above_2_53(self):
         # fabricated prefix beyond 2^53: the 32/32 split keeps low-order bits
         big = 2**60 + 12345
         series = DiscrepancySeries(k=2, n_max=1, prefix=np.array([1, big], dtype=np.uint64), v_k=0.25)
-        got = p_at_real(series, 1.0)
+        got = series.p_values(1, 2)[0]
         want = float(Fraction(big) - Fraction(0.25))
         assert_close(got, want, rel=1e-15)
 
     def test_split_paths_agree_above_2_53(self):
-        # prefix_float rounds each count once; the scalar paths agree bit for
-        # bit with p_values
+        # prefix_float rounds each count once
         rng = np.random.default_rng(7)
         prefix = np.sort(rng.integers(2**53, 2**64 - 1, 64, dtype=np.uint64))
         series = DiscrepancySeries(k=3, n_max=63, prefix=prefix, v_k=4.1887902047863905)
         assert series.prefix_float().tolist() == [float(int(v)) for v in prefix]
-        p = series.p_values(0, series.n_max + 1)
-        for n in range(64):
-            assert p[n] == p_at_real(series, float(n))
         # the volume cancels the high word exactly, so every low bit survives;
         # converting the count to float first would give 12288
         prefix = np.array([1, 2**60 + 12345], dtype=np.uint64)
         series = DiscrepancySeries(k=2, n_max=1, prefix=prefix, v_k=2.0**60)
-        assert series.p_values(0, series.n_max + 1)[1] == p_at_real(series, 1.0) == 12345.0
-
-    def test_batch_matches_scalar(self, series3):
-        p = series3.p_values(0, series3.n_max + 1)
-        for n in (0, 1, 2, 17, 5000, 10**4):
-            assert p[n] == p_at_real(series3, float(n))
+        assert series.p_values(0, series.n_max + 1)[1] == 12345.0
 
 
 class TestSlicedSeries:

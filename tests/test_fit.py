@@ -1,8 +1,10 @@
 import hashlib
+import types
 
 import numpy as np
 import pytest
 
+import gausslab.fit as fit_module
 from gausslab import cli, theory
 from gausslab.fit import (
     BasisTerm,
@@ -88,6 +90,8 @@ class TestFit:
 
 class TestRecoverC3:
     def test_synthetic_round_trip(self):
+        # the package attribute is the module, not the function fit
+        assert isinstance(fit_module, types.ModuleType) and fit_module.recover_c3 is recover_c3
         xs = cli._geometric_grid(2e3, 2e4, 12)
         values = [theory.predicted(Statistic.SMOOTH_SECOND, 3, x, 10.6) for x in xs]
         c3, diag = recover_c3(_samples(xs, values))

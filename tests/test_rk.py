@@ -19,10 +19,9 @@ from gausslab.rk import (
     rk_bruteforce,
     rk_enumeration_tables,
     save_table,
-    sigma,
 )
 
-from conftest import assert_close
+from conftest import assert_close, sigma
 
 
 class TestBuild:
@@ -75,6 +74,9 @@ class TestBuild:
         for n_max in (-1, rk.MAX_N + 1):
             with pytest.raises(ValueError, match=f"n_max = {n_max} outside"):
                 rk.r6_closed_form(n_max)
+        # past 17 digits, and past float range, n_max shows 17 significant digits
+        with pytest.raises(ValueError, match=r"^n_max = 1\.0000000000000000e\+400 outside"):
+            build_rk_table(3, 10**400)
         # a table is made only of uint64 counts of length n_max + 1
         for counts in (np.zeros(11, dtype=np.int64), np.zeros(10, dtype=np.uint64)):
             with pytest.raises(ValueError, match="uint64 of length"):
@@ -643,14 +645,6 @@ class TestDivisorSums:
                 want_chi[n] += chi[d % 4]
         assert divisor_sums(np.arange(n_max + 1, dtype=np.int64)).tolist() == want_sig
         assert divisor_sums(np.array([chi[d % 4] for d in range(n_max + 1)])).tolist() == want_chi
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sigma(1.0, 0)
-        with pytest.raises(ValueError):
-            sigma(1.0, -3, odd_only=True)
-        with pytest.raises(ValueError, match="trial-division range"):
-            sigma(1.0, 10**9 + 1)
 
 
 class TestCache:
