@@ -133,8 +133,11 @@ def run_moments(
     The series runs to n_max, by default the smallest one every cell needs.
     A kernel's ValueError (an X the table or the statistic cannot take, such
     as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
-    other exception propagates.
+    other exception propagates.  A non-finite c3 is refused before any table
+    is obtained.
     """
+    if c3 is not None and not math.isfinite(c3):
+        raise ValueError(f"c3 = {c3} is not finite")
     if n_max is None:
         n_max = max(stat.n_needed(k, x) for stat in statistics for x in x_grid)
     series = _series(k, n_max, cache_dir)

@@ -173,7 +173,7 @@ class MomentSample:
 
 def exp_cutoff(k: int, X: float) -> int:
     """Truncation point for the exponentially smoothed statistics at scale X."""
-    if X <= 0:
+    if not X > 0:
         raise ValueError("X must be positive")
     n_cut = X * (k * math.log(X + 2.0) + 46.0)
     if not math.isfinite(n_cut):

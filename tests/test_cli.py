@@ -909,6 +909,12 @@ class TestExitCodes:
         ),
         "moments-x-min-nan": ("moments --k 3 --x-min nan --x-max 10 --points 2 --stat SmoothSecond", 2, "bad grid"),
         "moments-x-max-nan": ("moments --k 3 --x-min 1 --x-max nan --points 2 --stat SharpSecond", 2, "bad grid"),
+        "moments-c3-nan": (
+            "moments --k 3 --x-min 100 --x-max 200 --points 2 --stat SmoothSecond --c3 nan", 2, "c3 = nan"
+        ),
+        "moments-c3-inf": (
+            "moments --k 3 --x-min 100 --x-max 200 --points 2 --stat SmoothSecond --c3 inf", 2, "c3 = inf"
+        ),
         "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),
         "shortinterval-bad-beta": ("shortinterval --x-min 10 --x-max 20 --beta 1.5", 2, "error: beta"),
         "fit-missing-file": ("fit nope.csv", 3, "error: "),

@@ -566,3 +566,5 @@ class TestStructuralInvariants:
             exp_cutoff(3, 1e308)
         with pytest.raises(ValueError):
             exp_cutoff(3, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            exp_cutoff(3, math.nan)

@@ -73,10 +73,11 @@ loaded = sorted(os.path.basename(m.__file__) for m in modules)
 missed = set()
 for module in modules:
     for func in defs(module):
-        code = inspect.unwrap(func).__code__
+        func = inspect.unwrap(func)
+        code = func.__code__
         # dataclass-made methods have no file of the module's own
         if code.co_filename == module.__file__ and code.co_name != "<lambda>" and code not in entered:
-            missed.add(module.__name__.removeprefix("gausslab.") + "." + code.co_qualname)
+            missed.add(module.__name__.removeprefix("gausslab.") + "." + func.__qualname__)
 print(codes)
 print(" ".join(loaded))
 print(" ".join(sorted(missed)))

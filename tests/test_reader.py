@@ -269,6 +269,8 @@ def test_import_floor():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
+        "import gausslab\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('gausslab.') or m == 'numpy')\n"
         "import gausslab.cli\n"
         "loaded = sorted(m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules)\n"
         "import hashlib\n"
@@ -276,8 +278,8 @@ def test_import_floor():
         "from gausslab import moments, rk\n"
         "nodes, weights = leggauss(8)\n"
         "same = [a.tobytes() == b.tobytes() for a, b in ((moments._GL_NODES, nodes), (moments._GL_WEIGHTS, weights))]\n"
-        "print(loaded, same, rk.blake2b is hashlib.blake2b)\n"
+        "print(bare, loaded, same, rk.blake2b is hashlib.blake2b)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out == "[] [True, True] True\n"
+    assert out == "[] [] [True, True] True\n"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import specfun
 from gausslab.specfun import ball_volume, euler_gamma, gamma_fn, zeta, zeta_two_removed
 
 from conftest import assert_close, gamma_recurrence_oracle, zeta_eta_oracle
