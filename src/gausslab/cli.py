@@ -132,9 +132,10 @@ def run_moments(
 
     The series runs to n_max, by default the smallest one every cell needs.
     A kernel's ValueError (an X the table or the statistic cannot take, such
-    as SharpWeightedFirst at k != 3) becomes an ERROR row and exit code 2; any
-    other exception propagates.  A non-finite c3 is refused before any table
-    is obtained.
+    as SharpWeightedFirst at k != 3), or a finite c3 so large that a cell's
+    predicted value is not, becomes an ERROR row and exit code 2; any other
+    exception propagates.  A non-finite c3 is refused before any table is
+    obtained.
     """
     if c3 is not None and not math.isfinite(c3):
         raise ValueError(f"c3 = {c3} is not finite")
@@ -154,10 +155,12 @@ def run_moments(
         except ValueError as exc:
             outcome = exc
         ms = (time.perf_counter() - start) * 1e3
+        predicted = None if isinstance(outcome, ValueError) else theory.predicted(stat, k, x, c3)
+        if predicted is not None and not math.isfinite(predicted):
+            outcome = ValueError(f"c3 = {c3} gives a predicted value that is not finite")
         if isinstance(outcome, ValueError):
             cols, status = [f"ERROR: {outcome}", "", ""], EXIT_USAGE
         else:
-            predicted = theory.predicted(stat, k, x, c3)
             shown = "" if predicted is None else _fmt(predicted)
             cols = [_fmt(outcome.value), _fmt(outcome.truncation_bound), shown]
         rows.append([str(k), _fmt(x), stat.value, *cols, f"{ms:.3f}"])

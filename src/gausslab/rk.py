@@ -30,8 +30,11 @@ about 200 B per n (the peak RSS rise of r_2 * r_2 at 1e6; 3.2 GB at 1.6e7):
 above n ~ 3.4e7, where it needs 2^27 points, it does not fit in 7 GB, and
 above ~6.7e7 it cannot run at all.
 r6_closed_form is an oracle too, not a route: r_6 from the divisor sum of
-Jacobi and Glaisher by divisor_sums' sieve, with no square step.  verify's
-overflow check starts from it, two steps below the r_8 that wraps.
+Jacobi and Glaisher, with no square step.  For n = 2^a m with m odd it is
+r_6(n) = 4 (4^(a+1) chi(m) - 1) T(n), T(n) = sum_{d | n} chi(d) d^2, so it
+is one divisor_sums call and a factor per power of 2, exact in int64 (every
+value is below 32.9 n^2), at a peak of 16 B per n.  verify's overflow check
+starts from it, two steps below the r_8 that wraps.
 
 Every step is exact; an add that could wrap is checked, so any value that
 would exceed the integer width aborts with ConvolutionOverflowError instead
@@ -385,40 +388,25 @@ def r6_closed_form(n_max: int) -> np.ndarray:
     """r_6(0..n_max) as u64 from r_6(n) = sum_{d | n} (16 chi(n/d) - 4 chi(d)) d^2
     (Jacobi and Glaisher), chi the nontrivial character mod 4, and r_6(0) = 1.
 
-    divisor_sums' hyperbola sieve: each d <= sqrt(n_max) reaches every
-    n = d q by slices over q, and each larger d is reached through its
-    cofactor q = n/d.  Exact in int64, then viewed as u64: every term is at
-    most 20 d^2 in size, so every partial sum is below
-    20 sigma_2(n) < 20 zeta(2) n^2 ~ 32.9 n^2, 3.3e17 at MAX_N.  chi is int8
-    and the size-n temporaries are taken PIECE values at a time, so the peak
-    is the output and chi, 9 B per n.
+    For n = 2^a m with m odd, chi(n/d) is nonzero only where 2^a | d, and
+    those terms collect to 4^a chi(m) T(n), so
+    r_6(n) = 4 (4^(a+1) chi(m) - 1) T(n) with T(n) = sum_{d | n} chi(d) d^2:
+    one divisor_sums call, then a factor on each class n = 2^a (mod 2^(a+2))
+    and n = 3 2^a (mod 2^(a+2)).  Exact in int64, then viewed as u64:
+    |T(n)| <= sigma_2(m), so every value is below 20 zeta(2) n^2 ~ 32.9 n^2,
+    3.3e17 at MAX_N.  The peak is the weights and the sums, 16 B per n.
     """
     _, n_max = _check_range(6, n_max)
-    chi = np.zeros(n_max + 1, dtype=np.int8)
-    chi[1::4] = 1
-    chi[3::4] = -1
-    acc = np.zeros(n_max + 1, dtype=np.int64)
-    root = math.isqrt(n_max)
-    for d in range(1, root + 1):
-        # n = d q for q <= n_max // d; every product's dtype is pinned, since
-        # numpy 1.x and 2.x promote an int8 array times a Python int differently
-        for lo in range(1, n_max // d + 1, PIECE):
-            hi = min(lo + PIECE, n_max // d + 1)
-            term = np.multiply(chi[lo:hi], 16 * d * d, dtype=np.int64)
-            term -= 4 * int(chi[d]) * d * d
-            acc[d * lo : d * hi : d] += term
-    for q in range(1, n_max // (root + 1) + 1):
-        # n = q d for root < d <= n_max // q
-        for lo in range(root + 1, n_max // q + 1, PIECE):
-            hi = min(lo + PIECE, n_max // q + 1)
-            term = np.multiply(chi[lo:hi], -4, dtype=np.int64)
-            term += 16 * int(chi[q])
-            d = np.arange(lo, hi, dtype=np.int64)
-            d *= d
-            term *= d
-            acc[q * lo : q * hi : q] += term
-    acc[0] = 1
-    return acc.view(np.uint64)
+    weights = np.arange(n_max + 1, dtype=np.int64)
+    weights *= weights
+    weights[::2] = 0
+    weights[3::4] *= -1
+    out = divisor_sums(weights)
+    for a in range(n_max.bit_length()):  # every a with 2^a <= n_max
+        out[1 << a :: 4 << a] *= 4 * (4 ** (a + 1) - 1)
+        out[3 << a :: 4 << a] *= -4 * (4 ** (a + 1) + 1)
+    out[0] = 1
+    return out.view(np.uint64)
 
 
 def _digest(header: bytes, counts: np.ndarray) -> bytes:

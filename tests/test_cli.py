@@ -915,6 +915,10 @@ class TestExitCodes:
         "moments-c3-inf": (
             "moments --k 3 --x-min 100 --x-max 200 --points 2 --stat SmoothSecond --c3 inf", 2, "c3 = inf"
         ),
+        # a finite c3 whose main term overflows: an ERROR row, not inf
+        "moments-c3-huge": (
+            "moments --k 3 --x-min 100 --x-max 100 --points 1 --stat SharpSecond --c3 1e308", 2, None
+        ),
         "shortinterval-x-below-2": ("shortinterval --x-min 1 --x-max 1 --points 1 --beta 0.5", 2, "X = 1"),
         "shortinterval-bad-beta": ("shortinterval --x-min 10 --x-max 20 --beta 1.5", 2, "error: beta"),
         "fit-missing-file": ("fit nope.csv", 3, "error: "),

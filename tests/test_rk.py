@@ -588,10 +588,10 @@ class TestR6R8AtFullSize:
             got = _r8_closed_form(n_max)
             assert got.dtype == np.uint64 and got.tolist() == r8[: n_max + 1], n_max
 
-    def test_r6_closed_form_across_pieces(self):
-        # d = 1 walks q over [1, n_max] in rk.PIECE = 2^16 values a piece: these
-        # sizes end one short of, at and one past its first piece edge, and
-        # past its second
+    def test_r6_closed_form_at_powers_of_two(self):
+        # the factor loop runs over every a with 2^a <= n_max: these sizes end
+        # one short of, at and one past 2^16, where a = 16 enters the loop, and
+        # just past 2^17, where a = 17 does
         r6 = build_rk_table(6, 131_075).counts
         for n_max in (65_535, 65_536, 65_537, 131_075):
             assert np.array_equal(rk.r6_closed_form(n_max), r6[: n_max + 1]), n_max
